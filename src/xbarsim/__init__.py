@@ -6,7 +6,7 @@ conversion, linear readout calibration, DAC/ADC quantization, and full-CNN
 inference built on top of these engines.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .config import CrossbarConfig
 from .circuit import CrossbarSolver, simulate, ideal_vmm, oracle_solve

@@ -6,16 +6,24 @@ wire segment. Each column j is a chain of bottom nodes B(0,j)..B(m-1,j);
 B(m-1,j) sinks to ground through one edge wire segment plus r_out. The device
 at (i,j) joins T(i,j) and B(i,j) with resistance 1/g[i,j] + r_transistor_on.
 
-The solver assembles the Kirchhoff-current-law system over the 2*m*n grid
-nodes (zero-resistance edges collapse nodes), factorizes it once per
-conductance matrix, and reuses the factorization for any number of input
-vectors. A dense reference solve (`oracle_solve`) with independently derived
-assembly is provided for small arrays.
+`CrossbarSolver` handles the two physical regimes of this network:
+
+- grid (r_wire > 0): the Kirchhoff-current-law system over all 2*m*n grid
+  nodes, assembled sparse and LU-factorized by SuperLU;
+- lumped (r_wire == 0): each row and each column is a single node. A row is
+  fixed to its input when r_in == 0 and a column is grounded when
+  r_out == 0; the remaining nodes (at most m+n) form a small dense system.
+
+Either regime is factorized once per conductance matrix and reused for any
+number of input vectors. Two references check it: `ideal_vmm`, the exact
+zero-parasitic product, and `oracle_solve`, a dense solve with independently
+derived assembly for small arrays.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -24,8 +32,6 @@ from .errors import SolverError, ValidationError
 
 RESIDUAL_TOL = 1e-10
 ORACLE_MAX_CELLS = 64
-
-_FREE, _SRC, _GND = 0, 1, 2
 
 
 def check_conductances(config, g, tol=1e-9):
@@ -68,179 +74,101 @@ class NodeSolution:
     residual: float      # relative residual of the linear solve
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        p = self.parent
-        root = a
-        while p[root] != root:
-            root = p[root]
-        while p[a] != root:
-            p[a], a = root, p[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # deterministic: smaller id wins
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
-
-
 class CrossbarSolver:
     """Factorized nodal solver for one (config, conductance matrix) pair.
 
     Building the solver validates inputs, assembles and LU-factorizes the
-    sparse KCL system once; `solve`/`currents` then only back-substitute, so
-    many input vectors against the same conductances are cheap.
+    nodal system of its regime once; `solve`/`currents` then only
+    back-substitute, so many input vectors against the same conductances are
+    cheap.
     """
 
     def __init__(self, config: CrossbarConfig, g):
         self.config = config
         self.g = check_conductances(config, g)
-        m, n = config.rows, config.cols
         if config.r_transistor_on > 0.0:
             self.g_dev = 1.0 / (1.0 / self.g + config.r_transistor_on)
         else:
             self.g_dev = self.g
-        # terminal paths include the edge wire segment
-        self.r_src = config.r_in + config.r_wire
+        # the column sink path includes the edge wire segment
         self.r_term = config.r_out + config.r_wire
-        self._ideal_path = (config.r_wire == 0.0 and config.r_in == 0.0
-                            and config.r_out == 0.0)
-        if not self._ideal_path:
-            self._build(m, n)
+        self._grid = config.r_wire > 0.0
+        if self._grid:
+            self._factor_grid()
+        else:
+            self._factor_lumped()
 
-    # node ids: top (i,j) -> i*n + j; bottom (i,j) -> m*n + i*n + j;
-    # source of row i -> 2*m*n + i; ground -> 2*m*n + m
-    def _build(self, m, n):
+    def _factor_grid(self):
+        """Sparse system over the grid: top (i,j) -> i*n + j, bottom (i,j) ->
+        m*n + i*n + j.
+
+        Stamps come rows first (source edge, then wire segments), then columns
+        (wire segments, then sink edge), then devices, each edge as
+        (a,a), (a,b), (b,b), (b,a); this order fixes how `tocsc` sums them.
+        """
         cfg = self.config
-        top = lambda i, j: i * n + j
-        bot = lambda i, j: m * n + i * n + j
-        src = lambda i: 2 * m * n + i
-        gnd = 2 * m * n + m
-        total = gnd + 1
+        m, n = cfg.rows, cfg.cols
+        top = np.arange(m * n).reshape(m, n)
+        bot = top + m * n
 
-        edges = []   # (u, v, conductance) with positive resistance
-        merges = []  # zero-resistance pairs
-        def add(u, v, r):
-            if r == 0.0:
-                merges.append((u, v))
-            else:
-                edges.append((u, v, 1.0 / r))
+        def stamp(a, b, g):
+            """(row, col, value) arrays, (lines, 4 * edges) each, of the edges
+            a[l, e] -- b[l, e]."""
+            g = np.broadcast_to(g, a.shape)
+            return [np.stack(t, axis=-1).reshape(len(a), -1)
+                    for t in ((a, a, b, b), (a, b, b, a), (g, -g, g, -g))]
 
-        for i in range(m):
-            add(src(i), top(i, 0), self.r_src)
-            for j in range(n - 1):
-                add(top(i, j), top(i, j + 1), cfg.r_wire)
-        for j in range(n):
-            for i in range(m - 1):
-                add(bot(i, j), bot(i + 1, j), cfg.r_wire)
-            add(bot(m - 1, j), gnd, self.r_term)
-        for i in range(m):
-            for j in range(n):
-                edges.append((top(i, j), bot(i, j), self.g_dev[i, j]))
-
-        uf = _UnionFind(total)
-        for u, v in merges:
-            uf.union(u, v)
-
-        kind = np.full(total, _FREE, dtype=np.int8)
-        ref = np.full(total, -1, dtype=np.int64)
-        gnd_rep = uf.find(gnd)
-        kind_rep = {gnd_rep: (_GND, 0)}
-        for i in range(m):
-            r = uf.find(src(i))
-            if r == gnd_rep:
-                raise SolverError("source node shorted to ground")
-            if r in kind_rep:
-                raise SolverError("two sources shorted together")
-            kind_rep[r] = (_SRC, i)
-
-        free_index = {}
-        for node in range(total):
-            r = uf.find(node)
-            if r in kind_rep:
-                k, idx = kind_rep[r]
-            else:
-                if r not in free_index:
-                    free_index[r] = len(free_index)
-                k, idx = _FREE, free_index[r]
-            kind[node] = k
-            ref[node] = idx
-        nfree = len(free_index)
-        self._nfree = nfree
-
-        rows_a, cols_a, vals_a = [], [], []
-        rows_s, cols_s, vals_s = [], [], []
-        for u, v, gc in edges:
-            ku, iu = kind[u], ref[u]
-            kv, iv = kind[v], ref[v]
-            if ku == _FREE and kv == _FREE and iu == iv:
-                continue  # edge inside a collapsed node group
-            for (ka, ia), (kb, ib) in (((ku, iu), (kv, iv)), ((kv, iv), (ku, iu))):
-                if ka != _FREE:
-                    continue
-                rows_a.append(ia); cols_a.append(ia); vals_a.append(gc)
-                if kb == _FREE:
-                    rows_a.append(ia); cols_a.append(ib); vals_a.append(-gc)
-                elif kb == _SRC:
-                    rows_s.append(ia); cols_s.append(ib); vals_s.append(gc)
-                # ground: only the diagonal term
-
-        self._kind_top = kind[:m * n].reshape(m, n)
-        self._ref_top = ref[:m * n].reshape(m, n)
-        self._kind_bot = kind[m * n:2 * m * n].reshape(m, n)
-        self._ref_bot = ref[m * n:2 * m * n].reshape(m, n)
-
-        if nfree == 0:
-            self._lu = None
-            return
-        A = sp.coo_matrix((vals_a, (rows_a, cols_a)), shape=(nfree, nfree)).tocsc()
-        self._S = sp.coo_matrix((vals_s, (rows_s, cols_s)), shape=(nfree, m)).tocsc()
-        self._A = A
+        g_wire = 1.0 / cfg.r_wire
+        src, sink = top[:, :1], bot[-1:].T   # T(i,0) per row, B(m-1,j) per column
+        g_src = np.full((m, 1), 1.0 / (cfg.r_in + cfg.r_wire))
+        g_sink = np.full((n, 1), 1.0 / self.r_term)
+        # a terminal edge stamps only its grid node's diagonal
+        rows = map(np.hstack, zip((src, src, g_src),
+                                  stamp(top[:, :-1], top[:, 1:], g_wire)))
+        cols = map(np.hstack, zip(stamp(bot.T[:, :-1], bot.T[:, 1:], g_wire),
+                                  (sink, sink, g_sink)))
+        i, j, v = (np.concatenate([r.ravel(), c.ravel(), d.ravel()])
+                   for r, c, d in zip(rows, cols, stamp(top, bot, self.g_dev)))
+        size = 2 * m * n
+        self._A = sp.coo_matrix((v, (i, j)), shape=(size, size)).tocsc()
+        self._S = sp.coo_matrix((g_src[:, 0], (top[:, 0], np.arange(m))),
+                                shape=(size, m)).tocsc()
         try:
-            self._lu = spla.splu(A)
+            self._lu = spla.splu(self._A)
         except RuntimeError as exc:
             raise SolverError(f"singular crossbar system: {exc}") from exc
 
-    def _gather(self, kind, ref, x, V):
-        """Node voltages (k, m, n) from free solution x (nfree, k) and inputs V (k, m)."""
-        k = V.shape[0]
-        out = np.zeros((k, kind.shape[0], kind.shape[1]))
-        free = kind == _FREE
-        if x is not None and free.any():
-            out[:, free] = x[ref[free], :].T
-        srcm = kind == _SRC
-        if srcm.any():
-            out[:, srcm] = V[:, ref[srcm]]
-        return out
+    def _factor_lumped(self):
+        """Dense system over the free row nodes, then the free column nodes."""
+        cfg, gd = self.config, self.g_dev
+        m, n = gd.shape
+        rows_free, cols_free = cfg.r_in > 0.0, cfg.r_out > 0.0
+        g_in = 1.0 / cfg.r_in if rows_free else 0.0
+        g_out = 1.0 / cfg.r_out if cols_free else 0.0
+        G = np.block([[np.diag(gd.sum(axis=1) + g_in), -gd],
+                      [-gd.T, np.diag(gd.sum(axis=0) + g_out)]])
+        # inputs drive free rows through r_in, or fixed rows' devices directly
+        S = np.vstack([g_in * np.eye(m), np.zeros((n, m))]) if rows_free else -G[:, :m]
+        free = np.r_[np.full(m, rows_free), np.full(n, cols_free)]
+        self._A = G[np.ix_(free, free)]
+        self._S = S[free]
+        self._lu = sla.lu_factor(self._A)
 
     def _solve_nodes(self, V):
         """V (k, rows) -> (v_top, v_bot) each (k, rows, cols), residuals (k,)."""
         m, n = self.config.rows, self.config.cols
         k = V.shape[0]
-        if self._ideal_path:
-            v_top = np.repeat(V[:, :, None], n, axis=2)
-            return v_top, np.zeros((k, m, n)), np.zeros(k)
-        if self._nfree == 0:
-            x = None
-            residuals = np.zeros(k)
-        else:
-            rhs = self._S @ V.T  # (nfree, k)
-            rhs = np.asarray(rhs)
-            x = self._lu.solve(rhs)
-            res = self._A @ x - rhs
-            num = np.linalg.norm(res, axis=0)
-            den = np.linalg.norm(rhs, axis=0)
-            residuals = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-        v_top = self._gather(self._kind_top, self._ref_top, x, V)
-        v_bot = self._gather(self._kind_bot, self._ref_bot, x, V)
-        return v_top, v_bot, residuals
+        rhs = np.asarray(self._S @ V.T)  # (unknowns, k)
+        x = self._lu.solve(rhs) if self._grid else sla.lu_solve(self._lu, rhs)
+        num = np.linalg.norm(self._A @ x - rhs, axis=0)
+        den = np.linalg.norm(rhs, axis=0)
+        residuals = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+        if self._grid:
+            return x[:m * n].T.reshape(k, m, n), x[m * n:].T.reshape(k, m, n), residuals
+        v_row = x[:m].T if self.config.r_in > 0.0 else V
+        v_col = x[-n:].T if self.config.r_out > 0.0 else np.zeros((k, n))
+        return (np.repeat(v_row[:, :, None], n, axis=2),
+                np.repeat(v_col[:, None, :], m, axis=1), residuals)
 
     def _output_currents(self, v_top, v_bot):
         m = self.config.rows
@@ -256,26 +184,16 @@ class CrossbarSolver:
     def transfer_matrix(self):
         """Exact input-to-output linear map T, (rows, cols): i_out = T' v_in.
 
-        Computed by adjoint back-substitutions on the existing factorization
-        (the nodal matrix is symmetric), one per column; falls back to basis
-        inputs for terminal-shorted configurations.
+        On the grid: one adjoint back-substitution per column on the existing
+        factorization (the nodal matrix is symmetric). Lumped: the currents of
+        unit basis inputs, which with both terminals ideal is g_dev exactly.
         """
-        m, n = self.config.rows, self.config.cols
-        if self._ideal_path:
-            return self.g_dev.copy()
-        if self.r_term > 0.0 and self._nfree > 0:
-            E = np.zeros((self._nfree, n))
-            ok = True
-            for j in range(n):
-                if self._kind_bot[m - 1, j] != _FREE:
-                    ok = False
-                    break
-                E[self._ref_bot[m - 1, j], j] += 1.0 / self.r_term
-            if ok:
-                Z = self._lu.solve(E)
-                return np.asarray(self._S.T @ Z)
-        return self.currents(np.eye(m) * self.config.v_sense_max,
-                             check_range=False) / self.config.v_sense_max
+        if not self._grid:
+            return self.currents(np.eye(self.config.rows), check_range=False)
+        n = self.config.cols
+        E = np.zeros((self._A.shape[0], n))
+        E[-n:] = np.eye(n) / self.r_term  # the sinks B(m-1, :) are the last n nodes
+        return np.asarray(self._S.T @ self._lu.solve(E))
 
     def currents(self, V, check_range=True):
         """Batch solve: V (k, rows) -> output currents (k, cols)."""

@@ -98,8 +98,8 @@ def _write_stats_csv(path, rows):
 
 @click.group()
 @click.option("--threads", type=int, default=None,
-              help="Cap internal parallelism (env XBAR_THREADS as fallback). "
-                   "Results are identical for any value.")
+              help="Validated (>= 1; env XBAR_THREADS as fallback) but not "
+                   "used yet: every command runs in one process.")
 @click.pass_context
 def cli(ctx, threads):
     """Memristor-crossbar CNN inference simulator."""

@@ -47,12 +47,6 @@ class CrossbarConfig:
         if self.v_sense_max <= 0.0:
             raise ValidationError(f"v_sense_max must be > 0, got {self.v_sense_max}")
 
-    @property
-    def ideal(self):
-        """True when every parasitic resistance is exactly zero."""
-        return (self.r_wire == 0.0 and self.r_in == 0.0
-                and self.r_out == 0.0 and self.r_transistor_on == 0.0)
-
     def to_dict(self):
         return asdict(self)
 

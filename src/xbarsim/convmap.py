@@ -3,10 +3,10 @@
 Each 3-D kernel (one output channel) is unrolled to one crossbar column;
 the convolution window slides over the input feature map and feeds one VMM
 per output position. Row order is channel-major, then kernel row, then
-kernel column, shared by `unroll_kernel` and `window_stream`.
+kernel column, shared by `unroll_kernel` and `window_matrix`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,11 +104,6 @@ def window_matrix(fm: FeatureMap, spec: ConvSpec):
     return vecs
 
 
-def window_stream(fm: FeatureMap, spec: ConvSpec):
-    """Yield window input vectors one at a time, raster order."""
-    yield from window_matrix(fm, spec)
-
-
 def conv_reference(fm: FeatureMap, spec: ConvSpec):
     """Exact dense convolution: window matrix times unrolled kernel."""
     oh, ow = spec.output_shape(fm.height, fm.width)
@@ -133,27 +128,6 @@ def conv_reference_loops(fm: FeatureMap, spec: ConvSpec):
                                     * spec.weights[ky, kx, ic, oc])
                 out[oy, ox, oc] = acc
     return FeatureMap(out)
-
-
-def conv_execute(engine, fm: FeatureMap, spec: ConvSpec, collect_errors=False):
-    """Run one convolution layer through a built VmmEngine.
-
-    Windows are executed as one batch against the engine's factorized solver
-    and reassembled in raster order. With collect_errors=True also computes
-    the exact reference from the same input and returns
-    (FeatureMap, error rows) where each row is
-    (window index, column index, ideal, actual).
-    """
-    oh, ow = spec.output_shape(fm.height, fm.width)
-    X = window_matrix(fm, spec)
-    Y = engine.execute_batch(X)
-    result = FeatureMap(Y.reshape(oh, ow, spec.out_channels))
-    if not collect_errors:
-        return result
-    ideal = X @ unroll_kernel(spec)
-    rows = [(w, j, ideal[w, j], Y[w, j])
-            for w in range(Y.shape[0]) for j in range(Y.shape[1])]
-    return result, rows
 
 
 @dataclass

@@ -13,11 +13,11 @@ File formats:
 - Model manifest: JSON listing layers (name, kind, params, predecessors,
   blob_offset, blob_len) next to one raw float32 weight blob whose SHA-256
   is recorded in the manifest.
-- Error reports: CSV rows layer,window,column,ideal,actual,rel_err plus a
-  JSON aggregate summary.
+- Error reports (written by the `run-net` CLI command from `ErrorReport`
+  rows): CSV rows layer,window,column,ideal,actual,rel_err plus a JSON
+  aggregate summary.
 """
 
-import csv
 import hashlib
 import json
 import struct
@@ -300,23 +300,6 @@ class ErrorReport:
     distribution: np.ndarray | None = None
     prediction: int | None = None
     logits: np.ndarray | None = None           # final pre-softmax activations
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "window", "column", "ideal", "actual", "rel_err"])
-            for row in self.rows:
-                writer.writerow([row[0], row[1], row[2],
-                                 repr(row[3]), repr(row[4]), repr(row[5])])
-
-    def summary(self):
-        return {"prediction": self.prediction,
-                "distribution": None if self.distribution is None
-                else self.distribution.tolist(),
-                "layers": self.aggregates}
-
-    def write_json(self, path):
-        Path(path).write_text(json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
 
 
 def _tap_layer(report, name, ideal, actual):

@@ -1,5 +1,7 @@
 """Crossbar nodal solver tests against independent dense oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +14,17 @@ G_MIN = 1.0 / 300_000.0
 G_MAX = 1.0 / 15_000.0
 
 
-def random_instance(seed, max_rows=8, max_cols=8, r_wire=1.0, r_in=1.0, r_out=1.0):
+# every regime of the solver: r_wire, (r_in, r_out), r_transistor_on
+REGIMES = list(itertools.product((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 500.0)))
+
+
+def random_instance(seed, max_rows=8, max_cols=8, r_wire=1.0, r_in=1.0, r_out=1.0,
+                    r_transistor_on=0.0):
     rng = np.random.default_rng(seed)
     rows = int(rng.integers(1, max_rows + 1))
     cols = int(rng.integers(1, max_cols + 1))
-    config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out)
+    config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out,
+                            r_transistor_on=r_transistor_on)
     g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
     v = rng.uniform(0.0, config.v_sense_max, size=rows)
     return config, g, v
@@ -44,9 +52,10 @@ def test_matches_dense_oracle_across_wire_resistances():
 
 
 def test_matches_dense_oracle_zero_terminal_resistance():
-    for r_in, r_out in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
+    for r_wire, r_in, r_out, r_t in REGIMES:
         for seed in range(10):
-            config, g, v = random_instance(seed, r_in=r_in, r_out=r_out)
+            config, g, v = random_instance(seed, r_wire=r_wire, r_in=r_in, r_out=r_out,
+                                           r_transistor_on=r_t)
             sol = simulate(config, g, v)
             ref = oracle_solve(config, g, v)
             assert rel_diff(sol.i_out, ref.i_out) <= 1e-9
@@ -98,12 +107,14 @@ def test_batch_currents_match_individual_solves():
 
 
 def test_transfer_matrix_matches_basis_inputs():
-    config, g, _ = random_instance(13)
-    solver = CrossbarSolver(config, g)
-    T = solver.transfer_matrix()
-    basis = np.eye(config.rows) * 0.1
-    ref = solver.currents(basis, check_range=False) / 0.1
-    assert rel_diff(T, ref) <= 1e-10
+    for r_wire, r_in, r_out, r_t in REGIMES:
+        config, g, _ = random_instance(13, r_wire=r_wire, r_in=r_in, r_out=r_out,
+                                       r_transistor_on=r_t)
+        solver = CrossbarSolver(config, g)
+        T = solver.transfer_matrix()
+        basis = np.eye(config.rows) * 0.1
+        ref = solver.currents(basis, check_range=False) / 0.1
+        assert rel_diff(T, ref) <= 1e-10
 
 
 def test_transfer_matrix_ideal_is_conductance():

@@ -3,19 +3,38 @@
 import numpy as np
 import pytest
 
-from xbarsim.config import CrossbarConfig
-from xbarsim.convmap import (ConvSpec, FeatureMap, conv_execute,
-                             conv_reference, conv_reference_loops,
-                             iteration_count, resnet20_layer_table,
-                             unroll_kernel, window_matrix, window_stream)
-from xbarsim.engine import build_engine
+from xbarsim.convmap import (ConvSpec, FeatureMap, conv_reference,
+                             conv_reference_loops, iteration_count,
+                             resnet20_layer_table, unroll_kernel, window_matrix)
 from xbarsim.errors import ValidationError
 from xbarsim.metrics import gen_input, gen_kernel
+from xbarsim.netrunner import LayerSpec, NetworkModel, run_inference
 
 
 def make_spec(kh, kw, ic, oc, stride=1, padding=0, seed=0):
     return ConvSpec(kh, kw, ic, oc, stride=stride, padding=padding,
                     weights=gen_kernel(1, (kh, kw, ic, oc), seed))
+
+
+def run_conv(fm, spec, **kwargs):
+    """One conv layer through the analog path of `run_inference`.
+
+    The model is image -> conv -> softmax, so the report's logits are the
+    conv output in raster order.
+    """
+    params = {"kernel_h": spec.kernel_h, "kernel_w": spec.kernel_w,
+              "in_channels": spec.in_channels,
+              "out_channels": spec.out_channels, "stride": spec.stride,
+              "padding": spec.padding}
+    model = NetworkModel("one-conv", [
+        LayerSpec("image", "input", params={
+            "height": fm.height, "width": fm.width, "channels": fm.channels}),
+        LayerSpec("conv", "conv", params=params, predecessors=["image"],
+                  weights=unroll_kernel(spec)),
+        LayerSpec("softmax", "softmax", predecessors=["conv"])])
+    _, report = run_inference(model, fm, mode="analog", **kwargs)
+    oh, ow = spec.output_shape(fm.height, fm.width)
+    return FeatureMap(report.logits.reshape(oh, ow, spec.out_channels)), report
 
 
 def test_unroll_shapes_match_layer_table():
@@ -45,13 +64,6 @@ def test_window_single_pixel():
     assert np.array_equal(X, [[0.7]])
 
 
-def test_window_stream_matches_matrix():
-    fm = FeatureMap(gen_input((6, 6, 2), 0.3, seed=2))
-    spec = make_spec(3, 3, 2, 3, padding=1)
-    X = window_matrix(fm, spec)
-    assert np.array_equal(np.stack(list(window_stream(fm, spec))), X)
-
-
 def test_window_unroll_ordering_consistency():
     # dot(window vector, unrolled column) equals the direct convolution sum
     fm = FeatureMap(gen_input((5, 7, 3), 0.2, seed=3))
@@ -64,10 +76,7 @@ def test_window_unroll_ordering_consistency():
 def test_conv_execute_ideal_engine_matches_loop_oracle():
     fm = FeatureMap(gen_input((6, 6, 3), 0.4, seed=5))
     spec = make_spec(3, 3, 3, 4, padding=1, seed=6)
-    A = unroll_kernel(spec)
-    config = CrossbarConfig(*A.shape, r_wire=0.0, r_in=0.0, r_out=0.0)
-    engine = build_engine(A, config=config, seed=0)
-    out = conv_execute(engine, fm, spec)
+    out, _ = run_conv(fm, spec, engine_kwargs={"ideal": True})
     ref = conv_reference_loops(fm, spec)
     rng = ref.data.max() - ref.data.min()
     assert np.abs(out.data - ref.data).max() / rng <= 1e-6
@@ -76,20 +85,19 @@ def test_conv_execute_ideal_engine_matches_loop_oracle():
 def test_conv_execute_identity_kernel():
     fm = FeatureMap(gen_input((4, 4, 1), 0.0, seed=7))
     spec = ConvSpec(1, 1, 1, 1, weights=np.ones((1, 1, 1, 1)))
-    config = CrossbarConfig(1, 1, r_wire=0.0, r_in=0.0, r_out=0.0)
-    engine = build_engine(unroll_kernel(spec), config=config, seed=0)
-    out = conv_execute(engine, fm, spec)
+    out, _ = run_conv(fm, spec, engine_kwargs={"ideal": True})
     assert np.allclose(out.data, fm.data, rtol=0, atol=1e-9)
 
 
 def test_conv_execute_error_rows():
     fm = FeatureMap(gen_input((4, 4, 2), 0.0, seed=8))
     spec = make_spec(3, 3, 2, 2, padding=1, seed=9)
-    engine = build_engine(unroll_kernel(spec), seed=0)
-    out, rows = conv_execute(engine, fm, spec, collect_errors=True)
-    assert len(rows) == out.data.size
-    w, j, ideal, actual = rows[0]
+    out, report = run_conv(fm, spec, taps=["conv"])
+    assert len(report.rows) == out.data.size
+    layer, w, j, ideal, actual, rel = report.rows[0]
+    assert (layer, w, j) == ("conv", 0, 0)
     assert out.data.ravel()[0] == actual
+    assert ideal == (window_matrix(fm, spec) @ unroll_kernel(spec))[0, 0]
 
 
 def test_layer_table_shapes_and_iterations():
