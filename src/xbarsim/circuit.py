@@ -14,8 +14,11 @@ at (i,j) joins T(i,j) and B(i,j) with resistance 1/g[i,j] + r_transistor_on.
   fixed to its input when r_in == 0 and a column is grounded when
   r_out == 0; the remaining nodes (at most m+n) form a small dense system.
 
-Either regime is factorized once per conductance matrix and reused for any
-number of input vectors. Two references check it: `ideal_vmm`, the exact
+Either regime is factorized once per conductance matrix. The network is
+linear, so its output currents are `v_in @ T` for a transfer matrix T that
+`transfer_matrix` computes once from the factorization and caches; batch
+`currents` are that one product. Node voltages come only from `solve`
+(and `simulate`). Two references check the solver: `ideal_vmm`, the exact
 zero-parasitic product, and `oracle_solve`, a dense solve with independently
 derived assembly for small arrays.
 """
@@ -52,6 +55,15 @@ def check_conductances(config, g, tol=1e-9):
     return g
 
 
+def _check_residual(residuals):
+    """Worst relative residual; SolverError when it is above RESIDUAL_TOL."""
+    worst = float(residuals.max()) if len(residuals) else 0.0
+    if worst > RESIDUAL_TOL:
+        raise SolverError(f"solver residual {worst:.3g} above {RESIDUAL_TOL:.3g}",
+                          residual=worst)
+    return worst
+
+
 def _check_inputs(config, v_in, slack=1e-9):
     v_in = np.asarray(v_in, dtype=float)
     if v_in.shape != (config.rows,):
@@ -78,9 +90,10 @@ class CrossbarSolver:
     """Factorized nodal solver for one (config, conductance matrix) pair.
 
     Building the solver validates inputs, assembles and LU-factorizes the
-    nodal system of its regime once; `solve`/`currents` then only
-    back-substitute, so many input vectors against the same conductances are
-    cheap.
+    nodal system of its regime once. `solve` back-substitutes for the node
+    voltages of one input; `currents` multiplies a batch of inputs by the
+    cached transfer matrix, so many input vectors against the same
+    conductances cost one matrix product.
     """
 
     def __init__(self, config: CrossbarConfig, g):
@@ -93,6 +106,7 @@ class CrossbarSolver:
         # the column sink path includes the edge wire segment
         self.r_term = config.r_out + config.r_wire
         self._grid = config.r_wire > 0.0
+        self._T = None
         if self._grid:
             self._factor_grid()
         else:
@@ -182,42 +196,54 @@ class CrossbarSolver:
         return acc
 
     def transfer_matrix(self):
-        """Exact input-to-output linear map T, (rows, cols): i_out = T' v_in.
+        """Exact input-to-output linear map T, (rows, cols): i_out = v_in @ T.
 
+        Computed on the first call, residual-checked, and cached read-only.
         On the grid: one adjoint back-substitution per column on the existing
-        factorization (the nodal matrix is symmetric). Lumped: the currents of
-        unit basis inputs, which with both terminals ideal is g_dev exactly.
+        factorization (the nodal matrix is symmetric). Lumped: the node solve
+        of unit basis inputs, which with both terminals ideal gives g_dev
+        exactly.
         """
-        if not self._grid:
-            return self.currents(np.eye(self.config.rows), check_range=False)
+        if self._T is None:
+            T = self._adjoint_transfer() if self._grid else self._basis_transfer()
+            T.flags.writeable = False
+            self._T = T
+        return self._T
+
+    def _adjoint_transfer(self):
         n = self.config.cols
         E = np.zeros((self._A.shape[0], n))
         E[-n:] = np.eye(n) / self.r_term  # the sinks B(m-1, :) are the last n nodes
-        return np.asarray(self._S.T @ self._lu.solve(E))
+        # row-major once, so neither sparse product below copies X again
+        X = np.ascontiguousarray(self._lu.solve(E))
+        R = self._A @ X
+        R[-n:] -= E[-n:]
+        _check_residual(np.sqrt(np.einsum("ij,ij->j", R, R)) * self.r_term)
+        return np.asarray(self._S.T @ X)
+
+    def _basis_transfer(self):
+        v_top, v_bot, residuals = self._solve_nodes(np.eye(self.config.rows))
+        _check_residual(residuals)
+        return self._output_currents(v_top, v_bot)
 
     def currents(self, V, check_range=True):
-        """Batch solve: V (k, rows) -> output currents (k, cols)."""
+        """Batch output currents: V (k, rows) -> V @ T, (k, cols).
+
+        No node voltages are computed; use `solve` for those.
+        """
         V = np.atleast_2d(np.asarray(V, dtype=float))
         if check_range:
             for v in V:
                 _check_inputs(self.config, v)
-        v_top, v_bot, residuals = self._solve_nodes(V)
-        worst = float(residuals.max()) if len(residuals) else 0.0
-        if worst > RESIDUAL_TOL:
-            raise SolverError(f"solver residual {worst:.3g} above {RESIDUAL_TOL:.3g}",
-                              residual=worst)
-        return self._output_currents(v_top, v_bot)
+        return V @ self.transfer_matrix()
 
     def solve(self, v_in, check_range=True) -> NodeSolution:
+        """Node voltages and output currents of one input vector."""
         v_in = np.asarray(v_in, dtype=float)
         if check_range:
             _check_inputs(self.config, v_in)
-        V = v_in[None, :]
-        v_top, v_bot, residuals = self._solve_nodes(V)
-        residual = float(residuals[0])
-        if residual > RESIDUAL_TOL:
-            raise SolverError(f"solver residual {residual:.3g} above {RESIDUAL_TOL:.3g}",
-                              residual=residual)
+        v_top, v_bot, residuals = self._solve_nodes(v_in[None, :])
+        residual = _check_residual(residuals)
         i_out = self._output_currents(v_top, v_bot)[0]
         return NodeSolution(v_top=v_top[0], v_bot=v_bot[0], i_out=i_out,
                             residual=residual)

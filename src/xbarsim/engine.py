@@ -11,8 +11,8 @@ Pipeline for one crossbar engine:
 3. `get_cali_para` fits a per-column linear readout (gain, offset) from a
    few random sample inputs, absorbing residual distortion and quantizer
    bias.
-4. `VmmEngine.execute` runs the full signal chain: DAC, crossbar solve,
-   ADC, baseline correction, calibrated readout, shift removal.
+4. `VmmEngine.execute` runs the full signal chain: DAC, transfer-matrix
+   product, ADC, baseline correction, calibrated readout, shift removal.
 """
 
 import hashlib
@@ -163,6 +163,7 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
         s, g_new = _scale_and_clip(desired_unit, config, target_scale)
         delta = float(np.max(np.abs(g_new - gp) / gp))
         gp = g_new
+        del solver   # free this factorization before the next one is built
         if delta < 1e-12:
             break
     converged = col_error <= tol

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import xbarsim.circuit
 from xbarsim.circuit import (CrossbarSolver, ideal_vmm, oracle_solve, simulate)
 from xbarsim.config import CrossbarConfig
-from xbarsim.errors import ValidationError
+from xbarsim.errors import SolverError, ValidationError
 
 G_MIN = 1.0 / 300_000.0
 G_MAX = 1.0 / 15_000.0
@@ -97,13 +98,16 @@ def test_output_scales_linearly_with_input(scale, seed):
 
 
 def test_batch_currents_match_individual_solves():
-    config, g, _ = random_instance(9)
-    rng = np.random.default_rng(2)
-    V = rng.uniform(0.0, config.v_sense_max, size=(6, config.rows))
-    solver = CrossbarSolver(config, g)
-    batch = solver.currents(V)
-    for k in range(V.shape[0]):
-        assert rel_diff(batch[k], solver.solve(V[k]).i_out) <= 1e-12
+    # currents (V @ T) against the node-voltage path of solve
+    for r_wire, r_in, r_out, r_t in REGIMES:
+        config, g, _ = random_instance(9, r_wire=r_wire, r_in=r_in, r_out=r_out,
+                                       r_transistor_on=r_t)
+        rng = np.random.default_rng(2)
+        V = rng.uniform(0.0, config.v_sense_max, size=(6, config.rows))
+        solver = CrossbarSolver(config, g)
+        batch = solver.currents(V)
+        for k in range(V.shape[0]):
+            assert rel_diff(batch[k], solver.solve(V[k]).i_out) <= 1e-12
 
 
 def test_transfer_matrix_matches_basis_inputs():
@@ -112,9 +116,24 @@ def test_transfer_matrix_matches_basis_inputs():
                                        r_transistor_on=r_t)
         solver = CrossbarSolver(config, g)
         T = solver.transfer_matrix()
-        basis = np.eye(config.rows) * 0.1
-        ref = solver.currents(basis, check_range=False) / 0.1
+        ref = np.array([solver.solve(0.1 * e, check_range=False).i_out / 0.1
+                        for e in np.eye(config.rows)])
         assert rel_diff(T, ref) <= 1e-10
+
+
+def test_transfer_matrix_residual_checked_and_read_only(monkeypatch):
+    grid = random_instance(5)[:2]
+    lumped = random_instance(5, r_wire=0.0)[:2]
+    for config, g in (grid, lumped):
+        T = CrossbarSolver(config, g).transfer_matrix()
+        with pytest.raises(ValueError):
+            T[0, 0] = 0.0
+    monkeypatch.setattr(xbarsim.circuit, "RESIDUAL_TOL", -1.0)
+    for config, g in (grid, lumped):
+        with pytest.raises(SolverError):
+            CrossbarSolver(config, g).transfer_matrix()
+        with pytest.raises(SolverError):
+            CrossbarSolver(config, g).currents(np.zeros(config.rows))
 
 
 def test_transfer_matrix_ideal_is_conductance():

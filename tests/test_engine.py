@@ -12,6 +12,7 @@ from xbarsim.engine import (VmmEngine, build_engine, convert,
                             optimize_conversion_signal)
 from xbarsim.errors import ValidationError
 from xbarsim.metrics import gen_kernel
+from xbarsim.quantize import dac_quantize
 
 IDEAL = dict(r_wire=0.0, r_in=0.0, r_out=0.0)
 
@@ -245,6 +246,17 @@ def test_engine_deterministic_across_rebuilds():
     e2 = build_engine(A, sample_inputs=X, dac_bits=8, adc_bits=8, seed=5)
     assert np.array_equal(e1.cali.gain, e2.cali.gain)
     assert np.array_equal(e1.execute_batch(X), e2.execute_batch(X))
+
+
+def test_raw_currents_match_node_solves():
+    # the transfer-matrix path against per-row node-voltage solves
+    A = gen_kernel(1, (16, 4), 16)
+    engine = build_engine(A, dac_bits=8, calibrate=False, seed=0)
+    X = default_sample_inputs(16, count=12, seed=4)
+    got = engine.raw_currents(X)
+    V = dac_quantize(engine.mapping.alpha * X, engine.dac)
+    ref = np.array([engine.solver.solve(v, check_range=False).i_out for v in V])
+    assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-12
 
 
 def test_engine_serialization_round_trip(tmp_path):
