@@ -168,15 +168,18 @@ class CrossbarSolver:
         self._S = S[free]
         self._lu = sla.lu_factor(self._A)
 
+    def _solve_free(self, rhs):
+        """rhs (unknowns, k) -> free-node voltages (unknowns, k), residuals (k,)."""
+        x = self._lu.solve(rhs) if self._grid else sla.lu_solve(self._lu, rhs)
+        num = np.linalg.norm(self._A @ x - rhs, axis=0)
+        den = np.linalg.norm(rhs, axis=0)
+        return x, np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+
     def _solve_nodes(self, V):
         """V (k, rows) -> (v_top, v_bot) each (k, rows, cols), residuals (k,)."""
         m, n = self.config.rows, self.config.cols
         k = V.shape[0]
-        rhs = np.asarray(self._S @ V.T)  # (unknowns, k)
-        x = self._lu.solve(rhs) if self._grid else sla.lu_solve(self._lu, rhs)
-        num = np.linalg.norm(self._A @ x - rhs, axis=0)
-        den = np.linalg.norm(rhs, axis=0)
-        residuals = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+        x, residuals = self._solve_free(np.asarray(self._S @ V.T))
         if self._grid:
             return x[:m * n].T.reshape(k, m, n), x[m * n:].T.reshape(k, m, n), residuals
         v_row = x[:m].T if self.config.r_in > 0.0 else V
@@ -200,9 +203,10 @@ class CrossbarSolver:
 
         Computed on the first call, residual-checked, and cached read-only.
         On the grid: one adjoint back-substitution per column on the existing
-        factorization (the nodal matrix is symmetric). Lumped: the node solve
-        of unit basis inputs, which with both terminals ideal gives g_dev
-        exactly.
+        factorization (the nodal matrix is symmetric). Lumped: the free-node
+        solve of unit basis inputs, read off at the column sinks (or through
+        the devices when the columns are grounded); with both terminals ideal
+        T is g_dev exactly.
         """
         if self._T is None:
             T = self._adjoint_transfer() if self._grid else self._basis_transfer()
@@ -222,9 +226,15 @@ class CrossbarSolver:
         return np.asarray(self._S.T @ X)
 
     def _basis_transfer(self):
-        v_top, v_bot, residuals = self._solve_nodes(np.eye(self.config.rows))
+        cfg = self.config
+        if cfg.r_in == 0.0 and cfg.r_out == 0.0:
+            return self.g_dev.copy()   # transfer_matrix makes T read-only
+        # unit inputs on every row: the right-hand sides are S itself
+        X, residuals = self._solve_free(self._S)
         _check_residual(residuals)
-        return self._output_currents(v_top, v_bot)
+        if cfg.r_out > 0.0:
+            return X[-cfg.cols:].T / self.r_term
+        return X[:cfg.rows].T @ self.g_dev
 
     def currents(self, V, check_range=True):
         """Batch output currents: V (k, rows) -> V @ T, (k, cols).

@@ -20,12 +20,12 @@ import numpy as np
 from .circuit import simulate
 from .config import CrossbarConfig
 from .engine import (DEFAULT_CALI_SAMPLES, DEFAULT_SIGNAL_FRACTION,
-                     SIGNAL_AMPLITUDES, VmmEngine, build_engine,
-                     evaluate_engine, get_cali_para, map_weights,
+                     SIGNAL_AMPLITUDES, build_engine, evaluate_engine,
                      optimize_conversion_signal)
 from .errors import SolverError, ValidationError
-from .metrics import RelErrorStats, gen_input, gen_kernel
-from .netrunner import load_model, load_tensor, run_inference, quantization_sweep
+from .metrics import gen_input, gen_kernel
+from .netrunner import (TAP_DTYPE, load_model, load_tensor, quantization_sweep,
+                        run_inference)
 from .convmap import ConvSpec, FeatureMap, unroll_kernel, window_matrix
 
 EXIT_USAGE = 1
@@ -81,19 +81,12 @@ def _write_json(path, obj):
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _stats_row(variant, stats):
-    row = {"variant": variant, "mean": stats.mean, "worst": stats.worst,
-           "samples": stats.sample_count, "output_range": stats.output_range}
-    return row
-
-
-def _write_stats_csv(path, rows):
+def _write_csv(path, header, rows):
+    """One header line, then the rows; csv writes floats with repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["variant", "mean", "worst", "samples", "output_range"])
-        for row in rows:
-            writer.writerow([row["variant"], repr(row["mean"]), repr(row["worst"]),
-                             row["samples"], repr(row["output_range"])])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @click.group()
@@ -240,21 +233,20 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
     summary = {}
     for label, engine in variants.items():
         stats = evaluate_engine(engine, X)
-        rows.append(_stats_row(label, stats))
+        rows.append((label, stats.mean, stats.worst, stats.sample_count,
+                     stats.output_range))
         summary[label] = stats.to_dict()
         summary[label]["conversion"] = engine.conversion_info
-    _write_stats_csv(out / "variants.csv", rows)
+    _write_csv(out / "variants.csv",
+               ("variant", "mean", "worst", "samples", "output_range"), rows)
     if conv_amp_sweep:
         _, sweep = optimize_conversion_signal(
             A, sample_inputs=X, seed=cfg.get("seed", seed),
             amplitudes=tuple(cfg.get("amplitudes", SIGNAL_AMPLITUDES)),
             dac_bits=dac, adc_bits=adc)
-        with open(out / "amplitude_sweep.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fraction", "mean", "worst"])
-            for entry in sweep:
-                writer.writerow([repr(entry["fraction"]), repr(entry["mean"]),
-                                 repr(entry["worst"])])
+        header = ("fraction", "mean", "worst")
+        _write_csv(out / "amplitude_sweep.csv", header,
+                   ([entry[k] for k in header] for entry in sweep))
         summary["amplitude_sweep"] = sweep
     _write_json(out / "summary.json", summary)
     _write_log(out / "summary.json", "layer-exp")
@@ -272,18 +264,21 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
 @click.option("--out", "out_dir", type=str, required=True)
 def run_net_cmd(model_path, images_dir, bits, taps, config_path, out_dir):
     """Quantization sweep plus optional per-layer error taps over a model."""
+    try:
+        bit_list = [t if t == "none" else int(t)
+                    for t in map(str.strip, bits.split(",")) if t]
+    except ValueError:
+        raise click.BadParameter(
+            f"expected 'none' or bit widths, got {bits!r}", param_hint="--bits")
     cfg = _load_config(config_path)
     model = load_model(_require_file(model_path))
+    if taps:   # checked before any engine is built
+        tap_set = model.tap_layers("all" if taps.strip() == "all" else
+                                   [t for t in map(str.strip, taps.split(",")) if t])
     images_dir = _require_file(images_dir)
     image_files = sorted(p for p in Path(images_dir).iterdir()
                          if p.is_file() and p.suffix != ".log")
     images = [load_tensor(p) for p in image_files]
-    bit_list = []
-    for token in bits.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        bit_list.append("none" if token == "none" else int(token))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.get("seed", 0)
@@ -292,46 +287,34 @@ def run_net_cmd(model_path, images_dir, bits, taps, config_path, out_dir):
         engine_kwargs["cali_sample_count"] = cfg["cali_samples"]
     table = quantization_sweep(model, images, bit_list, seed=seed,
                                engine_kwargs=engine_kwargs or None)
-    with open(out / "accuracy.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bits", "mean_rel_err", "worst_rel_err",
-                         "agreement", "images"])
-        for row in table:
-            writer.writerow([row["bits"], repr(row["mean_rel_err"]),
-                             repr(row["worst_rel_err"]),
-                             repr(row["agreement"]), row["images"]])
+    header = ("bits", "mean_rel_err", "worst_rel_err", "agreement", "images")
+    _write_csv(out / "accuracy.csv", header,
+               ([row[k] for k in header] for row in table))
     summary = {"accuracy": table}
     if taps:
-        tap_set = "all" if taps.strip() == "all" else \
-            [t.strip() for t in taps.split(",") if t.strip()]
         first_bits = bit_list[0] if bit_list else "none"
-        dac = adc = None if first_bits == "none" else int(first_bits)
-        tap_rows = {}
-        aggregates = {}
+        dac = adc = None if first_bits == "none" else first_bits
+        per_layer = {}   # layer -> [(rows, aggregates)], one entry per image
         offset = 0
         for img in images:
             _, rep = run_inference(model, img, mode="analog", taps=tap_set,
                                    dac_bits=dac, adc_bits=adc, seed=seed,
                                    engine_kwargs=engine_kwargs or None)
-            for layer, window, col, ideal, actual, rel in rep.rows:
-                tap_rows.setdefault(layer, []).append(
-                    (layer, window + offset, col, ideal, actual, rel))
-            if rep.rows:
-                offset += 1 + max(r[1] for r in rep.rows)
+            # number this image's windows after the previous image's
+            if len(rep.rows):
+                rep.rows["window"] += offset
+                offset = 1 + int(rep.rows["window"].max())
             for layer, agg in rep.aggregates.items():
-                aggregates.setdefault(layer, []).append(agg)
-        for layer, rows in tap_rows.items():
-            with open(out / f"layer_{layer}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["layer", "window", "column",
-                                 "ideal", "actual", "rel_err"])
-                for row in rows:
-                    writer.writerow([row[0], row[1], row[2], repr(row[3]),
-                                     repr(row[4]), repr(row[5])])
+                per_layer.setdefault(layer, []).append(
+                    (rep.rows[rep.rows["layer"] == layer], agg))
+        for layer, parts in per_layer.items():
+            rows = np.concatenate([r for r, _ in parts])
+            _write_csv(out / f"layer_{layer}.csv", TAP_DTYPE.names,
+                       zip(*(rows[f].tolist() for f in TAP_DTYPE.names)))
         summary["taps"] = {
-            layer: {"mean": float(np.mean([a["mean"] for a in aggs])),
-                    "worst": float(max(a["worst"] for a in aggs))}
-            for layer, aggs in aggregates.items()}
+            layer: {"mean": float(np.mean([a["mean"] for _, a in parts])),
+                    "worst": float(max(a["worst"] for _, a in parts))}
+            for layer, parts in per_layer.items()}
     _write_json(out / "summary.json", summary)
     _write_log(out / "summary.json", "run-net")
 

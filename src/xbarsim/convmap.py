@@ -9,6 +9,7 @@ kernel column, shared by `unroll_kernel` and `window_matrix`.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 
@@ -92,16 +93,13 @@ def window_matrix(fm: FeatureMap, spec: ConvSpec):
         raise ValidationError(
             f"feature map has {fm.channels} channels, spec expects {spec.in_channels}")
     oh, ow = spec.output_shape(fm.height, fm.width)
-    p = spec.padding
+    p, s = spec.padding, spec.stride
     padded = np.pad(fm.data, ((p, p), (p, p), (0, 0)))
-    vecs = np.empty((oh * ow, spec.unrolled_rows))
-    for oy in range(oh):
-        for ox in range(ow):
-            patch = padded[oy * spec.stride: oy * spec.stride + spec.kernel_h,
-                           ox * spec.stride: ox * spec.stride + spec.kernel_w, :]
-            # channel-major, then kernel row, then kernel column
-            vecs[oy * ow + ox] = np.transpose(patch, (2, 0, 1)).ravel()
-    return vecs
+    # read-only (y, x, channel, kernel row, kernel column) views of every
+    # window; np.array copies the strided selection once into a new array
+    windows = sliding_window_view(padded, (spec.kernel_h, spec.kernel_w),
+                                  axis=(0, 1))
+    return np.array(windows[::s, ::s][:oh, :ow]).reshape(oh * ow, spec.unrolled_rows)
 
 
 def conv_reference(fm: FeatureMap, spec: ConvSpec):

@@ -13,9 +13,10 @@ File formats:
 - Model manifest: JSON listing layers (name, kind, params, predecessors,
   blob_offset, blob_len) next to one raw float32 weight blob whose SHA-256
   is recorded in the manifest.
-- Error reports (written by the `run-net` CLI command from `ErrorReport`
-  rows): CSV rows layer,window,column,ideal,actual,rel_err plus a JSON
-  aggregate summary.
+- Error taps: `ErrorReport.rows` is one `TAP_DTYPE` structured array, a
+  row per output element of each tapped conv/fc layer (tapping any other
+  name is a ValidationError). `run-net` writes it as one CSV per layer,
+  numbering each image's windows after the previous image's largest.
 """
 
 import hashlib
@@ -27,17 +28,20 @@ from pathlib import Path
 import numpy as np
 
 from .config import CrossbarConfig
-from .convmap import ConvSpec, FeatureMap, window_matrix
+from .convmap import ConvSpec, FeatureMap, unroll_kernel, window_matrix
 from .engine import build_engine
 from .errors import ValidationError
-from .metrics import gen_kernel
+from .metrics import gen_kernel, output_range, relative_error
 
 TENSOR_MAGIC = b"MTEN"
 TENSOR_VERSION = 1
 
-WEIGHT_KINDS = ("conv", "fc", "batchnorm")
 LAYER_KINDS = ("input", "conv", "fc", "relu", "batchnorm",
                "global_avg_pool", "add", "softmax")
+
+# one error-tap row per (window, column) output element of a tapped layer
+TAP_DTYPE = np.dtype([("layer", object), ("window", np.int64), ("column", np.int64),
+                      ("ideal", float), ("actual", float), ("rel_err", float)])
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +196,20 @@ class NetworkModel:
     def weight_layers(self):
         return [l for l in self.layers if l.kind in ("conv", "fc")]
 
+    def tap_layers(self, taps):
+        """The set of conv/fc layer names to tap, from names or "all"."""
+        names = {l.name for l in self.weight_layers()}
+        taps = names if taps == "all" else set(taps)
+        if taps - names:
+            raise ValidationError(
+                f"no conv/fc layers named {sorted(taps - names)} to tap")
+        return taps
+
     def engine(self, layer, dac_bits=None, adc_bits=None, seed=0, **kwargs):
         """Build (or fetch from cache) the crossbar engine for one layer."""
         key = (layer.name, dac_bits, adc_bits, seed,
                tuple(sorted(kwargs.items())))
         if key not in self._engines:
-            kwargs = dict(kwargs)
             if kwargs.pop("ideal", False):
                 rows, cols = layer.weights.shape
                 kwargs["config"] = CrossbarConfig(
@@ -293,27 +305,29 @@ def load_model(manifest_path):
 
 @dataclass
 class ErrorReport:
-    """Per-layer error rows and aggregates from one inference run."""
+    """Tap rows (`TAP_DTYPE`), per-layer aggregates and the final prediction
+    of one inference run."""
 
-    rows: list = field(default_factory=list)   # (layer, window, col, ideal, actual, rel)
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, TAP_DTYPE))
     aggregates: dict = field(default_factory=dict)
-    distribution: np.ndarray | None = None
     prediction: int | None = None
     logits: np.ndarray | None = None           # final pre-softmax activations
 
 
 def _tap_layer(report, name, ideal, actual):
-    rng = float(ideal.max() - ideal.min())
-    rng = rng if rng > 0.0 else 1.0
-    rel = np.abs(actual - ideal) / rng
-    for w in range(ideal.shape[0]):
-        for j in range(ideal.shape[1]):
-            report.rows.append((name, w, j, float(ideal[w, j]),
-                                float(actual[w, j]), float(rel[w, j])))
+    """Record one layer's error aggregates; return its TAP_DTYPE rows."""
+    rng = output_range(ideal) or 1.0
+    rel = relative_error(actual, ideal, rng)
+    rows = np.empty(ideal.size, dtype=TAP_DTYPE)
+    rows["layer"] = name
+    rows["window"], rows["column"] = (i.ravel() for i in np.indices(ideal.shape))
+    rows["ideal"], rows["actual"] = ideal.ravel(), actual.ravel()
+    rows["rel_err"] = rel.ravel()
     report.aggregates[name] = {"mean": float(rel.mean()),
                                "worst": float(rel.max()),
                                "output_range": rng,
                                "count": int(rel.size)}
+    return rows
 
 
 def run_inference(model: NetworkModel, image, mode="software", taps=(),
@@ -330,11 +344,10 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
     if mode not in ("software", "analog"):
         raise ValidationError(f"unknown inference mode {mode!r}")
     fm = image if isinstance(image, FeatureMap) else FeatureMap(image)
-    if taps == "all":
-        taps = {l.name for l in model.weight_layers()}
-    taps = set(taps)
+    taps = model.tap_layers(taps)
     engine_kwargs = engine_kwargs or {}
     report = ErrorReport()
+    tapped = []
     outputs = {}
     probs = None
     for layer in model.layers:
@@ -366,7 +379,7 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
                 else:
                     Y = np.zeros_like(ideal)
                 if layer.name in taps:
-                    _tap_layer(report, layer.name, ideal, Y)
+                    tapped.append(_tap_layer(report, layer.name, ideal, Y))
             oh, ow = spec.output_shape(src.height, src.width)
             out = FeatureMap(Y.reshape(oh, ow, spec.out_channels))
         elif layer.kind == "relu":
@@ -383,7 +396,8 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
             probs = softmax(report.logits)
             out = FeatureMap(probs.reshape(1, 1, -1))
         outputs[layer.name] = out
-    report.distribution = probs
+    if tapped:
+        report.rows = np.concatenate(tapped)
     report.prediction = int(np.argmax(probs))
     return probs, report
 
@@ -403,21 +417,16 @@ def quantization_sweep(model: NetworkModel, images, bit_list, seed=0,
     refs = [run_inference(model, img, mode="software")[1] for img in images]
     table = []
     for bits in bit_list:
-        if bits in (None, "none"):
-            dac = adc = None
-            label = "none"
-        else:
-            dac = adc = int(bits)
-            label = int(bits)
+        label = "none" if bits in (None, "none") else int(bits)
+        dac = adc = None if label == "none" else label
         rels = []
         agree = 0
         for img, ref in zip(images, refs):
             _, rep = run_inference(model, img, mode="analog",
                                    dac_bits=dac, adc_bits=adc, seed=seed,
                                    engine_kwargs=engine_kwargs)
-            rng = float(ref.logits.max() - ref.logits.min())
-            rng = rng if rng > 0.0 else 1.0
-            rels.append(np.abs(rep.logits - ref.logits) / rng)
+            rng = output_range(ref.logits) or 1.0
+            rels.append(relative_error(rep.logits, ref.logits, rng))
             agree += int(rep.prediction == ref.prediction)
         rels = np.concatenate(rels)
         table.append({"bits": label, "mean_rel_err": float(rels.mean()),
@@ -432,9 +441,7 @@ def quantization_sweep(model: NetworkModel, images, bit_list, seed=0,
 
 def _unrolled_kernel(kernel_type, kh, kw, ic, oc, seed, scale=1.0):
     w = gen_kernel(kernel_type, (kh, kw, ic, oc), seed) * scale
-    spec = ConvSpec(kh, kw, ic, oc, weights=w)
-    from .convmap import unroll_kernel
-    return unroll_kernel(spec)
+    return unroll_kernel(ConvSpec(kh, kw, ic, oc, weights=w))
 
 
 def _conv_layer(name, pred, kh, ic, oc, stride, padding, kernel_type, seed,

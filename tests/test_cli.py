@@ -1,17 +1,19 @@
 """Command-line interface tests: commands, file plumbing, exit codes."""
 
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
-from xbarsim import cli
+from xbarsim import cli, netrunner
 from xbarsim.circuit import oracle_solve
 from xbarsim.config import CrossbarConfig
 from xbarsim.errors import SolverError
 from xbarsim.metrics import gen_input, gen_kernel
-from xbarsim.netrunner import build_tiny_model, save_model, save_tensor
+from xbarsim.netrunner import (build_tiny_model, load_model, load_tensor,
+                               run_inference, save_model, save_tensor)
 
 
 def read_json(path):
@@ -142,6 +144,65 @@ def test_run_net_outputs(tmp_path):
     assert len(tap) == 1 + 3 * 10   # 3 images x 10 output columns
     summary = read_json(tmp_path / "net" / "summary.json")
     assert {row["bits"] for row in summary["accuracy"]} == {"none", 8}
+
+
+def tiny_run_net_inputs(tmp_path, images):
+    """A saved tiny model and a directory of `images` input tensors."""
+    model = build_tiny_model(seed=3, channels=(3, 4), hw=6)
+    save_model(model, tmp_path / "tiny.json")
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    for i in range(images):
+        save_tensor(img_dir / f"img{i}.mten", gen_input((6, 6, 3), 0.3, 60 + i))
+    return ["run-net", "--model", str(tmp_path / "tiny.json"),
+            "--images", str(img_dir), "--out", str(tmp_path / "net")]
+
+
+def test_run_net_rejects_bad_bits(tmp_path):
+    args = tiny_run_net_inputs(tmp_path, 1)
+    assert cli.main(args + ["--bits", "8x"]) == cli.EXIT_USAGE
+    assert not (tmp_path / "net").exists()
+
+
+def test_run_net_rejects_unknown_taps(tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("an engine was built before the taps were checked")
+    monkeypatch.setattr(netrunner, "build_engine", no_build)
+    args = tiny_run_net_inputs(tmp_path, 1)
+    for taps in ("conv99", "conv0,relu0"):
+        assert cli.main(args + ["--bits", "none", "--taps", taps]) == \
+            cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert taps.split(",")[-1] in err and "conv0" not in err
+    assert not (tmp_path / "net").exists()
+
+
+def test_run_net_tap_csvs(tmp_path):
+    args = tiny_run_net_inputs(tmp_path, 2)
+    assert cli.main(args + ["--bits", "none", "--taps", "all"]) == 0
+    model = load_model(tmp_path / "tiny.json")
+    reports = [run_inference(model, load_tensor(p), mode="analog", taps="all")[1]
+               for p in sorted((tmp_path / "imgs").iterdir())]
+    first_window = 1 + max(int(r["window"]) for r in reports[0].rows)
+    for layer in ("conv0", "conv1", "fc"):
+        with open(tmp_path / "net" / f"layer_{layer}.csv", newline="") as fh:
+            lines = list(csv.reader(fh))
+        assert lines[0] == ["layer", "window", "column", "ideal", "actual",
+                            "rel_err"]
+        expect = [(rep.rows[rep.rows["layer"] == layer], offset)
+                  for rep, offset in zip(reports, (0, first_window))]
+        got = lines[1:]
+        assert len(got) == sum(len(rows) for rows, _ in expect)
+        for rows, offset in expect:
+            for row, line in zip(rows, got[:len(rows)]):
+                assert line[0] == layer
+                assert int(line[1]) == row["window"] + offset
+                assert int(line[2]) == row["column"]
+                for k, field in enumerate(("ideal", "actual", "rel_err")):
+                    assert float(line[3 + k]) == row[field]
+            got = got[len(rows):]
+        # image 2 starts after the largest window of any layer of image 1
+        assert int(lines[1 + len(expect[0][0])][1]) == first_window
 
 
 def test_outputs_deterministic_across_thread_settings(tmp_path, monkeypatch):

@@ -64,6 +64,33 @@ def test_window_single_pixel():
     assert np.array_equal(X, [[0.7]])
 
 
+def window_matrix_loops(fm, spec):
+    """One row per output position in raster order, each filled element by
+    element: channel-major, then kernel row, then kernel column."""
+    oh, ow = spec.output_shape(fm.height, fm.width)
+    p, s = spec.padding, spec.stride
+    padded = np.pad(fm.data, ((p, p), (p, p), (0, 0)))
+    rows = []
+    for oy in range(oh):
+        for ox in range(ow):
+            rows.append([padded[oy * s + ky, ox * s + kx, c]
+                         for c in range(spec.in_channels)
+                         for ky in range(spec.kernel_h)
+                         for kx in range(spec.kernel_w)])
+    return np.array(rows)
+
+
+def test_window_matrix_matches_patch_loop():
+    fm = FeatureMap(gen_input((7, 10, 3), 0.3, seed=2))
+    for stride in (1, 2, 3):
+        for padding in (0, 1):
+            spec = make_spec(3, 2, 3, 1, stride=stride, padding=padding)
+            got = window_matrix(fm, spec)
+            ref = window_matrix_loops(fm, spec)
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref)
+
+
 def test_window_unroll_ordering_consistency():
     # dot(window vector, unrolled column) equals the direct convolution sum
     fm = FeatureMap(gen_input((5, 7, 3), 0.2, seed=3))
