@@ -6,27 +6,37 @@ wire segment. Each column j is a chain of bottom nodes B(0,j)..B(m-1,j);
 B(m-1,j) sinks to ground through one edge wire segment plus r_out. The device
 at (i,j) joins T(i,j) and B(i,j) with resistance 1/g[i,j] + r_transistor_on.
 
-`CrossbarSolver` handles the two physical regimes of this network:
+`CrossbarSolver` writes either physical regime of this network in one nodal
+form over its free (unknown) node voltages x:
 
-- grid (r_wire > 0): the Kirchhoff-current-law system over all 2*m*n grid
-  nodes, assembled sparse and LU-factorized by SuperLU;
+    A x = S v_in,    i_out = C^T x,
+
+with A the symmetric Kirchhoff-current-law matrix, S the map from the
+inputs to the currents they inject and C the map from the node voltages to
+the column output currents. The regimes differ only in how they assemble
+(A, S, C):
+
+- grid (r_wire > 0): all 2*m*n grid nodes are free; S drives T(i,0) through
+  r_in plus the edge segment and C reads B(m-1,j) through the edge segment
+  plus r_out;
 - lumped (r_wire == 0): each row and each column is a single node. A row is
   fixed to its input when r_in == 0 and a column is grounded when
-  r_out == 0; the remaining nodes (at most m+n) form a small dense system.
+  r_out == 0; the remaining nodes (at most m+n) are free. With neither free
+  (r_in == r_out == 0) there is no unknown and the output is v_in @ g_dev.
 
-Either regime is factorized once per conductance matrix. The network is
-linear, so its output currents are `v_in @ T` for a transfer matrix T that
-`transfer_matrix` computes once from the factorization and caches; batch
-`currents` are that one product. Node voltages come only from `solve`
-(and `simulate`). Two references check the solver: `ideal_vmm`, the exact
-zero-parasitic product, and `oracle_solve`, a dense solve with independently
-derived assembly for small arrays.
+A is LU-factorized once per conductance matrix by SuperLU, and every solve
+on it is residual-checked. The network is linear, so its output currents
+are `v_in @ T` for the transfer matrix T = S^T A^-1 C, which
+`transfer_matrix` computes once from one adjoint solve per column and
+caches; batch `currents` are that one product. Node voltages come only from
+`solve` (and `simulate`). Two references check the solver: `ideal_vmm`, the
+exact zero-parasitic product, and `oracle_solve`, a dense solve with
+independently derived assembly for small arrays.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -55,21 +65,14 @@ def check_conductances(config, g, tol=1e-9):
     return g
 
 
-def _check_residual(residuals):
-    """Worst relative residual; SolverError when it is above RESIDUAL_TOL."""
-    worst = float(residuals.max()) if len(residuals) else 0.0
-    if worst > RESIDUAL_TOL:
-        raise SolverError(f"solver residual {worst:.3g} above {RESIDUAL_TOL:.3g}",
-                          residual=worst)
-    return worst
-
-
 def _check_inputs(config, v_in, slack=1e-9):
+    """Validate one input vector (rows,) or a batch (k, rows)."""
     v_in = np.asarray(v_in, dtype=float)
-    if v_in.shape != (config.rows,):
+    if v_in.ndim not in (1, 2) or v_in.shape[-1] != config.rows:
         raise ValidationError(
-            f"input vector length {v_in.shape} does not match {config.rows} rows")
-    if v_in.min() < -slack or v_in.max() > config.v_sense_max * (1.0 + slack):
+            f"input shape {v_in.shape} does not match {config.rows} rows")
+    if v_in.size and (v_in.min() < -slack
+                      or v_in.max() > config.v_sense_max * (1.0 + slack)):
         raise ValidationError(
             f"inputs [{v_in.min():.4g}, {v_in.max():.4g}] outside "
             f"[0, {config.v_sense_max}] V")
@@ -89,10 +92,10 @@ class NodeSolution:
 class CrossbarSolver:
     """Factorized nodal solver for one (config, conductance matrix) pair.
 
-    Building the solver validates inputs, assembles and LU-factorizes the
-    nodal system of its regime once. `solve` back-substitutes for the node
-    voltages of one input; `currents` multiplies a batch of inputs by the
-    cached transfer matrix, so many input vectors against the same
+    Building the solver validates inputs, assembles the (A, S, C) form of
+    its regime and LU-factorizes A once. `solve` back-substitutes for the
+    node voltages of one input; `currents` multiplies a batch of inputs by
+    the cached transfer matrix, so many input vectors against the same
     conductances cost one matrix product.
     """
 
@@ -103,17 +106,17 @@ class CrossbarSolver:
             self.g_dev = 1.0 / (1.0 / self.g + config.r_transistor_on)
         else:
             self.g_dev = self.g
-        # the column sink path includes the edge wire segment
-        self.r_term = config.r_out + config.r_wire
         self._grid = config.r_wire > 0.0
         self._T = None
-        if self._grid:
-            self._factor_grid()
-        else:
-            self._factor_lumped()
+        self._A, self._S, self._C = (self._factor_grid() if self._grid
+                                     else self._factor_lumped())
+        try:
+            self._lu = spla.splu(self._A)
+        except RuntimeError as exc:
+            raise SolverError(f"singular crossbar system: {exc}") from exc
 
     def _factor_grid(self):
-        """Sparse system over the grid: top (i,j) -> i*n + j, bottom (i,j) ->
+        """(A, S, C) over the grid: top (i,j) -> i*n + j, bottom (i,j) ->
         m*n + i*n + j.
 
         Stamps come rows first (source edge, then wire segments), then columns
@@ -134,8 +137,9 @@ class CrossbarSolver:
 
         g_wire = 1.0 / cfg.r_wire
         src, sink = top[:, :1], bot[-1:].T   # T(i,0) per row, B(m-1,j) per column
+        # each terminal edge includes one wire segment
         g_src = np.full((m, 1), 1.0 / (cfg.r_in + cfg.r_wire))
-        g_sink = np.full((n, 1), 1.0 / self.r_term)
+        g_sink = np.full((n, 1), 1.0 / (cfg.r_out + cfg.r_wire))
         # a terminal edge stamps only its grid node's diagonal
         rows = map(np.hstack, zip((src, src, g_src),
                                   stamp(top[:, :-1], top[:, 1:], g_wire)))
@@ -144,16 +148,14 @@ class CrossbarSolver:
         i, j, v = (np.concatenate([r.ravel(), c.ravel(), d.ravel()])
                    for r, c, d in zip(rows, cols, stamp(top, bot, self.g_dev)))
         size = 2 * m * n
-        self._A = sp.coo_matrix((v, (i, j)), shape=(size, size)).tocsc()
-        self._S = sp.coo_matrix((g_src[:, 0], (top[:, 0], np.arange(m))),
-                                shape=(size, m)).tocsc()
-        try:
-            self._lu = spla.splu(self._A)
-        except RuntimeError as exc:
-            raise SolverError(f"singular crossbar system: {exc}") from exc
+        A = sp.coo_matrix((v, (i, j)), shape=(size, size)).tocsc()
+        S, C = (sp.csc_matrix((g[:, 0], (node[:, 0], np.arange(len(g)))),
+                              shape=(size, len(g)))
+                for node, g in ((src, g_src), (sink, g_sink)))
+        return A, S, C
 
     def _factor_lumped(self):
-        """Dense system over the free row nodes, then the free column nodes."""
+        """(A, S, C) over the free row nodes, then the free column nodes."""
         cfg, gd = self.config, self.g_dev
         m, n = gd.shape
         rows_free, cols_free = cfg.r_in > 0.0, cfg.r_out > 0.0
@@ -161,80 +163,48 @@ class CrossbarSolver:
         g_out = 1.0 / cfg.r_out if cols_free else 0.0
         G = np.block([[np.diag(gd.sum(axis=1) + g_in), -gd],
                       [-gd.T, np.diag(gd.sum(axis=0) + g_out)]])
-        # inputs drive free rows through r_in, or fixed rows' devices directly
-        S = np.vstack([g_in * np.eye(m), np.zeros((n, m))]) if rows_free else -G[:, :m]
-        free = np.r_[np.full(m, rows_free), np.full(n, cols_free)]
-        self._A = G[np.ix_(free, free)]
-        self._S = S[free]
-        self._lu = sla.lu_factor(self._A)
+        # inputs drive free rows through r_in, or fixed rows' devices directly;
+        # outputs leave free columns through r_out, or grounded columns'
+        # devices straight from the rows
+        S = g_in * np.eye(m + n, m) if rows_free else -G[:, :m]
+        C = g_out * np.eye(m + n, n, -m) if cols_free else -G[:, m:]
+        self._free = np.r_[np.full(m, rows_free), np.full(n, cols_free)]
+        return (sp.csc_matrix(G[np.ix_(self._free, self._free)]),
+                sp.csc_matrix(S[self._free]), sp.csc_matrix(C[self._free]))
 
     def _solve_free(self, rhs):
-        """rhs (unknowns, k) -> free-node voltages (unknowns, k), residuals (k,)."""
-        x = self._lu.solve(rhs) if self._grid else sla.lu_solve(self._lu, rhs)
-        num = np.linalg.norm(self._A @ x - rhs, axis=0)
-        den = np.linalg.norm(rhs, axis=0)
-        return x, np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-
-    def _solve_nodes(self, V):
-        """V (k, rows) -> (v_top, v_bot) each (k, rows, cols), residuals (k,)."""
-        m, n = self.config.rows, self.config.cols
-        k = V.shape[0]
-        x, residuals = self._solve_free(np.asarray(self._S @ V.T))
-        if self._grid:
-            return x[:m * n].T.reshape(k, m, n), x[m * n:].T.reshape(k, m, n), residuals
-        v_row = x[:m].T if self.config.r_in > 0.0 else V
-        v_col = x[-n:].T if self.config.r_out > 0.0 else np.zeros((k, n))
-        return (np.repeat(v_row[:, :, None], n, axis=2),
-                np.repeat(v_col[:, None, :], m, axis=1), residuals)
-
-    def _output_currents(self, v_top, v_bot):
-        m = self.config.rows
-        if self.r_term > 0.0:
-            return v_bot[:, m - 1, :] / self.r_term
-        # direct branch currents, fixed ascending-row accumulation
-        k, _, n = v_top.shape
-        acc = np.zeros((k, n))
-        for i in range(m):
-            acc += self.g_dev[i, :] * (v_top[:, i, :] - v_bot[:, i, :])
-        return acc
+        """A x = rhs, (unknowns, k): the free-node voltages x and the worst
+        relative residual over the k columns, checked against RESIDUAL_TOL."""
+        # row-major once, so neither sparse product below copies x again
+        x = np.ascontiguousarray(self._lu.solve(rhs))
+        r = self._A @ x
+        r -= rhs
+        num, den = (np.sqrt(np.einsum("ij,ij->j", a, a)) for a in (r, rhs))
+        worst = float((num / np.where(den > 0, den, np.inf)).max())
+        if worst > RESIDUAL_TOL:
+            raise SolverError(f"solver residual {worst:.3g} above {RESIDUAL_TOL:.3g}",
+                              residual=worst)
+        return x, worst
 
     def transfer_matrix(self):
-        """Exact input-to-output linear map T, (rows, cols): i_out = v_in @ T.
+        """Exact input-to-output linear map T = S^T A^-1 C, (rows, cols):
+        i_out = v_in @ T.
 
-        Computed on the first call, residual-checked, and cached read-only.
-        On the grid: one adjoint back-substitution per column on the existing
-        factorization (the nodal matrix is symmetric). Lumped: the free-node
-        solve of unit basis inputs, read off at the column sinks (or through
-        the devices when the columns are grounded); with both terminals ideal
-        T is g_dev exactly.
+        Computed on the first call from one adjoint back-substitution per
+        column on the existing factorization (A is symmetric), residual-
+        checked, and cached read-only. With no free node T is g_dev exactly.
         """
         if self._T is None:
-            T = self._adjoint_transfer() if self._grid else self._basis_transfer()
+            if self._A.shape[0]:
+                c = self._C.tocoo()
+                E = np.zeros(c.shape)   # pages without an output node stay unwritten
+                E[c.row, c.col] = c.data
+                T = np.asarray(self._S.T @ self._solve_free(E)[0])
+            else:
+                T = self.g_dev.copy()
             T.flags.writeable = False
             self._T = T
         return self._T
-
-    def _adjoint_transfer(self):
-        n = self.config.cols
-        E = np.zeros((self._A.shape[0], n))
-        E[-n:] = np.eye(n) / self.r_term  # the sinks B(m-1, :) are the last n nodes
-        # row-major once, so neither sparse product below copies X again
-        X = np.ascontiguousarray(self._lu.solve(E))
-        R = self._A @ X
-        R[-n:] -= E[-n:]
-        _check_residual(np.sqrt(np.einsum("ij,ij->j", R, R)) * self.r_term)
-        return np.asarray(self._S.T @ X)
-
-    def _basis_transfer(self):
-        cfg = self.config
-        if cfg.r_in == 0.0 and cfg.r_out == 0.0:
-            return self.g_dev.copy()   # transfer_matrix makes T read-only
-        # unit inputs on every row: the right-hand sides are S itself
-        X, residuals = self._solve_free(self._S)
-        _check_residual(residuals)
-        if cfg.r_out > 0.0:
-            return X[-cfg.cols:].T / self.r_term
-        return X[:cfg.rows].T @ self.g_dev
 
     def currents(self, V, check_range=True):
         """Batch output currents: V (k, rows) -> V @ T, (k, cols).
@@ -243,8 +213,7 @@ class CrossbarSolver:
         """
         V = np.atleast_2d(np.asarray(V, dtype=float))
         if check_range:
-            for v in V:
-                _check_inputs(self.config, v)
+            _check_inputs(self.config, V)
         return V @ self.transfer_matrix()
 
     def solve(self, v_in, check_range=True) -> NodeSolution:
@@ -252,10 +221,18 @@ class CrossbarSolver:
         v_in = np.asarray(v_in, dtype=float)
         if check_range:
             _check_inputs(self.config, v_in)
-        v_top, v_bot, residuals = self._solve_nodes(v_in[None, :])
-        residual = _check_residual(residuals)
-        i_out = self._output_currents(v_top, v_bot)[0]
-        return NodeSolution(v_top=v_top[0], v_bot=v_bot[0], i_out=i_out,
+        x, residual = self._solve_free(self._S @ v_in[:, None])
+        x = x[:, 0]
+        m, n = self.config.rows, self.config.cols
+        if self._grid:
+            v_top, v_bot = x[:m * n].reshape(m, n), x[m * n:].reshape(m, n)
+        else:   # fixed rows hold their inputs, grounded columns sit at 0 V
+            u = np.r_[v_in, np.zeros(n)]
+            u[self._free] = x
+            v_top = np.repeat(u[:m, None], n, axis=1)
+            v_bot = np.repeat(u[None, m:], m, axis=0)
+        i_out = self._C.T @ x if len(x) else v_in @ self.g_dev
+        return NodeSolution(v_top=v_top, v_bot=v_bot, i_out=i_out,
                             residual=residual)
 
 

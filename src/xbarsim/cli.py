@@ -32,12 +32,19 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-CONFIG_KEYS = {"crossbar", "dac_bits", "adc_bits", "signal_fraction",
-               "amplitudes", "cali_samples", "seed", "x_max"}
+# the config keys each command reads; any other key is rejected
+CONFIG_KEYS = {
+    "simulate": {"crossbar"},
+    "build-engine": {"crossbar", "dac_bits", "adc_bits", "signal_fraction",
+                     "amplitudes", "cali_samples", "seed", "x_max"},
+    "layer-exp": {"dac_bits", "adc_bits", "amplitudes", "cali_samples", "seed"},
+    "run-net": {"cali_samples", "seed"},
+}
 
 
-def _load_config(path):
-    """Parse and validate an experiment config JSON file."""
+def _load_config(path, command):
+    """Parse an experiment config JSON file and validate its keys against
+    those `command` reads."""
     if path is None:
         return {}
     p = Path(path)
@@ -49,9 +56,11 @@ def _load_config(path):
         raise ValidationError(f"bad config JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
-    unknown = set(cfg) - CONFIG_KEYS
+    unknown = set(cfg) - CONFIG_KEYS[command]
     if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        raise ValidationError(
+            f"config keys {sorted(unknown)} not used by {command}; it accepts "
+            f"{sorted(CONFIG_KEYS[command])}")
     return cfg
 
 
@@ -71,7 +80,11 @@ def _write_log(out_path, command):
 def _resolve_threads(threads):
     if threads is None:
         env = os.environ.get("XBAR_THREADS")
-        threads = int(env) if env else 1
+        try:
+            threads = int(env) if env else 1
+        except ValueError:
+            raise ValidationError(
+                f"XBAR_THREADS must be an integer >= 1, got {env!r}") from None
     if threads < 1:
         raise ValidationError(f"--threads must be >= 1, got {threads}")
     return threads
@@ -110,7 +123,7 @@ def cli(ctx, threads):
 @click.option("--out", "out_path", type=str, required=True)
 def simulate_cmd(config_path, cond_path, input_path, out_path):
     """One-shot crossbar solve; writes output currents and node voltages."""
-    cfg = _load_config(config_path)
+    cfg = _load_config(config_path, "simulate")
     g = load_tensor(_require_file(cond_path))
     v = load_tensor(_require_file(input_path))
     if g.ndim != 2:
@@ -150,7 +163,7 @@ def simulate_cmd(config_path, cond_path, input_path, out_path):
 def build_engine_cmd(config_path, weights_path, samples_path, optimize_signal,
                      out_path):
     """Map, convert, and calibrate one crossbar engine; serialize it."""
-    cfg = _load_config(config_path)
+    cfg = _load_config(config_path, "build-engine")
     weights = load_tensor(_require_file(weights_path))
     if weights.ndim != 2:
         raise ValidationError(f"weights tensor must be 2-D, got {weights.shape}")
@@ -202,7 +215,7 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
     absolute (unscaled) targets, uncalibrated auto-scaled conversion, and
     the full auto-scaled conversion plus calibration.
     """
-    cfg = _load_config(config_path)
+    cfg = _load_config(config_path, "layer-exp")
     try:
         kh, kw, ic, oc = (int(x) for x in kernel_shape.lower().split("x"))
     except ValueError:
@@ -270,7 +283,7 @@ def run_net_cmd(model_path, images_dir, bits, taps, config_path, out_dir):
     except ValueError:
         raise click.BadParameter(
             f"expected 'none' or bit widths, got {bits!r}", param_hint="--bits")
-    cfg = _load_config(config_path)
+    cfg = _load_config(config_path, "run-net")
     model = load_model(_require_file(model_path))
     if taps:   # checked before any engine is built
         tap_set = model.tap_layers("all" if taps.strip() == "all" else

@@ -283,7 +283,11 @@ def load_model(manifest_path):
         for key in ("name", "kind", "params", "predecessors"):
             if key not in entry:
                 raise ValidationError(f"layer entry missing key {key!r}")
-        shape = _layer_weight_shape(entry["kind"], entry["params"])
+        try:
+            shape = _layer_weight_shape(entry["kind"], entry["params"])
+        except KeyError as exc:
+            raise ValidationError(f"layer {entry['name']!r} params missing key "
+                                  f"{exc.args[0]!r}") from None
         weights = None
         if shape is not None:
             offset, length = entry["blob_offset"], entry["blob_len"]

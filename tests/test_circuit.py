@@ -169,3 +169,10 @@ def test_rejects_out_of_range_voltage():
         simulate(config, g, [0.0, 0.3])
     with pytest.raises(ValidationError):
         simulate(config, g, [-0.01, 0.1])
+    # a batch is rejected when any row is out of range, in either regime
+    for r_wire in (1.0, 0.0):
+        solver = CrossbarSolver(CrossbarConfig(2, 2, r_wire=r_wire), g)
+        for bad in ([0.0, 0.3], [-0.01, 0.1]):
+            with pytest.raises(ValidationError):
+                solver.currents([[0.1, 0.1], bad])
+        assert solver.currents([[0.1, 0.1], [0.0, 0.2]]).shape == (2, 2)

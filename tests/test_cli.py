@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,13 +68,33 @@ def test_invalid_bits_exits_with_validation_code(tmp_path):
     assert rc == cli.EXIT_VALIDATION
 
 
-def test_unknown_config_key_rejected(tmp_path):
-    (tmp_path / "cfg.json").write_text(json.dumps({"dca_bits": 8}))
-    save_tensor(tmp_path / "w.mten", np.ones((2, 2)))
-    rc = cli.main(["build-engine", "--config", str(tmp_path / "cfg.json"),
-                   "--weights", str(tmp_path / "w.mten"),
-                   "--out", str(tmp_path / "e.json")])
+# per command: a config key it does not read, and the rest of its arguments
+UNREAD_CONFIG = {
+    "simulate": ({"dac_bits": 4}, ["--conductance", "g.mten", "--input", "v.mten"]),
+    "build-engine": ({"dca_bits": 8}, ["--weights", "g.mten"]),
+    "layer-exp": ({"crossbar": {"r_wire": 0.0}, "x_max": 2.0}, []),
+    "run-net": ({"dac_bits": 4, "crossbar": {"r_wire": 0.0}},
+                ["--model", "tiny.json", "--images", "imgs"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNREAD_CONFIG))
+def test_unknown_config_key_rejected(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    save_tensor("g.mten", np.full((2, 2), 1.0 / 15_000.0))
+    save_tensor("v.mten", np.full(2, 0.1))
+    save_model(build_tiny_model(seed=1, channels=(3,), hw=4), "tiny.json")
+    os.mkdir("imgs")
+    save_tensor("imgs/img0.mten", gen_input((4, 4, 3), 0.3, 1))
+    bad, args = UNREAD_CONFIG[command]
+    Path("cfg.json").write_text(json.dumps(bad))
+    rc = cli.main([command, "--config", "cfg.json", *args, "--out", "out"])
     assert rc == cli.EXIT_VALIDATION
+    assert not Path("out").exists()
+    # each command still takes every key it reads
+    good = dict.fromkeys(cli.CONFIG_KEYS[command], 1)
+    Path("cfg.json").write_text(json.dumps(good))
+    assert cli._load_config("cfg.json", command) == good
 
 
 def test_numeric_failure_exit_code(monkeypatch, tmp_path):
@@ -225,6 +246,11 @@ def test_outputs_deterministic_across_thread_settings(tmp_path, monkeypatch):
     assert outputs["1"] == outputs["4"]
 
 
-def test_threads_flag_validation():
+def test_threads_flag_validation(monkeypatch, capsys):
     assert cli.main(["--threads", "0", "simulate", "--conductance", "x",
                      "--input", "y", "--out", "z"]) == cli.EXIT_VALIDATION
+    for env in ("0", "abc"):
+        monkeypatch.setenv("XBAR_THREADS", env)
+        assert cli.main(["simulate", "--conductance", "x", "--input", "y",
+                         "--out", "z"]) == cli.EXIT_VALIDATION
+    assert "XBAR_THREADS" in capsys.readouterr().err

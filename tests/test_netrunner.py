@@ -1,5 +1,7 @@
 """Network graph, file format, and inference pipeline tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,20 @@ def test_model_manifest_checksum(tmp_path):
     raw[10] ^= 0xFF
     blob.write_bytes(bytes(raw))
     with pytest.raises(ValidationError):
+        load_model(manifest)
+
+
+@pytest.mark.parametrize("layer,key", [
+    ("conv0", "kernel_h"), ("conv0", "kernel_w"), ("conv1", "in_channels"),
+    ("fc", "out_channels"), ("bn0", "channels")])
+def test_model_manifest_missing_shape_param(tmp_path, layer, key):
+    model = build_tiny_model(seed=3)
+    manifest, _ = save_model(model, tmp_path / "tiny.json")
+    doc = json.loads(manifest.read_text())
+    entry = next(e for e in doc["layers"] if e["name"] == layer)
+    del entry["params"][key]
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=f"{layer}.*{key}"):
         load_model(manifest)
 
 
