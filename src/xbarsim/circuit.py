@@ -65,12 +65,14 @@ def check_conductances(config, g, tol=1e-9):
     return g
 
 
-def _check_inputs(config, v_in, slack=1e-9):
-    """Validate one input vector (rows,) or a batch (k, rows)."""
+def _check_inputs(config, v_in, batch=False, slack=1e-9):
+    """Validate one input vector (rows,), or a (k, rows) batch if `batch`."""
     v_in = np.asarray(v_in, dtype=float)
-    if v_in.ndim not in (1, 2) or v_in.shape[-1] != config.rows:
+    if v_in.ndim not in ((1, 2) if batch else (1,)) or v_in.shape[-1] != config.rows:
         raise ValidationError(
             f"input shape {v_in.shape} does not match {config.rows} rows")
+    if not np.isfinite(v_in).all():
+        raise ValidationError("inputs contain non-finite values")
     if v_in.size and (v_in.min() < -slack
                       or v_in.max() > config.v_sense_max * (1.0 + slack)):
         raise ValidationError(
@@ -181,7 +183,7 @@ class CrossbarSolver:
         r -= rhs
         num, den = (np.sqrt(np.einsum("ij,ij->j", a, a)) for a in (r, rhs))
         worst = float((num / np.where(den > 0, den, np.inf)).max())
-        if worst > RESIDUAL_TOL:
+        if not worst <= RESIDUAL_TOL:   # also a NaN residual
             raise SolverError(f"solver residual {worst:.3g} above {RESIDUAL_TOL:.3g}",
                               residual=worst)
         return x, worst
@@ -213,7 +215,7 @@ class CrossbarSolver:
         """
         V = np.atleast_2d(np.asarray(V, dtype=float))
         if check_range:
-            _check_inputs(self.config, V)
+            _check_inputs(self.config, V, batch=True)
         return V @ self.transfer_matrix()
 
     def solve(self, v_in, check_range=True) -> NodeSolution:

@@ -19,9 +19,8 @@ import numpy as np
 
 from .circuit import simulate
 from .config import CrossbarConfig
-from .engine import (DEFAULT_CALI_SAMPLES, DEFAULT_SIGNAL_FRACTION,
-                     SIGNAL_AMPLITUDES, build_engine, evaluate_engine,
-                     optimize_conversion_signal)
+from .engine import (DEFAULT_CALI_SAMPLES, SIGNAL_AMPLITUDES, build_engine,
+                     evaluate_engine, optimize_conversion_signal)
 from .errors import SolverError, ValidationError
 from .metrics import gen_input, gen_kernel
 from .netrunner import (TAP_DTYPE, load_model, load_tensor, quantization_sweep,
@@ -35,8 +34,8 @@ EXIT_NUMERIC = 3
 # the config keys each command reads; any other key is rejected
 CONFIG_KEYS = {
     "simulate": {"crossbar"},
-    "build-engine": {"crossbar", "dac_bits", "adc_bits", "signal_fraction",
-                     "amplitudes", "cali_samples", "seed", "x_max"},
+    "build-engine": {"crossbar", "dac_bits", "adc_bits", "cali_samples", "seed",
+                     "x_max"},
     "layer-exp": {"dac_bits", "adc_bits", "amplitudes", "cali_samples", "seed"},
     "run-net": {"cali_samples", "seed"},
 }
@@ -157,11 +156,8 @@ def simulate_cmd(config_path, cond_path, input_path, out_path):
               help="2-D weight matrix tensor file.")
 @click.option("--samples", "samples_path", type=str, default=None,
               help="Optional calibration sample tensor (batch x rows).")
-@click.option("--optimize-signal", is_flag=True,
-              help="Sweep conversion-signal amplitudes before the build.")
 @click.option("--out", "out_path", type=str, required=True)
-def build_engine_cmd(config_path, weights_path, samples_path, optimize_signal,
-                     out_path):
+def build_engine_cmd(config_path, weights_path, samples_path, out_path):
     """Map, convert, and calibrate one crossbar engine; serialize it."""
     cfg = _load_config(config_path, "build-engine")
     weights = load_tensor(_require_file(weights_path))
@@ -176,7 +172,8 @@ def build_engine_cmd(config_path, weights_path, samples_path, optimize_signal,
         xb.setdefault("rows", weights.shape[0])
         xb.setdefault("cols", weights.shape[1])
         config = CrossbarConfig.from_dict(xb)
-    kwargs = dict(
+    engine = build_engine(
+        weights,
         config=config,
         x_max=cfg.get("x_max", 1.0),
         dac_bits=cfg.get("dac_bits"),
@@ -185,12 +182,6 @@ def build_engine_cmd(config_path, weights_path, samples_path, optimize_signal,
         cali_sample_count=cfg.get("cali_samples", DEFAULT_CALI_SAMPLES),
         seed=cfg.get("seed", 0),
     )
-    fraction = cfg.get("signal_fraction", DEFAULT_SIGNAL_FRACTION)
-    if optimize_signal:
-        fraction, _ = optimize_conversion_signal(
-            weights, amplitudes=tuple(cfg.get("amplitudes", SIGNAL_AMPLITUDES)),
-            **kwargs)
-    engine = build_engine(weights, signal_fraction=fraction, **kwargs)
     engine.save(out_path)
     _write_log(out_path, "build-engine")
 

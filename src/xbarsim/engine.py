@@ -7,7 +7,8 @@ Pipeline for one crossbar engine:
 2. `convert` tunes the programmed conductances so the loaded array, with all
    wire and terminal parasitics, reproduces the target multiply. Targets are
    auto-scaled per column to what the array can physically reach; the scale
-   is absorbed by the digital readout.
+   is absorbed by the digital readout. It counts the updates it applies and
+   returns the solver of the last array it evaluated; the engine runs on it.
 3. `get_cali_para` fits a per-column linear readout (gain, offset) from a
    few random sample inputs, absorbing residual distortion and quantizer
    bias.
@@ -33,6 +34,7 @@ SIGNAL_AMPLITUDES = (1.0, 0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
 DEFAULT_SIGNAL_FRACTION = 0.1
 
 DEFAULT_CALI_SAMPLES = 10
+CONVERGED_TOL = 1e-6   # col_error at or below which a conversion converged
 _DEGENERATE_SPREAD = 1e-18
 
 
@@ -60,15 +62,19 @@ class WeightMapping:
 
 @dataclass
 class ConversionResult:
-    """Programmed conductances plus convergence diagnostics."""
+    """The solver of the programmed array plus convergence diagnostics."""
 
-    g_device: np.ndarray
+    solver: CrossbarSolver    # factorized on the returned conductances
     col_scale: np.ndarray     # per-column target scale s, in (0, 1]
-    iterations: int
+    iterations: int           # updates applied to the mapped targets
     converged: bool
     col_error: float          # worst per-column current error vs scaled target
     clipped_low: int          # devices pinned at g_min
     clipped_high: int         # devices pinned at g_max
+
+    @property
+    def g_device(self):
+        return self.solver.g
 
 
 def map_weights(weights, config: CrossbarConfig, x_max=1.0):
@@ -99,23 +105,15 @@ def map_weights(weights, config: CrossbarConfig, x_max=1.0):
                                    beta=beta, x_max=float(x_max))
 
 
-def _scale_and_clip(desired_unit, config, target_scale):
-    """Per-column scale s and clipped conductances from unit-scale desires."""
-    if target_scale == "auto":
-        s = np.minimum(config.g_max / desired_unit.max(axis=0), 1.0)
-    else:
-        s = np.full(desired_unit.shape[1], float(target_scale))
-    g_new = np.clip(s[None, :] * desired_unit, config.g_min, config.g_max)
-    return s, g_new
-
-
 def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
-            target_scale="auto", tol=1e-6, max_iter=100):
+            target_scale="auto", max_iter=100):
     """Iteratively tune programmed conductances against the solved circuit.
 
-    Each iteration solves the loaded array, computes the per-device transfer
-    realized so far, and reprograms every device so its realized contribution
-    matches the (scaled) target, clipping to [g_min, g_max]:
+    Each pass solves the current array and its per-column output error, then
+    stops after `max_iter` updates or when the next update would move no
+    device by 1e-12 relative or more. Otherwise it reprograms every device so
+    its realized contribution matches the (scaled) target, clipping to
+    [g_min, g_max], and goes round again:
 
     - method "transfer": matches the exact per-device input-to-output
       transfer coefficients, so the converged array reproduces the scaled
@@ -126,8 +124,11 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
     target_scale "auto" rescales each column to the largest fraction of the
     ideal target its devices can reach without ceiling saturation; a numeric
     value (e.g. 1.0) fixes the scale, which large parasitic arrays cannot
-    reach. Returns a ConversionResult; `converged` reports whether the worst
-    per-column output current error dropped below tol.
+    reach. Returns a ConversionResult whose `solver` (the engine's, in
+    `build_engine`), `g_device` and `col_error` belong to the last array
+    solved. `iterations` counts the updates applied: max_iter=0 is direct
+    mapping, and `iterations + 1` arrays are factorized. `converged` reports
+    whether `col_error` <= CONVERGED_TOL.
     """
     g_target = np.asarray(g_target, dtype=float)
     if g_target.shape != (config.rows, config.cols):
@@ -145,9 +146,8 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
     norm = max(float(np.abs(i_unit).max()), 1e-300)
     gp = g_target.copy()
     s = np.ones(config.cols)
-    col_error = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    while True:
         solver = CrossbarSolver(config, gp)
         if method == "transfer":
             transfer = solver.transfer_matrix()
@@ -159,17 +159,20 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
             eff = solver.g_dev * v_drop / (v_conv[:, None] * gp)
             i_out = sol.i_out
         col_error = float(np.abs(i_out - s * i_unit).max()) / norm
-        desired_unit = g_target / eff
-        s, g_new = _scale_and_clip(desired_unit, config, target_scale)
-        delta = float(np.max(np.abs(g_new - gp) / gp))
-        gp = g_new
-        del solver   # free this factorization before the next one is built
-        if delta < 1e-12:
+        if iterations >= max_iter:
             break
-    converged = col_error <= tol
+        desired_unit = g_target / eff
+        s_new = (np.minimum(config.g_max / desired_unit.max(axis=0), 1.0)
+                 if target_scale == "auto" else np.full(config.cols, float(target_scale)))
+        g_new = np.clip(s_new * desired_unit, config.g_min, config.g_max)
+        if np.max(np.abs(g_new - gp) / gp) < 1e-12:
+            break
+        s, gp = s_new, g_new
+        iterations += 1
+        del solver   # free this factorization before the next one is built
     return ConversionResult(
-        g_device=gp, col_scale=s, iterations=iterations, converged=converged,
-        col_error=col_error,
+        solver=solver, col_scale=s, iterations=iterations,
+        converged=col_error <= CONVERGED_TOL, col_error=col_error,
         clipped_low=max(0, int(np.count_nonzero(gp <= config.g_min)
                                - np.count_nonzero(g_target <= config.g_min))),
         clipped_high=max(0, int(np.count_nonzero(gp >= config.g_max)
@@ -233,32 +236,27 @@ def get_cali_para(engine, sample_inputs, sample_count=DEFAULT_CALI_SAMPLES, seed
 
 
 class VmmEngine:
-    """One built crossbar engine: conductances plus the digital wrapper.
+    """One built crossbar engine: the solver of its programmed array plus the
+    digital wrapper; `config` and `g_device` are the solver's.
 
     `execute` maps a non-negative input vector x in [0, x_max] to an
     approximation of x @ weights through the analog signal chain.
     """
 
-    def __init__(self, weights, config, mapping, g_target, g_device, col_scale,
+    def __init__(self, weights, solver, mapping, g_target, col_scale,
                  conversion_info, dac=None, adc=None, cali=None, name="engine"):
         self.weights = np.asarray(weights, dtype=float)
-        self.config = config
+        self.solver = solver
+        self.config = solver.config
+        self.g_device = solver.g
         self.mapping = mapping
         self.g_target = np.asarray(g_target, dtype=float)
-        self.g_device = np.asarray(g_device, dtype=float)
         self.col_scale = np.asarray(col_scale, dtype=float)
         self.conversion_info = dict(conversion_info)
         self.dac = dac
         self.adc = adc
         self.cali = cali
         self.name = name
-        self._solver = None
-
-    @property
-    def solver(self):
-        if self._solver is None:
-            self._solver = CrossbarSolver(self.config, self.g_device)
-        return self._solver
 
     @property
     def shape(self):
@@ -386,10 +384,10 @@ class VmmEngine:
         cali = desc["calibration"]
         return cls(
             weights=read_array("weights"),
-            config=CrossbarConfig.from_dict(desc["config"]),
+            solver=CrossbarSolver(CrossbarConfig.from_dict(desc["config"]),
+                                  read_array("g_device")),
             mapping=WeightMapping.from_dict(desc["mapping"]),
             g_target=read_array("g_target"),
-            g_device=read_array("g_device"),
             col_scale=np.asarray(desc["col_scale"], dtype=float),
             conversion_info=desc["conversion"],
             dac=None if desc["dac"] is None else DacSpec(**desc["dac"]),
@@ -410,7 +408,7 @@ def build_engine(weights, config=None, x_max=1.0, dac_bits=None, adc_bits=None,
                  cali_sample_count=DEFAULT_CALI_SAMPLES, seed=0,
                  method="transfer", target_scale="auto",
                  signal_fraction=DEFAULT_SIGNAL_FRACTION,
-                 tol=1e-6, max_iter=100, name="engine"):
+                 max_iter=100, name="engine"):
     """Build a ready-to-run VmmEngine from a weight matrix.
 
     The full recipe: map weights, convert with a flat signal at
@@ -426,15 +424,15 @@ def build_engine(weights, config=None, x_max=1.0, dac_bits=None, adc_bits=None,
     g_target, mapping = map_weights(A, config, x_max)
     v_conv = np.full(config.rows, signal_fraction * config.v_sense_max)
     result = convert(config, g_target, v_conv, method=method,
-                     target_scale=target_scale, tol=tol, max_iter=max_iter)
+                     target_scale=target_scale, max_iter=max_iter)
     info = {"method": method, "target_scale": target_scale,
             "signal_fraction": signal_fraction,
             "iterations": result.iterations, "converged": result.converged,
-            "col_error": result.col_error if np.isfinite(result.col_error) else None,
+            "col_error": result.col_error,
             "clipped_low": result.clipped_low,
             "clipped_high": result.clipped_high}
-    engine = VmmEngine(A, config, mapping, g_target, result.g_device,
-                       result.col_scale, info, name=name)
+    engine = VmmEngine(A, result.solver, mapping, g_target, result.col_scale,
+                       info, name=name)
     if dac_bits is not None:
         engine.dac = DacSpec(bits=dac_bits, v_max=config.v_sense_max)
     needs_samples = calibrate or adc_bits is not None

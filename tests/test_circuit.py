@@ -176,3 +176,30 @@ def test_rejects_out_of_range_voltage():
             with pytest.raises(ValidationError):
                 solver.currents([[0.1, 0.1], bad])
         assert solver.currents([[0.1, 0.1], [0.0, 0.2]]).shape == (2, 2)
+
+
+def test_rejects_non_finite_input():
+    g = np.full((2, 2), G_MIN)
+    for r_wire in (1.0, 0.0):
+        config = CrossbarConfig(2, 2, r_wire=r_wire)
+        solver = CrossbarSolver(config, g)
+        for bad in ([np.nan, 0.1], [0.1, np.inf]):
+            for check in (lambda v: simulate(config, g, v),
+                          lambda v: oracle_solve(config, g, v),
+                          lambda v: solver.currents([[0.1, 0.1], v])):
+                with pytest.raises(ValidationError):
+                    check(bad)
+            # unchecked, the non-finite residual still stops the solve
+            with pytest.raises(SolverError):
+                solver.solve(bad, check_range=False)
+
+
+def test_single_solves_reject_2d_input():
+    config = CrossbarConfig(2, 2)
+    g = np.full((2, 2), G_MIN)
+    V = np.zeros((1, 2))
+    for single in (simulate, oracle_solve,
+                   lambda config, g, v: CrossbarSolver(config, g).solve(v)):
+        with pytest.raises(ValidationError):
+            single(config, g, V)
+    assert CrossbarSolver(config, g).currents(V).shape == (1, 2)

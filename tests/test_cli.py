@@ -52,6 +52,16 @@ def test_simulate_matches_oracle_from_files(tmp_path):
     assert np.abs(got - ref.i_out).max() / np.abs(ref.i_out).max() <= 1e-9
 
 
+def test_simulate_rejects_nan_input(tmp_path):
+    save_tensor(tmp_path / "g.mten", np.full((2, 2), 1.0 / 15_000.0))
+    save_tensor(tmp_path / "v.mten", np.array([np.nan, 0.1]))
+    rc = cli.main(["simulate", "--conductance", str(tmp_path / "g.mten"),
+                   "--input", str(tmp_path / "v.mten"),
+                   "--out", str(tmp_path / "out.json")])
+    assert rc == cli.EXIT_VALIDATION
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_missing_file_exits_with_usage_code(tmp_path):
     rc = cli.main(["simulate", "--conductance", str(tmp_path / "nope.mten"),
                    "--input", str(tmp_path / "nope2.mten"),
@@ -68,12 +78,15 @@ def test_invalid_bits_exits_with_validation_code(tmp_path):
     assert rc == cli.EXIT_VALIDATION
 
 
-# per command: a config key it does not read, and the rest of its arguments
+# per command: configs with keys it does not read, and the rest of its
+# arguments; build-engine always converts by transfer, which no conversion
+# signal changes, so it reads no amplitude keys
 UNREAD_CONFIG = {
-    "simulate": ({"dac_bits": 4}, ["--conductance", "g.mten", "--input", "v.mten"]),
-    "build-engine": ({"dca_bits": 8}, ["--weights", "g.mten"]),
-    "layer-exp": ({"crossbar": {"r_wire": 0.0}, "x_max": 2.0}, []),
-    "run-net": ({"dac_bits": 4, "crossbar": {"r_wire": 0.0}},
+    "simulate": ([{"dac_bits": 4}], ["--conductance", "g.mten", "--input", "v.mten"]),
+    "build-engine": ([{"dca_bits": 8}, {"amplitudes": [1.0, 0.1]},
+                      {"signal_fraction": 1.0}], ["--weights", "g.mten"]),
+    "layer-exp": ([{"crossbar": {"r_wire": 0.0}, "x_max": 2.0}], []),
+    "run-net": ([{"dac_bits": 4, "crossbar": {"r_wire": 0.0}}],
                 ["--model", "tiny.json", "--images", "imgs"]),
 }
 
@@ -86,11 +99,12 @@ def test_unknown_config_key_rejected(tmp_path, monkeypatch, command):
     save_model(build_tiny_model(seed=1, channels=(3,), hw=4), "tiny.json")
     os.mkdir("imgs")
     save_tensor("imgs/img0.mten", gen_input((4, 4, 3), 0.3, 1))
-    bad, args = UNREAD_CONFIG[command]
-    Path("cfg.json").write_text(json.dumps(bad))
-    rc = cli.main([command, "--config", "cfg.json", *args, "--out", "out"])
-    assert rc == cli.EXIT_VALIDATION
-    assert not Path("out").exists()
+    bad_configs, args = UNREAD_CONFIG[command]
+    for bad in bad_configs:
+        Path("cfg.json").write_text(json.dumps(bad))
+        rc = cli.main([command, "--config", "cfg.json", *args, "--out", "out"])
+        assert rc == cli.EXIT_VALIDATION
+        assert not Path("out").exists()
     # each command still takes every key it reads
     good = dict.fromkeys(cli.CONFIG_KEYS[command], 1)
     Path("cfg.json").write_text(json.dumps(good))

@@ -140,6 +140,39 @@ def test_convert_absolute_targets_report_saturation():
     assert result.clipped_high > 0
 
 
+@pytest.mark.parametrize("method, target_scale, max_iter, stalled", [
+    ("transfer", "auto", 100, True),
+    ("branch", "auto", 100, True),
+    ("transfer", 1.0, 3, False),
+    ("branch", 1.0, 5, False),
+])
+def test_convert_error_belongs_to_returned_conductances(method, target_scale,
+                                                        max_iter, stalled):
+    config = CrossbarConfig(16, 4)
+    g, _ = map_weights(gen_kernel(1, (16, 4), 4), config)
+    v_conv = np.full(16, 0.02)
+    result = convert(config, g, v_conv, method=method,
+                     target_scale=target_scale, max_iter=max_iter)
+    # a stalled conversion stops before max_iter updates
+    assert (result.iterations < max_iter) == stalled
+    solver = CrossbarSolver(config, result.g_device)
+    i_out = (v_conv @ solver.transfer_matrix() if method == "transfer"
+             else solver.solve(v_conv, check_range=False).i_out)
+    i_unit = v_conv @ g
+    col_error = np.abs(i_out - result.col_scale * i_unit).max() / np.abs(i_unit).max()
+    assert col_error == pytest.approx(result.col_error, rel=1e-12)
+
+
+def test_transfer_conversion_ignores_signal_amplitude():
+    for shape in ((3, 3, 3, 8), (3, 3, 16, 16)):
+        A = gen_kernel(1, shape, 0).reshape(-1, shape[-1])
+        config = CrossbarConfig(*A.shape)
+        g, _ = map_weights(A, config)
+        low, high = (convert(config, g, np.full(A.shape[0], f * config.v_sense_max))
+                     for f in (0.001, 1.0))
+        assert np.array_equal(low.g_device, high.g_device)
+
+
 def test_convert_validation():
     config = CrossbarConfig(4, 4)
     g, _ = map_weights(np.zeros((4, 4)), config)
@@ -257,6 +290,27 @@ def test_raw_currents_match_node_solves():
     V = dac_quantize(engine.mapping.alpha * X, engine.dac)
     ref = np.array([engine.solver.solve(v, check_range=False).i_out for v in V])
     assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-12
+
+
+def test_build_factorizes_once_per_conversion_pass(monkeypatch):
+    built = []
+    init = CrossbarSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CrossbarSolver, "__init__", counting_init)
+    A = gen_kernel(1, (16, 4), 18)
+    X = default_sample_inputs(16, count=4, seed=5)
+    for method in ("transfer", "branch"):
+        built.clear()
+        engine = build_engine(A, method=method, calibrate=False, seed=0)
+        passes = engine.conversion_info["iterations"] + 1
+        assert len(built) == passes
+        assert engine.solver is built[-1]
+        engine.execute_batch(X)   # runs on the conversion's last solver
+        assert len(built) == passes
 
 
 def test_engine_serialization_round_trip(tmp_path):
