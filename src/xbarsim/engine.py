@@ -7,8 +7,9 @@ Pipeline for one crossbar engine:
 2. `convert` tunes the programmed conductances so the loaded array, with all
    wire and terminal parasitics, reproduces the target multiply. Targets are
    auto-scaled per column to what the array can physically reach; the scale
-   is absorbed by the digital readout. It counts the updates it applies and
-   returns the solver of the last array it evaluated; the engine runs on it.
+   is absorbed by the digital readout. It stops when the array converged,
+   stalled or reached `max_iter`, and returns the solver of the last array
+   it evaluated; the engine runs on it.
 3. `get_cali_para` fits a per-column linear readout (gain, offset) from a
    few random sample inputs, absorbing residual distortion and quantizer
    bias.
@@ -35,6 +36,7 @@ DEFAULT_SIGNAL_FRACTION = 0.1
 
 DEFAULT_CALI_SAMPLES = 10
 CONVERGED_TOL = 1e-6   # col_error at or below which a conversion converged
+G_TOL = 1e-6           # largest relative device update below which it stalled
 _DEGENERATE_SPREAD = 1e-18
 
 
@@ -68,6 +70,7 @@ class ConversionResult:
     col_scale: np.ndarray     # per-column target scale s, in (0, 1]
     iterations: int           # updates applied to the mapped targets
     converged: bool
+    stop: str                 # exit taken: "converged", "stalled" or "max_iter"
     col_error: float          # worst per-column current error vs scaled target
     clipped_low: int          # devices pinned at g_min
     clipped_high: int         # devices pinned at g_max
@@ -110,10 +113,16 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
     """Iteratively tune programmed conductances against the solved circuit.
 
     Each pass solves the current array and its per-column output error, then
-    stops after `max_iter` updates or when the next update would move no
-    device by 1e-12 relative or more. Otherwise it reprograms every device so
-    its realized contribution matches the (scaled) target, clipping to
-    [g_min, g_max], and goes round again:
+    takes the first of three exits that applies:
+
+    - "converged": `col_error` <= CONVERGED_TOL;
+    - "max_iter": `max_iter` updates have been applied;
+    - "stalled": the next update would move no device by G_TOL (1e-6)
+      relative or more, far below any device programming precision.
+
+    Otherwise it reprograms every device so its realized contribution
+    matches the (scaled) target, clipping to [g_min, g_max], and goes round
+    again:
 
     - method "transfer": matches the exact per-device input-to-output
       transfer coefficients, so the converged array reproduces the scaled
@@ -127,8 +136,8 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
     reach. Returns a ConversionResult whose `solver` (the engine's, in
     `build_engine`), `g_device` and `col_error` belong to the last array
     solved. `iterations` counts the updates applied: max_iter=0 is direct
-    mapping, and `iterations + 1` arrays are factorized. `converged` reports
-    whether `col_error` <= CONVERGED_TOL.
+    mapping, and `iterations + 1` arrays are factorized. `stop` names the
+    exit taken; `converged` reports whether `col_error` <= CONVERGED_TOL.
     """
     g_target = np.asarray(g_target, dtype=float)
     if g_target.shape != (config.rows, config.cols):
@@ -159,20 +168,25 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
             eff = solver.g_dev * v_drop / (v_conv[:, None] * gp)
             i_out = sol.i_out
         col_error = float(np.abs(i_out - s * i_unit).max()) / norm
+        if col_error <= CONVERGED_TOL:
+            stop = "converged"
+            break
         if iterations >= max_iter:
+            stop = "max_iter"
             break
         desired_unit = g_target / eff
         s_new = (np.minimum(config.g_max / desired_unit.max(axis=0), 1.0)
                  if target_scale == "auto" else np.full(config.cols, float(target_scale)))
         g_new = np.clip(s_new * desired_unit, config.g_min, config.g_max)
-        if np.max(np.abs(g_new - gp) / gp) < 1e-12:
+        if np.max(np.abs(g_new - gp) / gp) < G_TOL:
+            stop = "stalled"
             break
         s, gp = s_new, g_new
         iterations += 1
         del solver   # free this factorization before the next one is built
     return ConversionResult(
         solver=solver, col_scale=s, iterations=iterations,
-        converged=col_error <= CONVERGED_TOL, col_error=col_error,
+        converged=stop == "converged", stop=stop, col_error=col_error,
         clipped_low=max(0, int(np.count_nonzero(gp <= config.g_min)
                                - np.count_nonzero(g_target <= config.g_min))),
         clipped_high=max(0, int(np.count_nonzero(gp >= config.g_max)
@@ -277,13 +291,7 @@ class VmmEngine:
 
     def raw_currents(self, X):
         """Post-ADC column currents for a batch of validated inputs."""
-        X = self._validate_inputs(X)
-        m, n = self.weights.shape
-        V = np.zeros((X.shape[0], self.config.rows))
-        V[:, :m] = self.mapping.alpha * X
-        V = dac_quantize(V, self.dac)
-        I = self.solver.currents(V, check_range=False)[:, :n]
-        return adc_quantize(I, self.adc)
+        return self._raw_currents(self._validate_inputs(X))
 
     def corrected_currents(self, X):
         """Post-ADC currents with the conductance baseline removed.
@@ -292,16 +300,13 @@ class VmmEngine:
         target scale); its known contribution alpha * g_min * s * sum(x) is
         subtracted before readout.
         """
-        X = self._validate_inputs(X)
-        n = self.weights.shape[1]
-        baseline = self.mapping.alpha * self.config.g_min * X.sum(axis=1)
-        return self.raw_currents(X) - np.outer(baseline, self.col_scale[:n])
+        return self._corrected_currents(self._validate_inputs(X))
 
     def execute_batch(self, X):
         """Run a batch of input vectors; returns (batch, cols) outputs."""
         X = self._validate_inputs(X)
         n = self.weights.shape[1]
-        i_corr = self.corrected_currents(X)
+        i_corr = self._corrected_currents(X)
         if self.cali is not None:
             y_shift = self.cali.gain * i_corr + self.cali.offset
         else:
@@ -309,6 +314,20 @@ class VmmEngine:
                              * self.col_scale[:n])
             y_shift = i_corr * nominal
         return y_shift - self.mapping.c * X.sum(axis=1)[:, None]
+
+    # the private helpers take a batch `_validate_inputs` already returned
+    def _raw_currents(self, X):
+        m, n = self.weights.shape
+        V = np.zeros((X.shape[0], self.config.rows))
+        V[:, :m] = self.mapping.alpha * X
+        V = dac_quantize(V, self.dac)
+        I = self.solver.currents(V, check_range=False)[:, :n]
+        return adc_quantize(I, self.adc)
+
+    def _corrected_currents(self, X):
+        n = self.weights.shape[1]
+        baseline = self.mapping.alpha * self.config.g_min * X.sum(axis=1)
+        return self._raw_currents(X) - np.outer(baseline, self.col_scale[:n])
 
     def execute(self, x):
         """Run one input vector; returns a 1-D output vector."""

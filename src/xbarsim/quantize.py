@@ -27,6 +27,8 @@ class DacSpec:
         _check_bits(self.bits)
         if self.v_min != 0.0:
             raise ValidationError("DAC range must start at 0 V")
+        if not np.isfinite(self.v_max):
+            raise ValidationError(f"DAC range must be finite, got v_max={self.v_max}")
         if self.v_max <= self.v_min:
             raise ValidationError(f"need v_max > v_min, got [{self.v_min}, {self.v_max}]")
 
@@ -46,6 +48,9 @@ class AdcSpec:
 
     def __post_init__(self):
         _check_bits(self.bits)
+        if not (np.isfinite(self.i_min) and np.isfinite(self.i_max)):
+            raise ValidationError(
+                f"ADC range must be finite, got [{self.i_min}, {self.i_max}]")
         if self.i_min < 0.0 or self.i_max <= self.i_min:
             raise ValidationError(f"need i_max > i_min >= 0, got [{self.i_min}, {self.i_max}]")
 
@@ -78,6 +83,8 @@ def calibrate_adc_range(bits, sample_currents, headroom=1.05) -> AdcSpec:
     sample_currents = np.asarray(sample_currents, dtype=float)
     if sample_currents.size == 0:
         raise ValidationError("cannot calibrate ADC range from empty samples")
+    if not np.isfinite(sample_currents).all():
+        raise ValidationError("cannot calibrate ADC range from non-finite samples")
     peak = float(sample_currents.max())
     if peak <= 0.0:
         raise ValidationError("cannot calibrate ADC range from all-zero samples")

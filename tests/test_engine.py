@@ -1,13 +1,15 @@
 """Weight mapping, conversion, calibration, and engine execution tests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xbarsim.circuit import CrossbarSolver, oracle_solve
 from xbarsim.config import CrossbarConfig
-from xbarsim.engine import (VmmEngine, build_engine, convert,
-                            default_sample_inputs, evaluate_engine,
+from xbarsim.engine import (CONVERGED_TOL, G_TOL, VmmEngine, build_engine,
+                            convert, default_sample_inputs, evaluate_engine,
                             get_cali_para, map_weights,
                             optimize_conversion_signal)
 from xbarsim.errors import ValidationError
@@ -140,27 +142,48 @@ def test_convert_absolute_targets_report_saturation():
     assert result.clipped_high > 0
 
 
-@pytest.mark.parametrize("method, target_scale, max_iter, stalled", [
-    ("transfer", "auto", 100, True),
-    ("branch", "auto", 100, True),
-    ("transfer", 1.0, 3, False),
-    ("branch", 1.0, 5, False),
+@pytest.mark.parametrize("method, target_scale, max_iter, stop", [
+    ("transfer", "auto", 100, "converged"),
+    ("branch", "auto", 100, "converged"),
+    ("transfer", 1.0, 100, "stalled"),
+    ("transfer", 1.0, 1, "max_iter"),
+    ("branch", 1.0, 1, "max_iter"),
 ])
 def test_convert_error_belongs_to_returned_conductances(method, target_scale,
-                                                        max_iter, stalled):
+                                                        max_iter, stop):
     config = CrossbarConfig(16, 4)
     g, _ = map_weights(gen_kernel(1, (16, 4), 4), config)
     v_conv = np.full(16, 0.02)
     result = convert(config, g, v_conv, method=method,
                      target_scale=target_scale, max_iter=max_iter)
-    # a stalled conversion stops before max_iter updates
-    assert (result.iterations < max_iter) == stalled
+    assert result.stop == stop
+    assert result.converged == (stop == "converged")
+    # only the max_iter exit applies all max_iter updates
+    assert (result.iterations == max_iter) == (stop == "max_iter")
     solver = CrossbarSolver(config, result.g_device)
     i_out = (v_conv @ solver.transfer_matrix() if method == "transfer"
              else solver.solve(v_conv, check_range=False).i_out)
     i_unit = v_conv @ g
     col_error = np.abs(i_out - result.col_scale * i_unit).max() / np.abs(i_unit).max()
     assert col_error == pytest.approx(result.col_error, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape, seed", [((3, 3, 16, 16), 0), ((3, 3, 32, 32), 5)],
+                         ids=["144x16", "288x32"])
+def test_early_exits_stay_near_full_conversion(monkeypatch, shape, seed):
+    A = gen_kernel(1, shape, seed).reshape(-1, shape[-1])
+    config = CrossbarConfig(*A.shape)
+    g, _ = map_weights(A, config)
+    v_conv = np.full(A.shape[0], 0.1 * config.v_sense_max)
+    early = convert(config, g, v_conv)
+    # reference: no converged exit, stall only on sub-1e-12 updates
+    monkeypatch.setattr("xbarsim.engine.G_TOL", 1e-12)
+    monkeypatch.setattr("xbarsim.engine.CONVERGED_TOL", -1.0)
+    full = convert(config, g, v_conv)
+    assert full.iterations > early.iterations
+    rel = np.abs(early.g_device - full.g_device) / full.g_device
+    assert rel.max() <= 10 * G_TOL
+    assert abs(early.col_error - full.col_error) <= CONVERGED_TOL
 
 
 def test_transfer_conversion_ignores_signal_amplitude():
@@ -261,6 +284,25 @@ def test_execute_validates_inputs():
         engine.execute([0.1, -0.2, 0.3, 0.4])
 
 
+def test_each_public_call_validates_once(monkeypatch):
+    engine = build_engine(gen_kernel(1, (16, 4), 10), dac_bits=8, adc_bits=8,
+                          seed=0)
+    X = default_sample_inputs(16, count=6, seed=1)
+    calls = []
+    validate = VmmEngine._validate_inputs
+
+    def counting_validate(self, X):
+        calls.append(X)
+        return validate(self, X)
+
+    monkeypatch.setattr(VmmEngine, "_validate_inputs", counting_validate)
+    for method in (engine.execute_batch, engine.corrected_currents,
+                   engine.raw_currents):
+        calls.clear()
+        method(X)
+        assert len(calls) == 1, method.__name__
+
+
 def test_engine_with_padded_array_matches_product():
     A = gen_kernel(1, (5, 3), 11)
     config = ideal_config(8, 6)   # larger than the weights
@@ -331,6 +373,16 @@ def test_engine_load_detects_corruption(tmp_path):
     raw[0] ^= 0xFF
     blob_path.write_bytes(bytes(raw))
     with pytest.raises(ValidationError):
+        VmmEngine.load(json_path)
+
+
+def test_engine_load_rejects_non_finite_adc_range(tmp_path):
+    engine = build_engine(gen_kernel(1, (4, 2), 15), adc_bits=8, seed=0)
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    desc = json.loads(json_path.read_text())
+    desc["adc"]["i_max"] = float("nan")
+    json_path.write_text(json.dumps(desc))
+    with pytest.raises(ValidationError, match="ADC range must be finite"):
         VmmEngine.load(json_path)
 
 

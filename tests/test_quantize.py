@@ -98,3 +98,15 @@ def test_bit_width_bounds():
         AdcSpec(bits=17, i_max=1e-4)
     with pytest.raises(ValidationError):
         AdcSpec(bits=8, i_max=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantizer_ranges_must_be_finite(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        DacSpec(bits=8, v_max=bad)
+    with pytest.raises(ValidationError, match="finite"):
+        AdcSpec(bits=8, i_max=bad)
+    with pytest.raises(ValidationError, match="finite"):
+        AdcSpec(bits=8, i_max=1e-4, i_min=bad)
+    with pytest.raises(ValidationError, match="finite"):
+        calibrate_adc_range(8, np.array([1e-6, bad]))
