@@ -10,11 +10,13 @@ __version__ = "0.1.0"
 
 from .config import CrossbarConfig
 from .circuit import CrossbarSolver, simulate, ideal_vmm, oracle_solve
-from .engine import VmmEngine, build_engine, convert, map_weights
+from .engine import (ProgrammedArray, VmmEngine, build_engine, convert,
+                     map_weights, program)
 from .errors import SolverError, ValidationError
 
 __all__ = [
     "CrossbarConfig", "CrossbarSolver", "simulate", "ideal_vmm",
-    "oracle_solve", "VmmEngine", "build_engine", "convert", "map_weights",
+    "oracle_solve", "ProgrammedArray", "VmmEngine", "build_engine", "program",
+    "convert", "map_weights",
     "SolverError", "ValidationError", "__version__",
 ]

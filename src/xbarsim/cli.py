@@ -20,7 +20,7 @@ import numpy as np
 from .circuit import simulate
 from .config import CrossbarConfig
 from .engine import (DEFAULT_CALI_SAMPLES, SIGNAL_AMPLITUDES, build_engine,
-                     evaluate_engine, optimize_conversion_signal)
+                     evaluate_engine, optimize_conversion_signal, program)
 from .errors import SolverError, ValidationError
 from .metrics import gen_input, gen_kernel
 from .netrunner import (TAP_DTYPE, load_model, load_tensor, quantization_sweep,
@@ -204,7 +204,8 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
 
     Emits error statistics for direct mapping, uncalibrated conversion with
     absolute (unscaled) targets, uncalibrated auto-scaled conversion, and
-    the full auto-scaled conversion plus calibration.
+    the full auto-scaled conversion plus calibration. The last two, and
+    every amplitude of the sweep, read out one programmed array.
     """
     cfg = _load_config(config_path, "layer-exp")
     try:
@@ -224,14 +225,15 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
     common = dict(sample_inputs=X, dac_bits=dac, adc_bits=adc,
                   seed=cfg.get("seed", seed),
                   cali_sample_count=cfg.get("cali_samples", DEFAULT_CALI_SAMPLES))
+    improved = program(A)
     variants = {
         "direct": build_engine(A, max_iter=0, calibrate=False, **common),
         "original_conversion": build_engine(A, method="branch",
                                             target_scale=1.0,
                                             signal_fraction=1.0,
                                             calibrate=False, **common),
-        "improved_uncalibrated": build_engine(A, calibrate=False, **common),
-        "improved": build_engine(A, **common),
+        "improved_uncalibrated": build_engine(improved, calibrate=False, **common),
+        "improved": build_engine(improved, **common),
     }
     rows = []
     summary = {}
@@ -245,9 +247,8 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
                ("variant", "mean", "worst", "samples", "output_range"), rows)
     if conv_amp_sweep:
         _, sweep = optimize_conversion_signal(
-            A, sample_inputs=X, seed=cfg.get("seed", seed),
-            amplitudes=tuple(cfg.get("amplitudes", SIGNAL_AMPLITUDES)),
-            dac_bits=dac, adc_bits=adc)
+            improved, amplitudes=tuple(cfg.get("amplitudes", SIGNAL_AMPLITUDES)),
+            **common)
         header = ("fraction", "mean", "worst")
         _write_csv(out / "amplitude_sweep.csv", header,
                    ([entry[k] for k in header] for entry in sweep))

@@ -1,6 +1,9 @@
 """Weight-to-conductance mapping, conversion, calibration, and VMM execution.
 
-Pipeline for one crossbar engine:
+Pipeline for one crossbar engine, in two steps. `program` (steps 1-2) turns
+a weight matrix into a `ProgrammedArray`; `build_engine` reads one out
+(steps 3-4) for its DAC/ADC bits, sample inputs and seed. A programmed
+array can be read out any number of times and is never changed by it.
 
 1. `map_weights` shifts and scales a real weight matrix onto the device
    conductance window (non-negative dense mapping with a shift constant c).
@@ -9,8 +12,9 @@ Pipeline for one crossbar engine:
    auto-scaled per column to what the array can physically reach; the scale
    is absorbed by the digital readout. It stops when the array converged,
    stalled or reached `max_iter`, and returns the solver of the last array
-   it evaluated; the engine runs on it.
-3. `get_cali_para` fits a per-column linear readout (gain, offset) from a
+   it evaluated; every engine read out from the array runs on it.
+3. The readout fits the ADC reference range to sample currents, and
+   `get_cali_para` fits a per-column linear readout (gain, offset) from a
    few random sample inputs, absorbing residual distortion and quantizer
    bias.
 4. `VmmEngine.execute` runs the full signal chain: DAC, transfer-matrix
@@ -33,6 +37,10 @@ from .quantize import AdcSpec, DacSpec, adc_quantize, calibrate_adc_range, dac_q
 # optimize_conversion_signal, as fractions of v_sense_max
 SIGNAL_AMPLITUDES = (1.0, 0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
 DEFAULT_SIGNAL_FRACTION = 0.1
+
+# the arguments of `program`, which `build_engine` forwards to it
+CONVERSION_KWARGS = ("config", "x_max", "method", "target_scale",
+                     "signal_fraction", "max_iter")
 
 DEFAULT_CALI_SAMPLES = 10
 CONVERGED_TOL = 1e-6   # col_error at or below which a conversion converged
@@ -78,6 +86,23 @@ class ConversionResult:
     @property
     def g_device(self):
         return self.solver.g
+
+
+@dataclass
+class ProgrammedArray:
+    """A weight matrix mapped and converted onto one crossbar (steps 1-2).
+
+    Every engine `build_engine` reads out from it shares its arrays and its
+    `solver`, with the solver's cached transfer matrix; a readout changes
+    none of them.
+    """
+
+    weights: np.ndarray
+    mapping: WeightMapping
+    g_target: np.ndarray
+    solver: CrossbarSolver    # of the last array `convert` evaluated
+    col_scale: np.ndarray
+    conversion_info: dict     # method, signal, iterations, col_error, clipping
 
 
 def map_weights(weights, config: CrossbarConfig, x_max=1.0):
@@ -422,18 +447,14 @@ def default_sample_inputs(rows, x_max=1.0, count=32, seed=0):
     return rng.uniform(0.0, x_max, size=(count, rows))
 
 
-def build_engine(weights, config=None, x_max=1.0, dac_bits=None, adc_bits=None,
-                 sample_inputs=None, calibrate=True,
-                 cali_sample_count=DEFAULT_CALI_SAMPLES, seed=0,
-                 method="transfer", target_scale="auto",
-                 signal_fraction=DEFAULT_SIGNAL_FRACTION,
-                 max_iter=100, name="engine"):
-    """Build a ready-to-run VmmEngine from a weight matrix.
+def program(weights, config=None, x_max=1.0, method="transfer",
+            target_scale="auto", signal_fraction=DEFAULT_SIGNAL_FRACTION,
+            max_iter=100):
+    """Map and convert a weight matrix onto a crossbar (steps 1-2).
 
-    The full recipe: map weights, convert with a flat signal at
-    signal_fraction * v_sense_max, fit the ADC reference range to observed
-    sample currents, then fit the per-column calibrated readout. When no
-    sample inputs are given, uniform random ones are generated from `seed`.
+    Converts with a flat signal at signal_fraction * v_sense_max; under
+    method "transfer" the conductances do not depend on it. The crossbar
+    defaults to one sized to the weights. Returns a ProgrammedArray.
     """
     A = np.asarray(weights, dtype=float)
     if config is None:
@@ -450,13 +471,41 @@ def build_engine(weights, config=None, x_max=1.0, dac_bits=None, adc_bits=None,
             "col_error": result.col_error,
             "clipped_low": result.clipped_low,
             "clipped_high": result.clipped_high}
-    engine = VmmEngine(A, result.solver, mapping, g_target, result.col_scale,
-                       info, name=name)
+    return ProgrammedArray(weights=A, mapping=mapping, g_target=g_target,
+                           solver=result.solver, col_scale=result.col_scale,
+                           conversion_info=info)
+
+
+def build_engine(weights, *, dac_bits=None, adc_bits=None, sample_inputs=None,
+                 calibrate=True, cali_sample_count=DEFAULT_CALI_SAMPLES, seed=0,
+                 name="engine", **conversion):
+    """Build a ready-to-run VmmEngine from a weight matrix or a ProgrammedArray.
+
+    A weight matrix is first programmed with `program(weights,
+    **conversion)`. A ProgrammedArray is read out as it is, so it takes no
+    conversion arguments; engines read out from one array share its solver
+    and convert nothing. The readout (steps 3-4) attaches the DAC, fits the
+    ADC reference range to observed sample currents, then fits the
+    per-column calibrated readout. When no sample inputs are given, uniform
+    random ones are generated from `seed`.
+    """
+    if isinstance(weights, ProgrammedArray):
+        if conversion:
+            raise ValidationError(
+                "a programmed array is read out as it is; conversion "
+                f"arguments {sorted(conversion)} need a weight matrix")
+        programmed = weights
+    else:
+        programmed = program(weights, **conversion)
+    engine = VmmEngine(programmed.weights, programmed.solver, programmed.mapping,
+                       programmed.g_target, programmed.col_scale,
+                       programmed.conversion_info, name=name)
     if dac_bits is not None:
-        engine.dac = DacSpec(bits=dac_bits, v_max=config.v_sense_max)
+        engine.dac = DacSpec(bits=dac_bits, v_max=engine.config.v_sense_max)
     needs_samples = calibrate or adc_bits is not None
     if needs_samples and sample_inputs is None:
-        sample_inputs = default_sample_inputs(A.shape[0], x_max, seed=seed)
+        sample_inputs = default_sample_inputs(engine.shape[0],
+                                              engine.mapping.x_max, seed=seed)
     if adc_bits is not None:
         engine.adc = calibrate_adc_range(adc_bits, engine.raw_currents(sample_inputs))
     if calibrate:
@@ -474,26 +523,39 @@ def evaluate_engine(engine, inputs):
     return RelErrorStats.from_outputs(actual, ideal)
 
 
-def optimize_conversion_signal(weights, config=None, x_max=1.0,
-                               amplitudes=SIGNAL_AMPLITUDES, sample_inputs=None,
-                               seed=0, **build_kwargs):
+def optimize_conversion_signal(weights, *, amplitudes=SIGNAL_AMPLITUDES,
+                               sample_inputs=None, seed=0, **build_kwargs):
     """Sweep flat conversion-signal amplitudes and pick the most accurate.
 
-    Builds one engine per amplitude (fractions of v_sense_max), evaluates the
-    mean relative error over the sample inputs, and returns
+    Reads out one engine per amplitude (fractions of v_sense_max), evaluates
+    the mean relative error over the sample inputs, and returns
     (best_fraction, report) where report lists per-amplitude statistics.
     Ties within numerical noise resolve to the largest amplitude, which has
     the best analog signal-to-noise ratio in hardware.
+
+    Under method "transfer" the converted conductances do not depend on the
+    amplitude, so the weights are programmed once and every amplitude reads
+    out that array; `weights` may also be such a ProgrammedArray, which must
+    come from a "transfer" conversion. Under "branch" each amplitude
+    programs its own array.
     """
-    A = np.asarray(weights, dtype=float)
-    if sample_inputs is None:
-        sample_inputs = default_sample_inputs(A.shape[0], x_max, seed=seed)
+    if (not isinstance(weights, ProgrammedArray)
+            and build_kwargs.get("method", "transfer") == "transfer"):
+        weights = program(weights, **{k: build_kwargs.pop(k)
+                                      for k in CONVERSION_KWARGS if k in build_kwargs})
+    shared = isinstance(weights, ProgrammedArray)
+    if shared and weights.conversion_info["method"] != "transfer":
+        raise ValidationError(
+            f"a {weights.conversion_info['method']} conversion depends on the "
+            "signal amplitude; only a transfer program can be shared by the sweep")
     report = []
     for frac in amplitudes:
-        engine = build_engine(A, config=config, x_max=x_max,
-                              sample_inputs=sample_inputs, seed=seed,
-                              signal_fraction=frac, **build_kwargs)
-        stats = evaluate_engine(engine, sample_inputs)
+        engine = build_engine(weights, sample_inputs=sample_inputs, seed=seed,
+                              **({} if shared else {"signal_fraction": frac}),
+                              **build_kwargs)
+        X = sample_inputs if sample_inputs is not None else default_sample_inputs(
+            engine.shape[0], engine.mapping.x_max, seed=seed)
+        stats = evaluate_engine(engine, X)
         report.append({"fraction": float(frac), "mean": stats.mean,
                        "worst": stats.worst})
     best = min(entry["mean"] for entry in report)

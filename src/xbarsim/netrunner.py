@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import CrossbarConfig
 from .convmap import ConvSpec, FeatureMap, unroll_kernel, window_matrix
-from .engine import build_engine
+from .engine import CONVERSION_KWARGS, build_engine, program
 from .errors import ValidationError
 from .metrics import gen_kernel, output_range, relative_error
 
@@ -144,12 +144,13 @@ class LayerSpec:
 
 
 class NetworkModel:
-    """Ordered, validated layer graph with a per-layer engine cache."""
+    """Ordered, validated layer graph with per-layer program and engine caches."""
 
     def __init__(self, name, layers):
         self.name = name
         self.layers = list(layers)
         self._by_name = {}
+        self._programs = {}
         self._engines = {}
         self._validate()
 
@@ -205,18 +206,33 @@ class NetworkModel:
                 f"no conv/fc layers named {sorted(taps - names)} to tap")
         return taps
 
+    def programmed(self, layer, ideal=False, **conversion):
+        """Program (or fetch from cache) one layer's array; `conversion` goes
+        to `engine.program`, and `ideal` programs a parasitic-free crossbar."""
+        key = (layer.name, ideal, tuple(sorted(conversion.items())))
+        if key not in self._programs:
+            if ideal:
+                rows, cols = layer.weights.shape
+                conversion["config"] = CrossbarConfig(
+                    rows, cols, r_wire=0.0, r_in=0.0, r_out=0.0)
+            self._programs[key] = program(layer.weights, **conversion)
+        return self._programs[key]
+
     def engine(self, layer, dac_bits=None, adc_bits=None, seed=0, **kwargs):
-        """Build (or fetch from cache) the crossbar engine for one layer."""
+        """Read out (or fetch from cache) the crossbar engine for one layer.
+
+        The conversion arguments among `kwargs` (`ideal` too) pick the
+        layer's programmed array, which every bit setting and seed shares;
+        the rest go to the readout.
+        """
         key = (layer.name, dac_bits, adc_bits, seed,
                tuple(sorted(kwargs.items())))
         if key not in self._engines:
-            if kwargs.pop("ideal", False):
-                rows, cols = layer.weights.shape
-                kwargs["config"] = CrossbarConfig(
-                    rows, cols, r_wire=0.0, r_in=0.0, r_out=0.0)
+            conversion = {k: kwargs.pop(k) for k in (*CONVERSION_KWARGS, "ideal")
+                          if k in kwargs}
             self._engines[key] = build_engine(
-                layer.weights, dac_bits=dac_bits, adc_bits=adc_bits,
-                seed=seed, name=layer.name, **kwargs)
+                self.programmed(layer, **conversion), dac_bits=dac_bits,
+                adc_bits=adc_bits, seed=seed, name=layer.name, **kwargs)
         return self._engines[key]
 
     def crossbar_shapes(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xbarsim import cli, netrunner
+from xbarsim import cli, engine, netrunner
 from xbarsim.circuit import oracle_solve
 from xbarsim.config import CrossbarConfig
 from xbarsim.errors import SolverError
@@ -158,6 +158,35 @@ def test_layer_exp_amplitude_sweep(tmp_path):
     lines = (tmp_path / "exp" / "amplitude_sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "fraction,mean,worst"
     assert len(lines) == 8   # header + 7 candidate amplitudes
+
+
+def test_layer_exp_sweep_uses_cali_samples(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"cali_samples": 3}))
+    rc = cli.main(["layer-exp", "--kernel-shape", "3x3x4x4", "--input-hw", "4",
+                   "--conv-amp-sweep", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "exp")])
+    assert rc == 0
+    with open(tmp_path / "exp" / "variants.csv", newline="") as fh:
+        improved = next(r for r in csv.DictReader(fh) if r["variant"] == "improved")
+    with open(tmp_path / "exp" / "amplitude_sweep.csv", newline="") as fh:
+        full = next(r for r in csv.DictReader(fh) if float(r["fraction"]) == 1.0)
+    assert (full["mean"], full["worst"]) == (improved["mean"], improved["worst"])
+
+
+def test_layer_exp_sweep_converts_three_arrays(tmp_path, monkeypatch):
+    methods = []
+    counted = engine.convert
+
+    def counting_convert(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "convert", counting_convert)
+    rc = cli.main(["layer-exp", "--kernel-shape", "2x2x2x2", "--input-hw", "4",
+                   "--conv-amp-sweep", "--out", str(tmp_path / "exp")])
+    assert rc == 0
+    # direct, original_conversion, and the one array of improved and the sweep
+    assert sorted(methods) == ["branch", "transfer", "transfer"]
 
 
 def test_run_net_outputs(tmp_path):

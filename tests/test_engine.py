@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from xbarsim.circuit import CrossbarSolver, oracle_solve
 from xbarsim.config import CrossbarConfig
+from xbarsim import engine as engine_mod
 from xbarsim.engine import (CONVERGED_TOL, G_TOL, VmmEngine, build_engine,
                             convert, default_sample_inputs, evaluate_engine,
                             get_cali_para, map_weights,
-                            optimize_conversion_signal)
+                            optimize_conversion_signal, program)
 from xbarsim.errors import ValidationError
 from xbarsim.metrics import gen_kernel
 from xbarsim.quantize import dac_quantize
@@ -393,6 +394,59 @@ def test_optimize_signal_zero_parasitics_tie_breaks_to_largest():
         amplitudes=(1.0, 0.1, 0.001))
     assert frac == 1.0
     assert len(report) == 3
+
+
+@pytest.mark.parametrize("method", ["transfer", "branch"])
+def test_readout_of_a_program_equals_a_full_build(method):
+    A = gen_kernel(1, (16, 4), 19)
+    X = default_sample_inputs(16, count=12, seed=6)
+    programmed = program(A, method=method)
+    g = programmed.solver.g.copy()
+    for readout in (dict(seed=3), dict(dac_bits=6, adc_bits=6, seed=4),
+                    dict(calibrate=False, adc_bits=8, seed=3)):
+        shared = build_engine(programmed, **readout)
+        full = build_engine(A, method=method, **readout)
+        assert shared.solver is programmed.solver
+        assert shared.conversion_info == full.conversion_info
+        assert np.array_equal(shared.execute_batch(X), full.execute_batch(X))
+    assert np.array_equal(programmed.solver.g, g)
+
+
+def test_program_takes_no_conversion_arguments_again():
+    programmed = program(gen_kernel(1, (4, 2), 20))
+    with pytest.raises(ValidationError, match="conversion arguments"):
+        build_engine(programmed, method="branch")
+    with pytest.raises(ValidationError, match="conversion arguments"):
+        optimize_conversion_signal(programmed, max_iter=3)
+
+
+def test_optimize_signal_shares_only_a_transfer_program(monkeypatch):
+    A = gen_kernel(1, (16, 4), 21)
+    X = default_sample_inputs(16, count=8, seed=2)
+    amplitudes = (1.0, 0.1, 0.001)
+    with pytest.raises(ValidationError, match="transfer program"):
+        optimize_conversion_signal(program(A, method="branch"),
+                                   amplitudes=amplitudes, sample_inputs=X)
+    calls = []
+    counted = engine_mod.convert
+
+    def counting_convert(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "convert", counting_convert)
+    _, report = optimize_conversion_signal(A, amplitudes=amplitudes,
+                                           sample_inputs=X, adc_bits=8)
+    assert calls == ["transfer"]
+    # one engine built per amplitude gives the same report, bit for bit
+    for entry, frac in zip(report, amplitudes):
+        stats = evaluate_engine(build_engine(A, sample_inputs=X, adc_bits=8,
+                                             signal_fraction=frac), X)
+        assert (entry["mean"], entry["worst"]) == (stats.mean, stats.worst)
+    calls.clear()
+    optimize_conversion_signal(A, amplitudes=amplitudes, sample_inputs=X,
+                               method="branch", target_scale=1.0)
+    assert calls == ["branch"] * len(amplitudes)
 
 
 def test_improvement_over_direct_mapping():

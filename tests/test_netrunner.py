@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from xbarsim import engine
 from xbarsim.convmap import FeatureMap, resnet20_layer_table
 from xbarsim.errors import ValidationError
 from xbarsim.metrics import gen_input
@@ -189,6 +190,30 @@ def test_quantization_sweep_none_matches_software():
     table = quantization_sweep(model, imgs, ["none"])
     assert table[0]["agreement"] == 1.0
     assert table[0]["mean_rel_err"] <= 1e-6
+
+
+def test_network_converts_each_weight_layer_once(monkeypatch):
+    imgs = [gen_input((6, 6, 3), 0.3, seed=30 + i) for i in range(2)]
+    bit_list = ["none", 8, 6]
+    fresh = [row for bits in bit_list for row in quantization_sweep(
+        build_tiny_model(seed=10, channels=(3, 4), hw=6), imgs, [bits])]
+    calls = []
+    counted = engine.convert
+
+    def counting_convert(*args, **kwargs):
+        calls.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "convert", counting_convert)
+    model = build_tiny_model(seed=10, channels=(3, 4), hw=6)
+    programs = {l.name: model.programmed(l) for l in model.weight_layers()}
+    before = {name: p.solver.g.copy() for name, p in programs.items()}
+    table = quantization_sweep(model, imgs, bit_list)
+    assert table == fresh
+    for layer in model.weight_layers():
+        assert model.programmed(layer) is programs[layer.name]
+        assert np.array_equal(programs[layer.name].solver.g, before[layer.name])
+    assert len(calls) == len(model.weight_layers())
 
 
 def test_resnet20_model_matches_layer_table():
