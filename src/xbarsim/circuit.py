@@ -24,14 +24,17 @@ the column output currents. The regimes differ only in how they assemble
   r_out == 0; the remaining nodes (at most m+n) are free. With neither free
   (r_in == r_out == 0) there is no unknown and the output is v_in @ g_dev.
 
-A is LU-factorized once per conductance matrix by SuperLU, and every solve
-on it is residual-checked. The network is linear, so its output currents
-are `v_in @ T` for the transfer matrix T = S^T A^-1 C, which
-`transfer_matrix` computes once from one adjoint solve per column and
-caches; batch `currents` are that one product. Node voltages come only from
-`solve` (and `simulate`). Two references check the solver: `ideal_vmm`, the
-exact zero-parasitic product, and `oracle_solve`, a dense solve with
-independently derived assembly for small arrays.
+A is factorized once per conductance matrix, and every solve on it is
+residual-checked against A. The grid is factorized by exact block
+elimination over slabs (`_SlabFactor`): each row slab touches the next only
+through the column wires, so the dense blocks are only min(m, n) wide. The
+lumped system, at most m+n nodes, goes to SuperLU. The network is linear,
+so its output currents are `v_in @ T` for the transfer matrix
+T = S^T A^-1 C, which `transfer_matrix` computes once from one adjoint
+solve per column and caches; batch `currents` are that one product. Node
+voltages come only from `solve` (and `simulate`). Two references check the
+solver: `ideal_vmm`, the exact zero-parasitic product, and `oracle_solve`, a
+dense solve with independently derived assembly for small arrays.
 """
 
 from dataclasses import dataclass
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .config import CrossbarConfig
 from .errors import SolverError, ValidationError
@@ -91,12 +95,128 @@ class NodeSolution:
     residual: float      # relative residual of the linear solve
 
 
+def _wire_neighbours(count):
+    """Wire neighbours of each node of a chain of `count` nodes: 2 inside,
+    1 at either end, 0 for a lone node."""
+    k = np.full(count, 2.0)
+    k[0] -= 1.0
+    k[-1] -= 1.0
+    return k
+
+
+class _SlabFactor:
+    """Exact block elimination of the grid's A over slabs, with SuperLU's
+    `solve(rhs)`.
+
+    A slab k holds a chain of w wire nodes and w rung nodes. The chain is
+    tridiagonal (block M_k: wire segments, its devices, a terminal at one
+    end); rung node p ties only to its device and, through -g_w, to rung p
+    of slabs k-1 and k+1 (diagonal D_k, a terminal on one end slab). With
+    G_k the slab's device conductances, eliminating the chains leaves the
+    dense SPD rung blocks K_k = D_k - G_k M_k^-1 G_k, coupled as a block-
+    tridiagonal system whose Schur complements Sigma_0 = K_0,
+    Sigma_k = K_k - g_w^2 Sigma_{k-1}^-1 are inverted once here. `solve`
+    sweeps the rungs forward and back, then recovers the chains.
+
+    Slabs are rows (chain: top row with the source at its start; rungs:
+    bottom nodes, sinking below the last row) unless cols > rows; then
+    they are columns (chain: bottom column with the sink at its end; rungs:
+    top nodes, driven before the first column). The dense blocks are
+    min(rows, cols) wide either way.
+    """
+
+    def __init__(self, g_dev, g_wire, g_src, g_sink):
+        m, n = g_dev.shape
+        self._shape, self._g_wire = (m, n), g_wire
+        self._columns = n > m
+        gd = g_dev.T if self._columns else g_dev   # (slabs, w)
+        slabs, w = gd.shape
+        # chains are laid out (w, slabs, ...), rungs (slabs, w, ...)
+        self._gd_chain, self._gd_rung = gd.T[:, :, None], gd[:, :, None]
+        chain = gd.T + g_wire * _wire_neighbours(w)[:, None]
+        rung = gd + g_wire * _wire_neighbours(slabs)[:, None]
+        if self._columns:
+            chain[-1] += g_sink
+            rung[0] += g_src
+        else:
+            chain[0] += g_src
+            rung[-1] += g_sink
+        # LDL^T pivots of every chain, all slabs at once
+        piv = chain
+        for p in range(1, w):
+            piv[p] -= g_wire ** 2 / piv[p - 1]
+        self._piv, self._mult = piv[:, :, None], (g_wire / piv)[:, :, None]
+        # K_k = D_k - G_k M_k^-1 G_k, then each Sigma_k^-1 in its place
+        idx = np.arange(w)
+        gmg = np.zeros((w, slabs, w))
+        gmg[idx, :, idx] = gd.T
+        gmg = self._chain_solve(gmg) * self._gd_chain
+        inv = np.negative(gmg.transpose(1, 0, 2), order="C")   # (slabs, w, w)
+        del gmg
+        inv[:, idx, idx] += rung
+        for k in range(slabs):
+            if k:
+                inv[k] -= g_wire ** 2 * inv[k - 1]
+            # in place through the Fortran-ordered transpose: the Cholesky
+            # factor reads, and the inverse fills, the upper triangle only
+            c, info = lapack.dpotrf(inv[k].T, lower=1, clean=0, overwrite_a=1)
+            if info == 0:
+                c, info = lapack.dpotri(c, lower=1, overwrite_c=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"slab {k} block is not positive definite (LAPACK info {info})")
+        self._inv = np.where(np.triu(np.ones((w, w), bool)), inv,
+                             inv.transpose(0, 2, 1))
+
+    def _chain_solve(self, r):
+        """M_k z_k = r_k for every slab k at once, in place; r (w, slabs, k)."""
+        mult = self._mult
+        tmp = np.empty(r.shape[1:])
+        for p in range(1, len(r)):
+            r[p] += np.multiply(mult[p - 1], r[p - 1], out=tmp)
+        r /= self._piv
+        for p in range(len(r) - 2, -1, -1):
+            r[p] += np.multiply(mult[p], r[p + 1], out=tmp)
+        return r
+
+    def solve(self, rhs):
+        """A x = rhs for a (2*rows*cols,) or (2*rows*cols, k) right-hand side."""
+        rhs = np.asarray(rhs, dtype=float)
+        m, n = self._shape
+        x = np.empty((2, m, n, rhs.size // (2 * m * n)))
+        # (chain, rung) views of the right-hand side and of the solution
+        (chain_rhs, rung_rhs), (chain, rung) = (
+            (b[1], b[0].transpose(1, 0, 2)) if self._columns
+            else (b[0].transpose(1, 0, 2), b[1])
+            for b in (rhs.reshape(x.shape), x))
+        gw, inv = self._g_wire, self._inv
+        # rung right-hand sides with the chains eliminated (chains with no
+        # injection add nothing); slabs before the first nonzero one stay
+        # zero through the forward sweep
+        y = np.array(rung_rhs, order="C")
+        if chain_rhs.any():
+            z = self._chain_solve(np.array(chain_rhs, order="C"))
+            y += self._gd_rung * z.transpose(1, 0, 2)
+        nonzero = np.flatnonzero(y.any(axis=(1, 2)))
+        for k in range(nonzero[0] + 1 if len(nonzero) else len(y), len(y)):
+            y[k] += gw * (inv[k - 1] @ y[k - 1])
+        y[-1] = inv[-1] @ y[-1]
+        for k in range(len(y) - 2, -1, -1):
+            y[k] = inv[k] @ (y[k] + gw * y[k + 1])
+        rung[...] = y
+        z = np.multiply(self._gd_chain, y.transpose(1, 0, 2), order="C")
+        z += chain_rhs
+        chain[...] = self._chain_solve(z)
+        return x.reshape(rhs.shape)
+
+
 class CrossbarSolver:
     """Factorized nodal solver for one (config, conductance matrix) pair.
 
     Building the solver validates inputs, assembles the (A, S, C) form of
-    its regime and LU-factorizes A once. `solve` back-substitutes for the
-    node voltages of one input; `currents` multiplies a batch of inputs by
+    its regime and factorizes A once: slab by slab for the grid, by SuperLU
+    for the lumped model. `solve` back-substitutes for the node voltages of
+    one input; `currents` multiplies a batch of inputs by
     the cached transfer matrix, so many input vectors against the same
     conductances cost one matrix product.
     """
@@ -110,16 +230,15 @@ class CrossbarSolver:
             self.g_dev = self.g
         self._grid = config.r_wire > 0.0
         self._T = None
-        self._A, self._S, self._C = (self._factor_grid() if self._grid
-                                     else self._factor_lumped())
         try:
-            self._lu = spla.splu(self._A)
-        except RuntimeError as exc:
+            self._A, self._S, self._C, self._lu = (
+                self._factor_grid() if self._grid else self._factor_lumped())
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise SolverError(f"singular crossbar system: {exc}") from exc
 
     def _factor_grid(self):
-        """(A, S, C) over the grid: top (i,j) -> i*n + j, bottom (i,j) ->
-        m*n + i*n + j.
+        """(A, S, C) over the grid, top (i,j) -> i*n + j, bottom (i,j) ->
+        m*n + i*n + j, and the slab factorization of A.
 
         Stamps come rows first (source edge, then wire segments), then columns
         (wire segments, then sink edge), then devices, each edge as
@@ -154,10 +273,11 @@ class CrossbarSolver:
         S, C = (sp.csc_matrix((g[:, 0], (node[:, 0], np.arange(len(g)))),
                               shape=(size, len(g)))
                 for node, g in ((src, g_src), (sink, g_sink)))
-        return A, S, C
+        return A, S, C, _SlabFactor(self.g_dev, g_wire, g_src[0, 0], g_sink[0, 0])
 
     def _factor_lumped(self):
-        """(A, S, C) over the free row nodes, then the free column nodes."""
+        """(A, S, C) over the free row nodes, then the free column nodes, and
+        the SuperLU factorization of A."""
         cfg, gd = self.config, self.g_dev
         m, n = gd.shape
         rows_free, cols_free = cfg.r_in > 0.0, cfg.r_out > 0.0
@@ -171,8 +291,9 @@ class CrossbarSolver:
         S = g_in * np.eye(m + n, m) if rows_free else -G[:, :m]
         C = g_out * np.eye(m + n, n, -m) if cols_free else -G[:, m:]
         self._free = np.r_[np.full(m, rows_free), np.full(n, cols_free)]
-        return (sp.csc_matrix(G[np.ix_(self._free, self._free)]),
-                sp.csc_matrix(S[self._free]), sp.csc_matrix(C[self._free]))
+        A = sp.csc_matrix(G[np.ix_(self._free, self._free)])
+        return (A, sp.csc_matrix(S[self._free]), sp.csc_matrix(C[self._free]),
+                spla.splu(A))
 
     def _solve_free(self, rhs):
         """A x = rhs, (unknowns, k): the free-node voltages x and the worst

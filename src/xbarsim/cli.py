@@ -20,7 +20,8 @@ import numpy as np
 from .circuit import simulate
 from .config import CrossbarConfig
 from .engine import (DEFAULT_CALI_SAMPLES, SIGNAL_AMPLITUDES, build_engine,
-                     evaluate_engine, optimize_conversion_signal, program)
+                     check_cali_sample_count, evaluate_engine,
+                     optimize_conversion_signal, program)
 from .errors import SolverError, ValidationError
 from .metrics import gen_input, gen_kernel
 from .netrunner import (TAP_DTYPE, load_model, load_tensor, quantization_sweep,
@@ -208,6 +209,8 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
     every amplitude of the sweep, read out one programmed array.
     """
     cfg = _load_config(config_path, "layer-exp")
+    cali_samples = check_cali_sample_count(
+        cfg.get("cali_samples", DEFAULT_CALI_SAMPLES))
     try:
         kh, kw, ic, oc = (int(x) for x in kernel_shape.lower().split("x"))
     except ValueError:
@@ -224,7 +227,7 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
     adc = cfg.get("adc_bits")
     common = dict(sample_inputs=X, dac_bits=dac, adc_bits=adc,
                   seed=cfg.get("seed", seed),
-                  cali_sample_count=cfg.get("cali_samples", DEFAULT_CALI_SAMPLES))
+                  cali_sample_count=cali_samples)
     improved = program(A)
     variants = {
         "direct": build_engine(A, max_iter=0, calibrate=False, **common),
@@ -276,6 +279,10 @@ def run_net_cmd(model_path, images_dir, bits, taps, config_path, out_dir):
         raise click.BadParameter(
             f"expected 'none' or bit widths, got {bits!r}", param_hint="--bits")
     cfg = _load_config(config_path, "run-net")
+    engine_kwargs = {}
+    if "cali_samples" in cfg:
+        engine_kwargs["cali_sample_count"] = check_cali_sample_count(
+            cfg["cali_samples"])
     model = load_model(_require_file(model_path))
     if taps:   # checked before any engine is built
         tap_set = model.tap_layers("all" if taps.strip() == "all" else
@@ -287,9 +294,6 @@ def run_net_cmd(model_path, images_dir, bits, taps, config_path, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.get("seed", 0)
-    engine_kwargs = {}
-    if "cali_samples" in cfg:
-        engine_kwargs["cali_sample_count"] = cfg["cali_samples"]
     table = quantization_sweep(model, images, bit_list, seed=seed,
                                engine_kwargs=engine_kwargs or None)
     header = ("bits", "mean_rel_err", "worst_rel_err", "agreement", "images")

@@ -1,5 +1,6 @@
 """Crossbar physical configuration."""
 
+import math
 from dataclasses import dataclass, asdict
 
 from .errors import ValidationError
@@ -37,6 +38,9 @@ class CrossbarConfig:
     v_sense_max: float = DEFAULT_V_SENSE_MAX
 
     def __post_init__(self):
+        for name, value in self.to_dict().items():
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.rows < 1 or self.cols < 1:
             raise ValidationError(f"rows/cols must be positive, got {self.rows}x{self.cols}")
         if not (0.0 < self.g_min < self.g_max):

@@ -240,6 +240,16 @@ class CalibrationParams:
                    degenerate=list(d["degenerate"]))
 
 
+def check_cali_sample_count(count):
+    """Reject a calibration sample count that is not an integer >= 2; a
+    per-column gain/offset fit needs two samples."""
+    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+            or count < 2):
+        raise ValidationError(
+            f"calibration sample count must be an integer >= 2, got {count!r}")
+    return count
+
+
 def get_cali_para(engine, sample_inputs, sample_count=DEFAULT_CALI_SAMPLES, seed=0):
     """Fit per-column readout gain/offset from a few random sample inputs.
 
@@ -249,6 +259,7 @@ def get_cali_para(engine, sample_inputs, sample_count=DEFAULT_CALI_SAMPLES, seed
     corrected currents show no spread fall back to the nominal gain
     1 / (alpha * beta * s) and are listed in `degenerate`.
     """
+    check_cali_sample_count(sample_count)
     X = np.asarray(sample_inputs, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValidationError("calibration needs at least 2 sample inputs")
@@ -489,6 +500,7 @@ def build_engine(weights, *, dac_bits=None, adc_bits=None, sample_inputs=None,
     per-column calibrated readout. When no sample inputs are given, uniform
     random ones are generated from `seed`.
     """
+    check_cali_sample_count(cali_sample_count)
     if isinstance(weights, ProgrammedArray):
         if conversion:
             raise ValidationError(

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import xbarsim.circuit
@@ -203,3 +204,34 @@ def test_single_solves_reject_2d_input():
         with pytest.raises(ValidationError):
             single(config, g, V)
     assert CrossbarSolver(config, g).currents(V).shape == (1, 2)
+
+
+# the grid regimes: (r_in, r_out) x r_transistor_on at r_wire = 1
+GRID_REGIMES = [regime for regime in REGIMES if regime[0] > 0.0]
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (4, 9), (9, 4),
+                                        (27, 16), (16, 40), (40, 16)])
+def test_slab_solver_matches_sparse_reference(rows, cols):
+    # row slabs, and column slabs where cols > rows, against spsolve on A
+    rng = np.random.default_rng(100 * rows + cols)
+    for r_wire, r_in, r_out, r_t in GRID_REGIMES:
+        config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out,
+                                r_transistor_on=r_t)
+        g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
+        v = rng.uniform(0.0, config.v_sense_max, size=rows)
+        solver = CrossbarSolver(config, g)
+        A = solver._A.tocsc()
+        sol = solver.solve(v)
+        ref = spla.spsolve(A, solver._S @ v)
+        assert rel_diff(np.r_[sol.v_top.ravel(), sol.v_bot.ravel()], ref) <= 1e-12
+        adjoint = spla.spsolve(A, solver._C.toarray()).reshape(A.shape[0], cols)
+        assert rel_diff(solver.transfer_matrix(), solver._S.T @ adjoint) <= 1e-12
+
+
+def test_slab_block_failure_is_a_solver_error(monkeypatch):
+    config, g, _ = random_instance(5)
+    monkeypatch.setattr(xbarsim.circuit.lapack, "dpotrf",
+                        lambda a, **kwargs: (a, 1))
+    with pytest.raises(SolverError, match="singular crossbar system"):
+        CrossbarSolver(config, g)

@@ -62,6 +62,39 @@ def test_simulate_rejects_nan_input(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_simulate_rejects_non_finite_config(tmp_path):
+    save_tensor(tmp_path / "g.mten", np.full((2, 2), 1.0 / 15_000.0))
+    save_tensor(tmp_path / "v.mten", np.array([0.1, 0.1]))
+    for bad in ({"r_wire": float("nan")}, {"r_transistor_on": float("nan")},
+                {"g_max": float("inf")}):
+        (tmp_path / "cfg.json").write_text(json.dumps({"crossbar": bad}))
+        rc = cli.main(["simulate", "--config", str(tmp_path / "cfg.json"),
+                       "--conductance", str(tmp_path / "g.mten"),
+                       "--input", str(tmp_path / "v.mten"),
+                       "--out", str(tmp_path / "out.json")])
+        assert rc == cli.EXIT_VALIDATION
+        assert not (tmp_path / "out.json").exists()
+
+
+def test_simulate_wide_crossbar_matches_oracle(tmp_path):
+    # cols > rows: the grid is solved in column slabs
+    rng = np.random.default_rng(4)
+    config = CrossbarConfig(3, 7)
+    g = rng.uniform(config.g_min, config.g_max * 0.99, size=(3, 7))
+    v = rng.uniform(0.0, 0.19, size=3)
+    save_tensor(tmp_path / "g.mten", g)
+    save_tensor(tmp_path / "v.mten", v)
+    rc = cli.main(["simulate", "--conductance", str(tmp_path / "g.mten"),
+                   "--input", str(tmp_path / "v.mten"),
+                   "--out", str(tmp_path / "out.json")])
+    assert rc == 0
+    ref = oracle_solve(config, g.astype(np.float32).astype(float),
+                       v.astype(np.float32).astype(float))
+    out = read_json(tmp_path / "out.json")
+    assert np.abs(np.array(out["i_out"]) - ref.i_out).max() <= 1e-9 * np.abs(ref.i_out).max()
+    assert np.abs(np.array(out["v_bot"]) - ref.v_bot).max() <= 1e-9 * np.abs(ref.v_bot).max()
+
+
 def test_missing_file_exits_with_usage_code(tmp_path):
     rc = cli.main(["simulate", "--conductance", str(tmp_path / "nope.mten"),
                    "--input", str(tmp_path / "nope2.mten"),
@@ -109,6 +142,33 @@ def test_unknown_config_key_rejected(tmp_path, monkeypatch, command):
     good = dict.fromkeys(cli.CONFIG_KEYS[command], 1)
     Path("cfg.json").write_text(json.dumps(good))
     assert cli._load_config("cfg.json", command) == good
+
+
+CALI_ARGS = {
+    "build-engine": ["--weights", "g.mten"],
+    "layer-exp": ["--kernel-shape", "2x2x3x3", "--input-hw", "4"],
+    "run-net": ["--model", "tiny.json", "--images", "imgs"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CALI_ARGS))
+def test_bad_cali_samples_rejected_before_conversion(tmp_path, monkeypatch,
+                                                     command):
+    monkeypatch.chdir(tmp_path)
+    save_tensor("g.mten", np.full((2, 2), 0.5))
+    save_model(build_tiny_model(seed=1, channels=(3,), hw=4), "tiny.json")
+    os.mkdir("imgs")
+    save_tensor("imgs/img0.mten", gen_input((4, 4, 3), 0.3, 1))
+    converted = []
+    monkeypatch.setattr(engine, "convert",
+                        lambda *args, **kwargs: converted.append(args))
+    for bad in (0, -1, "3", 1.5):
+        Path("cfg.json").write_text(json.dumps({"cali_samples": bad}))
+        rc = cli.main([command, "--config", "cfg.json", *CALI_ARGS[command],
+                       "--out", "out"])
+        assert rc == cli.EXIT_VALIDATION
+        assert not Path("out").exists()
+    assert not converted
 
 
 def test_numeric_failure_exit_code(monkeypatch, tmp_path):

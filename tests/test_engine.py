@@ -387,6 +387,32 @@ def test_engine_load_rejects_non_finite_adc_range(tmp_path):
         VmmEngine.load(json_path)
 
 
+def test_engine_load_rejects_non_finite_config(tmp_path):
+    engine = build_engine(gen_kernel(1, (4, 2), 15), seed=0)
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    desc = json.loads(json_path.read_text())
+    desc["config"]["r_wire"] = float("nan")
+    json_path.write_text(json.dumps(desc))
+    with pytest.raises(ValidationError, match="r_wire must be finite"):
+        VmmEngine.load(json_path)
+
+
+@pytest.mark.parametrize("count", [1, 0, -1, 2.0, "3", True])
+def test_bad_calibration_sample_count_rejected_before_conversion(monkeypatch,
+                                                                 count):
+    A = gen_kernel(1, (4, 2), 22)
+    X = default_sample_inputs(4, count=6, seed=1)
+    engine = build_engine(A, calibrate=False, seed=0)
+    converted = []
+    monkeypatch.setattr(engine_mod, "convert",
+                        lambda *args, **kwargs: converted.append(args))
+    with pytest.raises(ValidationError, match="sample count"):
+        build_engine(A, cali_sample_count=count, seed=0)
+    assert not converted
+    with pytest.raises(ValidationError, match="sample count"):
+        get_cali_para(engine, X, sample_count=count)
+
+
 def test_optimize_signal_zero_parasitics_tie_breaks_to_largest():
     A = gen_kernel(1, (16, 4), 16)
     frac, report = optimize_conversion_signal(
