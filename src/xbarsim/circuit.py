@@ -216,9 +216,9 @@ class CrossbarSolver:
     Building the solver validates inputs, assembles the (A, S, C) form of
     its regime and factorizes A once: slab by slab for the grid, by SuperLU
     for the lumped model. `solve` back-substitutes for the node voltages of
-    one input; `currents` multiplies a batch of inputs by
-    the cached transfer matrix, so many input vectors against the same
-    conductances cost one matrix product.
+    one input; `currents` multiplies a batch of inputs by the cached
+    transfer matrix, so many input vectors against the same conductances
+    cost one matrix product.
     """
 
     def __init__(self, config: CrossbarConfig, g):

@@ -1,6 +1,7 @@
 """Crossbar physical configuration."""
 
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 from .errors import ValidationError
@@ -39,8 +40,8 @@ class CrossbarConfig:
 
     def __post_init__(self):
         for name, value in self.to_dict().items():
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValidationError(f"rows/cols must be positive, got {self.rows}x{self.cols}")
         if not (0.0 < self.g_min < self.g_max):

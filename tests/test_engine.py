@@ -393,7 +393,7 @@ def test_engine_load_rejects_non_finite_config(tmp_path):
     desc = json.loads(json_path.read_text())
     desc["config"]["r_wire"] = float("nan")
     json_path.write_text(json.dumps(desc))
-    with pytest.raises(ValidationError, match="r_wire must be finite"):
+    with pytest.raises(ValidationError, match="r_wire must be a finite number"):
         VmmEngine.load(json_path)
 
 
