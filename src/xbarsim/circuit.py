@@ -48,6 +48,9 @@ from .config import CrossbarConfig
 from .errors import SolverError, ValidationError
 
 RESIDUAL_TOL = 1e-10
+# adjoint right-hand sides `transfer_matrix` solves and residual-checks at
+# once; each holds a (2*rows*cols, block) solution and residual
+TRANSFER_BLOCK_COLS = 64
 ORACLE_MAX_CELLS = 64
 
 
@@ -314,15 +317,19 @@ class CrossbarSolver:
         i_out = v_in @ T.
 
         Computed on the first call from one adjoint back-substitution per
-        column on the existing factorization (A is symmetric), residual-
-        checked, and cached read-only. With no free node T is g_dev exactly.
+        column on the existing factorization (A is symmetric), in blocks of
+        TRANSFER_BLOCK_COLS columns, each residual-checked, and cached
+        read-only. With no free node T is g_dev exactly.
         """
         if self._T is None:
             if self._A.shape[0]:
-                c = self._C.tocoo()
-                E = np.zeros(c.shape)   # pages without an output node stay unwritten
-                E[c.row, c.col] = c.data
-                T = np.asarray(self._S.T @ self._solve_free(E)[0])
+                T = np.empty(self.g_dev.shape)
+                for start in range(0, T.shape[1], TRANSFER_BLOCK_COLS):
+                    block = slice(start, start + TRANSFER_BLOCK_COLS)
+                    c = self._C[:, block].tocoo()
+                    E = np.zeros(c.shape)   # pages without an output node stay unwritten
+                    E[c.row, c.col] = c.data
+                    T[:, block] = self._S.T @ self._solve_free(E)[0]
             else:
                 T = self.g_dev.copy()
             T.flags.writeable = False

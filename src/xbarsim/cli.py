@@ -10,8 +10,11 @@ config and seed; timestamps go to a sidecar .log file only. Exit codes:
 import csv
 import datetime
 import json
+import multiprocessing
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 import click
@@ -20,13 +23,14 @@ import numpy as np
 from .circuit import simulate
 from .config import CrossbarConfig
 from .engine import (DEFAULT_CALI_SAMPLES, SIGNAL_AMPLITUDES, build_engine,
-                     check_cali_sample_count, evaluate_engine,
-                     optimize_conversion_signal, program)
+                     check_amplitudes, check_cali_sample_count, check_x_max,
+                     evaluate_engine, optimize_conversion_signal, program)
 from .errors import SolverError, ValidationError
 from .metrics import gen_input, gen_kernel
 from .netrunner import (TAP_DTYPE, load_model, load_tensor, quantization_sweep,
                         run_inference)
 from .convmap import ConvSpec, FeatureMap, unroll_kernel, window_matrix
+from .quantize import check_bits
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -62,6 +66,13 @@ def _load_config(path, command):
             f"config keys {sorted(unknown)} not used by {command}; it accepts "
             f"{sorted(CONFIG_KEYS[command])}")
     return cfg
+
+
+def _check_seed(seed):
+    """Reject a config seed numpy cannot take: anything but an integer >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 def _require_file(path):
@@ -102,10 +113,18 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _write_taps(path, layer, columns):
+    """One layer's tap report: `layer` on every row, then its numeric
+    columns (window, column, ideal, actual, rel_err), numpy arrays."""
+    _write_csv(path, TAP_DTYPE.names,
+               zip(repeat(layer), *(c.tolist() for c in columns)))
+
+
 @click.group()
 @click.option("--threads", type=int, default=None,
-              help="Validated (>= 1; env XBAR_THREADS as fallback) but not "
-                   "used yet: every command runs in one process.")
+              help="Worker processes (>= 1; env XBAR_THREADS as fallback). "
+                   "run-net writes its per-layer tap reports with up to N "
+                   "workers; no report depends on N.")
 @click.pass_context
 def cli(ctx, threads):
     """Memristor-crossbar CNN inference simulator."""
@@ -161,6 +180,9 @@ def simulate_cmd(config_path, cond_path, input_path, out_path):
 def build_engine_cmd(config_path, weights_path, samples_path, out_path):
     """Map, convert, and calibrate one crossbar engine; serialize it."""
     cfg = _load_config(config_path, "build-engine")
+    x_max = check_x_max(cfg.get("x_max", 1.0))
+    dac_bits, adc_bits = (check_bits(cfg.get(k)) for k in ("dac_bits", "adc_bits"))
+    seed = _check_seed(cfg.get("seed", 0))
     weights = load_tensor(_require_file(weights_path))
     if weights.ndim != 2:
         raise ValidationError(f"weights tensor must be 2-D, got {weights.shape}")
@@ -176,12 +198,12 @@ def build_engine_cmd(config_path, weights_path, samples_path, out_path):
     engine = build_engine(
         weights,
         config=config,
-        x_max=cfg.get("x_max", 1.0),
-        dac_bits=cfg.get("dac_bits"),
-        adc_bits=cfg.get("adc_bits"),
+        x_max=x_max,
+        dac_bits=dac_bits,
+        adc_bits=adc_bits,
         sample_inputs=samples,
         cali_sample_count=cfg.get("cali_samples", DEFAULT_CALI_SAMPLES),
-        seed=cfg.get("seed", 0),
+        seed=seed,
     )
     engine.save(out_path)
     _write_log(out_path, "build-engine")
@@ -194,7 +216,7 @@ def build_engine_cmd(config_path, weights_path, samples_path, out_path):
 @click.option("--input-hw", type=int, default=8,
               help="Synthetic input feature map height/width.")
 @click.option("--sparsity", type=float, default=0.5)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--conv-amp-sweep", is_flag=True,
               help="Also sweep conversion-signal amplitudes.")
 @click.option("--config", "config_path", type=str, default=None)
@@ -211,6 +233,9 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
     cfg = _load_config(config_path, "layer-exp")
     cali_samples = check_cali_sample_count(
         cfg.get("cali_samples", DEFAULT_CALI_SAMPLES))
+    dac, adc = (check_bits(cfg.get(k)) for k in ("dac_bits", "adc_bits"))
+    build_seed = _check_seed(cfg.get("seed", seed))
+    amplitudes = check_amplitudes(cfg.get("amplitudes", SIGNAL_AMPLITUDES))
     try:
         kh, kw, ic, oc = (int(x) for x in kernel_shape.lower().split("x"))
     except ValueError:
@@ -223,10 +248,7 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
     A = unroll_kernel(spec)
     fm = FeatureMap(gen_input((input_hw, input_hw, ic), sparsity, seed + 1))
     X = window_matrix(fm, spec)
-    dac = cfg.get("dac_bits")
-    adc = cfg.get("adc_bits")
-    common = dict(sample_inputs=X, dac_bits=dac, adc_bits=adc,
-                  seed=cfg.get("seed", seed),
+    common = dict(sample_inputs=X, dac_bits=dac, adc_bits=adc, seed=build_seed,
                   cali_sample_count=cali_samples)
     improved = program(A)
     variants = {
@@ -249,9 +271,8 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
     _write_csv(out / "variants.csv",
                ("variant", "mean", "worst", "samples", "output_range"), rows)
     if conv_amp_sweep:
-        _, sweep = optimize_conversion_signal(
-            improved, amplitudes=tuple(cfg.get("amplitudes", SIGNAL_AMPLITUDES)),
-            **common)
+        _, sweep = optimize_conversion_signal(improved, amplitudes=amplitudes,
+                                              **common)
         header = ("fraction", "mean", "worst")
         _write_csv(out / "amplitude_sweep.csv", header,
                    ([entry[k] for k in header] for entry in sweep))
@@ -270,8 +291,16 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
               help="Comma-separated conv/fc layer names, or 'all'.")
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--out", "out_dir", type=str, required=True)
-def run_net_cmd(model_path, images_dir, bits, taps, config_path, out_dir):
-    """Quantization sweep plus optional per-layer error taps over a model."""
+@click.pass_context
+def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
+    """Quantization sweep plus optional per-layer error taps over a model.
+
+    Engines, inference and the sweep run in this process. The tap reports,
+    one `layer_<name>.csv` per tapped layer, are written by a pool of
+    min(--threads, tap files) forked worker processes, each writing whole
+    files, so no report depends on --threads; with one worker they are
+    written in this process.
+    """
     try:
         bit_list = [t if t == "none" else int(t)
                     for t in map(str.strip, bits.split(",")) if t]
@@ -279,6 +308,7 @@ def run_net_cmd(model_path, images_dir, bits, taps, config_path, out_dir):
         raise click.BadParameter(
             f"expected 'none' or bit widths, got {bits!r}", param_hint="--bits")
     cfg = _load_config(config_path, "run-net")
+    seed = _check_seed(cfg.get("seed", 0))
     engine_kwargs = {}
     if "cali_samples" in cfg:
         engine_kwargs["cali_sample_count"] = check_cali_sample_count(
@@ -293,7 +323,6 @@ def run_net_cmd(model_path, images_dir, bits, taps, config_path, out_dir):
     images = [load_tensor(p) for p in image_files]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = cfg.get("seed", 0)
     table = quantization_sweep(model, images, bit_list, seed=seed,
                                engine_kwargs=engine_kwargs or None)
     header = ("bits", "mean_rel_err", "worst_rel_err", "agreement", "images")
@@ -316,10 +345,23 @@ def run_net_cmd(model_path, images_dir, bits, taps, config_path, out_dir):
             for layer, agg in rep.aggregates.items():
                 per_layer.setdefault(layer, []).append(
                     (rep.rows[rep.rows["layer"] == layer], agg))
+        # one job per layer, its numeric columns as plain arrays: the
+        # object-dtype rows would cost a slow pickle to ship
+        jobs = []
         for layer, parts in per_layer.items():
             rows = np.concatenate([r for r, _ in parts])
-            _write_csv(out / f"layer_{layer}.csv", TAP_DTYPE.names,
-                       zip(*(rows[f].tolist() for f in TAP_DTYPE.names)))
+            jobs.append((out / f"layer_{layer}.csv", layer,
+                         [np.ascontiguousarray(rows[f]) for f in TAP_DTYPE.names[1:]]))
+        workers = min(ctx.obj["threads"], len(jobs))
+        if workers > 1:
+            # fork, so that no worker imports numpy and scipy afresh; the
+            # workers only format floats and write files
+            with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                list(pool.map(_write_taps, *zip(*jobs)))
+        else:
+            for job in jobs:
+                _write_taps(*job)
         summary["taps"] = {
             layer: {"mean": float(np.mean([a["mean"] for _, a in parts])),
                     "worst": float(max(a["worst"] for _, a in parts))}

@@ -23,6 +23,8 @@ array can be read out any number of times and is never changed by it.
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,6 +107,14 @@ class ProgrammedArray:
     conversion_info: dict     # method, signal, iterations, col_error, clipping
 
 
+def check_x_max(x_max):
+    """Reject an input full scale that is not a finite number > 0; return it."""
+    if (isinstance(x_max, bool) or not isinstance(x_max, numbers.Real)
+            or not 0.0 < x_max < math.inf):
+        raise ValidationError(f"x_max must be a finite number > 0, got {x_max!r}")
+    return x_max
+
+
 def map_weights(weights, config: CrossbarConfig, x_max=1.0):
     """Map a real weight matrix onto [g_min, g_max] conductance targets.
 
@@ -122,8 +132,7 @@ def map_weights(weights, config: CrossbarConfig, x_max=1.0):
     if m > config.rows or n > config.cols:
         raise ValidationError(
             f"weights {m}x{n} do not fit {config.rows}x{config.cols} array")
-    if x_max <= 0.0:
-        raise ValidationError(f"x_max must be > 0, got {x_max}")
+    check_x_max(x_max)
     c = max(0.0, -float(A.min()))
     top = float(A.max()) + c
     beta = (config.g_max - config.g_min) / top if top > 0.0 else 1.0
@@ -248,6 +257,18 @@ def check_cali_sample_count(count):
         raise ValidationError(
             f"calibration sample count must be an integer >= 2, got {count!r}")
     return count
+
+
+def check_amplitudes(amplitudes):
+    """Reject conversion-signal amplitudes that are not a non-empty sequence
+    of numbers in (0, 1], fractions of v_sense_max; return them as a tuple."""
+    values = (tuple(amplitudes)
+              if isinstance(amplitudes, (list, tuple, np.ndarray)) else ())
+    if not values or any(isinstance(a, bool) or not isinstance(a, numbers.Real)
+                         or not 0.0 < a <= 1.0 for a in values):
+        raise ValidationError(
+            f"amplitudes must be a non-empty list of numbers in (0, 1], got {amplitudes!r}")
+    return values
 
 
 def get_cali_para(engine, sample_inputs, sample_count=DEFAULT_CALI_SAMPLES, seed=0):
@@ -551,6 +572,7 @@ def optimize_conversion_signal(weights, *, amplitudes=SIGNAL_AMPLITUDES,
     come from a "transfer" conversion. Under "branch" each amplitude
     programs its own array.
     """
+    amplitudes = check_amplitudes(amplitudes)
     if (not isinstance(weights, ProgrammedArray)
             and build_kwargs.get("method", "transfer") == "transfer"):
         weights = program(weights, **{k: build_kwargs.pop(k)

@@ -9,9 +9,15 @@ from .errors import ValidationError
 MIN_BITS, MAX_BITS = 2, 16
 
 
-def _check_bits(bits):
-    if bits is not None and not (MIN_BITS <= bits <= MAX_BITS):
-        raise ValidationError(f"bits must be in [{MIN_BITS}, {MAX_BITS}] or None, got {bits}")
+def check_bits(bits):
+    """Reject a quantizer width that is not None (no quantizer) or an integer
+    in [MIN_BITS, MAX_BITS]; return it."""
+    if bits is not None and (isinstance(bits, bool)
+                             or not isinstance(bits, (int, np.integer))
+                             or not MIN_BITS <= bits <= MAX_BITS):
+        raise ValidationError(
+            f"bits must be an integer in [{MIN_BITS}, {MAX_BITS}] or None, got {bits!r}")
+    return bits
 
 
 @dataclass
@@ -24,7 +30,7 @@ class DacSpec:
     clip_count: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        _check_bits(self.bits)
+        check_bits(self.bits)
         if self.v_min != 0.0:
             raise ValidationError("DAC range must start at 0 V")
         if not np.isfinite(self.v_max):
@@ -47,7 +53,7 @@ class AdcSpec:
     clip_count: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        _check_bits(self.bits)
+        check_bits(self.bits)
         if not (np.isfinite(self.i_min) and np.isfinite(self.i_max)):
             raise ValidationError(
                 f"ADC range must be finite, got [{self.i_min}, {self.i_max}]")

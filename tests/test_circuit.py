@@ -137,6 +137,30 @@ def test_transfer_matrix_residual_checked_and_read_only(monkeypatch):
             CrossbarSolver(config, g).currents(np.zeros(config.rows))
 
 
+@pytest.mark.parametrize("rows, cols", [(16, 160), (160, 160)])
+def test_transfer_matrix_column_blocks_match_one_block(monkeypatch, rows, cols):
+    rng = np.random.default_rng(rows + cols)
+    for r_wire in (1.0, 0.0):
+        config = CrossbarConfig(rows, cols, r_wire=r_wire)
+        g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
+        solver = CrossbarSolver(config, g)
+        widths = []
+        solve_free = solver._solve_free
+
+        def recording_solve_free(rhs):
+            widths.append(rhs.shape[1])
+            return solve_free(rhs)
+
+        monkeypatch.setattr(solver, "_solve_free", recording_solve_free)
+        T = solver.transfer_matrix()
+        # every column solved and residual-checked once, at most 64 at a time
+        assert widths == [64, 64, 32]
+        with monkeypatch.context() as m:
+            m.setattr(xbarsim.circuit, "TRANSFER_BLOCK_COLS", cols)
+            ref = CrossbarSolver(config, g).transfer_matrix()
+        assert rel_diff(T, ref) <= 1e-12
+
+
 def test_transfer_matrix_ideal_is_conductance():
     config = CrossbarConfig(4, 3, r_wire=0.0, r_in=0.0, r_out=0.0)
     rng = np.random.default_rng(0)

@@ -152,6 +152,59 @@ def test_bad_cali_samples_rejected_before_conversion(tmp_path, monkeypatch,
     assert not converted
 
 
+# config values the commands must reject before they build any engine
+BAD_CONFIG_VALUES = [
+    ("build-engine", {"x_max": float("nan")}),
+    ("build-engine", {"x_max": 0}),
+    ("build-engine", {"x_max": "1"}),
+    ("build-engine", {"seed": -1}),
+    ("build-engine", {"seed": 1.5}),
+    ("build-engine", {"seed": True}),
+    ("build-engine", {"adc_bits": "8"}),
+    ("build-engine", {"dac_bits": 2.5}),
+    ("build-engine", {"dac_bits": 1}),
+    ("layer-exp", {"amplitudes": []}),
+    ("layer-exp", {"amplitudes": [0.5, 0.0]}),
+    ("layer-exp", {"amplitudes": [1.5]}),
+    ("layer-exp", {"amplitudes": [float("nan")]}),
+    ("layer-exp", {"amplitudes": 0.5}),
+    ("layer-exp", {"seed": -1}),
+    ("layer-exp", {"adc_bits": "8"}),
+    ("run-net", {"seed": -1}),
+    ("run-net", {"seed": 1.5}),
+]
+
+
+@pytest.mark.parametrize("command, config", BAD_CONFIG_VALUES, ids=[
+    f"{command}-{key}={value!r}" for command, cfg in BAD_CONFIG_VALUES
+    for key, value in cfg.items()])
+def test_bad_config_value_rejected_before_conversion(tmp_path, monkeypatch,
+                                                     capsys, command, config):
+    monkeypatch.chdir(tmp_path)
+    save_tensor("g.mten", np.full((2, 2), 0.5))
+    save_model(build_tiny_model(seed=1, channels=(3,), hw=4), "tiny.json")
+    os.mkdir("imgs")
+    save_tensor("imgs/img0.mten", gen_input((4, 4, 3), 0.3, 1))
+    converted = []
+    monkeypatch.setattr(engine, "convert",
+                        lambda *args, **kwargs: converted.append(args))
+    Path("cfg.json").write_text(json.dumps(config))
+    sweep = ["--conv-amp-sweep"] if command == "layer-exp" else []
+    rc = cli.main([command, "--config", "cfg.json", *CALI_ARGS[command], *sweep,
+                   "--out", "out"])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert not Path("out").exists()
+    assert not converted
+
+
+def test_layer_exp_rejects_negative_seed_option(tmp_path):
+    rc = cli.main(["layer-exp", "--kernel-shape", "2x2x3x3", "--input-hw", "4",
+                   "--seed", "-1", "--out", str(tmp_path / "exp")])
+    assert rc == cli.EXIT_USAGE
+    assert not (tmp_path / "exp").exists()
+
+
 def test_numeric_failure_exit_code(monkeypatch, tmp_path):
     def boom(*args, **kwargs):
         raise SolverError("synthetic numeric failure")
@@ -328,6 +381,50 @@ def test_outputs_deterministic_across_thread_settings(tmp_path, monkeypatch):
         outputs[threads] = {p.name: p.read_bytes()
                             for p in out.iterdir() if p.suffix != ".log"}
     assert outputs["1"] == outputs["4"]
+
+
+def test_run_net_writes_taps_in_a_pool(tmp_path, monkeypatch):
+    model = build_tiny_model(seed=2, channels=(3, 4), hw=6)
+    save_model(model, tmp_path / "tiny.json")
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    for i in range(2):
+        save_tensor(img_dir / f"img{i}.mten", gen_input((6, 6, 3), 0.3, 50 + i))
+    pools = []
+    real_pool = cli.ProcessPoolExecutor
+
+    def recording_pool(workers, **kwargs):
+        pools.append(workers)
+        return real_pool(workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    outputs, created = {}, {}
+    for threads, taps in (("1", "all"), ("4", "all"), ("4", "fc")):
+        monkeypatch.setenv("XBAR_THREADS", threads)
+        out = tmp_path / f"net{threads}{taps}"
+        rc = cli.main(["run-net", "--model", str(tmp_path / "tiny.json"),
+                       "--images", str(img_dir), "--bits", "none,8",
+                       "--taps", taps, "--out", str(out)])
+        assert rc == 0
+        outputs[threads, taps] = {p.name: p.read_bytes()
+                                  for p in out.iterdir() if p.suffix != ".log"}
+        created[threads, taps] = pools[:]
+        pools.clear()
+    tap_files = [name for name in outputs["4", "all"] if name.startswith("layer_")]
+    assert len(tap_files) >= 2
+    assert outputs["1", "all"] == outputs["4", "all"]
+    # one tap file leaves a single worker, which writes in-process
+    assert created == {("1", "all"): [], ("4", "all"): [min(4, len(tap_files))],
+                       ("4", "fc"): []}
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_run_net_tap_writer_error_reaches_parent(tmp_path, monkeypatch, threads):
+    args = tiny_run_net_inputs(tmp_path, 1)
+    (tmp_path / "net" / "layer_conv0.csv").mkdir(parents=True)
+    monkeypatch.setenv("XBAR_THREADS", threads)
+    with pytest.raises(IsADirectoryError):
+        cli.main(args + ["--bits", "none", "--taps", "all"])
 
 
 def test_threads_flag_validation(monkeypatch, capsys):
