@@ -75,6 +75,15 @@ def _check_seed(seed):
     return seed
 
 
+def _crossbar_config(cfg, shape):
+    """The config's `crossbar` object as a CrossbarConfig, sized to `shape`
+    (rows, cols) unless the object sets its own."""
+    xb = cfg.get("crossbar", {})
+    if not isinstance(xb, dict):
+        raise ValidationError(f"crossbar must be a JSON object, got {xb!r}")
+    return CrossbarConfig.from_dict({"rows": shape[0], "cols": shape[1], **xb})
+
+
 def _require_file(path):
     if not Path(path).exists():
         raise FileNotFoundError(path)
@@ -147,10 +156,7 @@ def simulate_cmd(config_path, cond_path, input_path, out_path):
     v = load_tensor(_require_file(input_path))
     if g.ndim != 2:
         raise ValidationError(f"conductance tensor must be 2-D, got {g.shape}")
-    xb = dict(cfg.get("crossbar", {}))
-    xb.setdefault("rows", g.shape[0])
-    xb.setdefault("cols", g.shape[1])
-    config = CrossbarConfig.from_dict(xb)
+    config = _crossbar_config(cfg, g.shape)
     # tensor files are float32; snap boundary values back onto the range
     snap = 1e-6
     g = np.where(np.abs(g - config.g_max) <= snap * config.g_max,
@@ -183,28 +189,19 @@ def build_engine_cmd(config_path, weights_path, samples_path, out_path):
     x_max = check_x_max(cfg.get("x_max", 1.0))
     dac_bits, adc_bits = (check_bits(cfg.get(k)) for k in ("dac_bits", "adc_bits"))
     seed = _check_seed(cfg.get("seed", 0))
+    cali_samples = check_cali_sample_count(
+        cfg.get("cali_samples", DEFAULT_CALI_SAMPLES))
     weights = load_tensor(_require_file(weights_path))
     if weights.ndim != 2:
         raise ValidationError(f"weights tensor must be 2-D, got {weights.shape}")
     samples = None
     if samples_path is not None:
         samples = load_tensor(_require_file(samples_path))
-    config = None
-    if "crossbar" in cfg:
-        xb = dict(cfg["crossbar"])
-        xb.setdefault("rows", weights.shape[0])
-        xb.setdefault("cols", weights.shape[1])
-        config = CrossbarConfig.from_dict(xb)
-    engine = build_engine(
-        weights,
-        config=config,
-        x_max=x_max,
-        dac_bits=dac_bits,
-        adc_bits=adc_bits,
-        sample_inputs=samples,
-        cali_sample_count=cfg.get("cali_samples", DEFAULT_CALI_SAMPLES),
-        seed=seed,
-    )
+    programmed = program(weights, config=_crossbar_config(cfg, weights.shape),
+                         x_max=x_max)
+    engine = build_engine(programmed, dac_bits=dac_bits, adc_bits=adc_bits,
+                          sample_inputs=samples, cali_sample_count=cali_samples,
+                          seed=seed)
     engine.save(out_path)
     _write_log(out_path, "build-engine")
 
@@ -252,11 +249,10 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
                   cali_sample_count=cali_samples)
     improved = program(A)
     variants = {
-        "direct": build_engine(A, max_iter=0, calibrate=False, **common),
-        "original_conversion": build_engine(A, method="branch",
-                                            target_scale=1.0,
-                                            signal_fraction=1.0,
-                                            calibrate=False, **common),
+        "direct": build_engine(program(A, max_iter=0), calibrate=False, **common),
+        "original_conversion": build_engine(
+            program(A, method="branch", target_scale=1.0, signal_fraction=1.0),
+            calibrate=False, **common),
         "improved_uncalibrated": build_engine(improved, calibrate=False, **common),
         "improved": build_engine(improved, **common),
     }
@@ -307,6 +303,11 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
     except ValueError:
         raise click.BadParameter(
             f"expected 'none' or bit widths, got {bits!r}", param_hint="--bits")
+    for b in bit_list:
+        check_bits(None if b == "none" else b)
+    images_dir = _require_file(images_dir)
+    if not images_dir.is_dir():
+        raise NotADirectoryError(images_dir)
     cfg = _load_config(config_path, "run-net")
     seed = _check_seed(cfg.get("seed", 0))
     engine_kwargs = {}
@@ -317,8 +318,7 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
     if taps:   # checked before any engine is built
         tap_set = model.tap_layers("all" if taps.strip() == "all" else
                                    [t for t in map(str.strip, taps.split(",")) if t])
-    images_dir = _require_file(images_dir)
-    image_files = sorted(p for p in Path(images_dir).iterdir()
+    image_files = sorted(p for p in images_dir.iterdir()
                          if p.is_file() and p.suffix != ".log")
     images = [load_tensor(p) for p in image_files]
     out = Path(out_dir)
@@ -383,6 +383,9 @@ def main(argv=None):
         return EXIT_USAGE
     except FileNotFoundError as exc:
         click.echo(f"error: file not found: {exc}", err=True)
+        return EXIT_USAGE
+    except NotADirectoryError as exc:
+        click.echo(f"error: not a directory: {exc}", err=True)
         return EXIT_USAGE
     except ValidationError as exc:
         click.echo(f"validation error: {exc}", err=True)

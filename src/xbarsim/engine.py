@@ -1,9 +1,10 @@
 """Weight-to-conductance mapping, conversion, calibration, and VMM execution.
 
 Pipeline for one crossbar engine, in two steps. `program` (steps 1-2) turns
-a weight matrix into a `ProgrammedArray`; `build_engine` reads one out
-(steps 3-4) for its DAC/ADC bits, sample inputs and seed. A programmed
-array can be read out any number of times and is never changed by it.
+a weight matrix into a `ProgrammedArray`, and it is the only entry point
+that takes conversion arguments; `build_engine` reads one out (steps 3-4)
+for its DAC/ADC bits, sample inputs and seed. A programmed array can be
+read out any number of times and is never changed by it.
 
 1. `map_weights` shifts and scales a real weight matrix onto the device
    conductance window (non-negative dense mapping with a shift constant c).
@@ -39,10 +40,6 @@ from .quantize import AdcSpec, DacSpec, adc_quantize, calibrate_adc_range, dac_q
 # optimize_conversion_signal, as fractions of v_sense_max
 SIGNAL_AMPLITUDES = (1.0, 0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
 DEFAULT_SIGNAL_FRACTION = 0.1
-
-# the arguments of `program`, which `build_engine` forwards to it
-CONVERSION_KWARGS = ("config", "x_max", "method", "target_scale",
-                     "signal_fraction", "max_iter")
 
 DEFAULT_CALI_SAMPLES = 10
 CONVERGED_TOL = 1e-6   # col_error at or below which a conversion converged
@@ -508,28 +505,21 @@ def program(weights, config=None, x_max=1.0, method="transfer",
                            conversion_info=info)
 
 
-def build_engine(weights, *, dac_bits=None, adc_bits=None, sample_inputs=None,
+def build_engine(programmed, *, dac_bits=None, adc_bits=None, sample_inputs=None,
                  calibrate=True, cali_sample_count=DEFAULT_CALI_SAMPLES, seed=0,
-                 name="engine", **conversion):
-    """Build a ready-to-run VmmEngine from a weight matrix or a ProgrammedArray.
+                 name="engine"):
+    """Read out a ProgrammedArray as a ready-to-run VmmEngine (steps 3-4).
 
-    A weight matrix is first programmed with `program(weights,
-    **conversion)`. A ProgrammedArray is read out as it is, so it takes no
-    conversion arguments; engines read out from one array share its solver
-    and convert nothing. The readout (steps 3-4) attaches the DAC, fits the
-    ADC reference range to observed sample currents, then fits the
-    per-column calibrated readout. When no sample inputs are given, uniform
-    random ones are generated from `seed`.
+    A bare weight matrix is first programmed with `program`'s defaults;
+    conversion arguments go to `program` only. Engines read out from one
+    array share its solver and convert nothing. The readout attaches the
+    DAC, fits the ADC reference range to observed sample currents, then
+    fits the per-column calibrated readout. When no sample inputs are
+    given, uniform random ones are generated from `seed`.
     """
     check_cali_sample_count(cali_sample_count)
-    if isinstance(weights, ProgrammedArray):
-        if conversion:
-            raise ValidationError(
-                "a programmed array is read out as it is; conversion "
-                f"arguments {sorted(conversion)} need a weight matrix")
-        programmed = weights
-    else:
-        programmed = program(weights, **conversion)
+    if not isinstance(programmed, ProgrammedArray):
+        programmed = program(programmed)
     engine = VmmEngine(programmed.weights, programmed.solver, programmed.mapping,
                        programmed.g_target, programmed.col_scale,
                        programmed.conversion_info, name=name)
@@ -556,37 +546,29 @@ def evaluate_engine(engine, inputs):
     return RelErrorStats.from_outputs(actual, ideal)
 
 
-def optimize_conversion_signal(weights, *, amplitudes=SIGNAL_AMPLITUDES,
-                               sample_inputs=None, seed=0, **build_kwargs):
+def optimize_conversion_signal(programmed, *, amplitudes=SIGNAL_AMPLITUDES,
+                               sample_inputs=None, seed=0, **readout):
     """Sweep flat conversion-signal amplitudes and pick the most accurate.
 
-    Reads out one engine per amplitude (fractions of v_sense_max), evaluates
-    the mean relative error over the sample inputs, and returns
-    (best_fraction, report) where report lists per-amplitude statistics.
-    Ties within numerical noise resolve to the largest amplitude, which has
-    the best analog signal-to-noise ratio in hardware.
-
-    Under method "transfer" the converted conductances do not depend on the
-    amplitude, so the weights are programmed once and every amplitude reads
-    out that array; `weights` may also be such a ProgrammedArray, which must
-    come from a "transfer" conversion. Under "branch" each amplitude
-    programs its own array.
+    `programmed` is a ProgrammedArray from a "transfer" conversion, whose
+    conductances do not depend on the signal amplitude. Each amplitude
+    (a fraction of v_sense_max) reads it out once with the `readout`
+    arguments of `build_engine` and evaluates the mean relative error over
+    the sample inputs. Returns (best_fraction, report) where report lists
+    per-amplitude statistics. Ties within numerical noise resolve to the
+    largest amplitude, which has the best analog signal-to-noise ratio in
+    hardware.
     """
     amplitudes = check_amplitudes(amplitudes)
-    if (not isinstance(weights, ProgrammedArray)
-            and build_kwargs.get("method", "transfer") == "transfer"):
-        weights = program(weights, **{k: build_kwargs.pop(k)
-                                      for k in CONVERSION_KWARGS if k in build_kwargs})
-    shared = isinstance(weights, ProgrammedArray)
-    if shared and weights.conversion_info["method"] != "transfer":
+    if not (isinstance(programmed, ProgrammedArray)
+            and programmed.conversion_info["method"] == "transfer"):
         raise ValidationError(
-            f"a {weights.conversion_info['method']} conversion depends on the "
-            "signal amplitude; only a transfer program can be shared by the sweep")
+            "the sweep reads out one transfer ProgrammedArray; a branch "
+            "conversion depends on the signal amplitude")
     report = []
     for frac in amplitudes:
-        engine = build_engine(weights, sample_inputs=sample_inputs, seed=seed,
-                              **({} if shared else {"signal_fraction": frac}),
-                              **build_kwargs)
+        engine = build_engine(programmed, sample_inputs=sample_inputs, seed=seed,
+                              **readout)
         X = sample_inputs if sample_inputs is not None else default_sample_inputs(
             engine.shape[0], engine.mapping.x_max, seed=seed)
         stats = evaluate_engine(engine, X)

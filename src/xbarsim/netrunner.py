@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import CrossbarConfig
 from .convmap import ConvSpec, FeatureMap, unroll_kernel, window_matrix
-from .engine import CONVERSION_KWARGS, build_engine, program
+from .engine import build_engine, program
 from .errors import ValidationError
 from .metrics import gen_kernel, output_range, relative_error
 
@@ -206,33 +206,29 @@ class NetworkModel:
                 f"no conv/fc layers named {sorted(taps - names)} to tap")
         return taps
 
-    def programmed(self, layer, ideal=False, **conversion):
-        """Program (or fetch from cache) one layer's array; `conversion` goes
-        to `engine.program`, and `ideal` programs a parasitic-free crossbar."""
-        key = (layer.name, ideal, tuple(sorted(conversion.items())))
+    def programmed(self, layer, ideal=False):
+        """Program (or fetch from cache) one layer's array with `program`'s
+        defaults; `ideal` programs a parasitic-free crossbar."""
+        key = (layer.name, ideal)
         if key not in self._programs:
-            if ideal:
-                rows, cols = layer.weights.shape
-                conversion["config"] = CrossbarConfig(
-                    rows, cols, r_wire=0.0, r_in=0.0, r_out=0.0)
-            self._programs[key] = program(layer.weights, **conversion)
+            config = (CrossbarConfig(*layer.weights.shape, r_wire=0.0, r_in=0.0,
+                                     r_out=0.0) if ideal else None)
+            self._programs[key] = program(layer.weights, config=config)
         return self._programs[key]
 
-    def engine(self, layer, dac_bits=None, adc_bits=None, seed=0, **kwargs):
+    def engine(self, layer, dac_bits=None, adc_bits=None, seed=0, ideal=False,
+               **readout):
         """Read out (or fetch from cache) the crossbar engine for one layer.
 
-        The conversion arguments among `kwargs` (`ideal` too) pick the
-        layer's programmed array, which every bit setting and seed shares;
-        the rest go to the readout.
+        Every bit setting and seed reads out the layer's one programmed
+        array (`ideal` picks it); `readout` goes to `build_engine`.
         """
-        key = (layer.name, dac_bits, adc_bits, seed,
-               tuple(sorted(kwargs.items())))
+        key = (layer.name, dac_bits, adc_bits, seed, ideal,
+               tuple(sorted(readout.items())))
         if key not in self._engines:
-            conversion = {k: kwargs.pop(k) for k in (*CONVERSION_KWARGS, "ideal")
-                          if k in kwargs}
             self._engines[key] = build_engine(
-                self.programmed(layer, **conversion), dac_bits=dac_bits,
-                adc_bits=adc_bits, seed=seed, name=layer.name, **kwargs)
+                self.programmed(layer, ideal), dac_bits=dac_bits,
+                adc_bits=adc_bits, seed=seed, name=layer.name, **readout)
         return self._engines[key]
 
     def crossbar_shapes(self):
@@ -306,9 +302,12 @@ def load_model(manifest_path):
                                   f"{exc.args[0]!r}") from None
         weights = None
         if shape is not None:
-            offset, length = entry["blob_offset"], entry["blob_len"]
+            offset, length = entry.get("blob_offset"), entry.get("blob_len")
+            if not all(type(v) is int and v >= 0 for v in (offset, length)):
+                raise ValidationError(f"layer {entry['name']!r} blob_offset and "
+                                      "blob_len must be integers >= 0")
             count = int(np.prod(shape))
-            if length != 4 * count or offset is None or offset + length > len(blob):
+            if length != 4 * count or offset + length > len(blob):
                 raise ValidationError(
                     f"layer {entry['name']!r} blob slice does not match shape {shape}")
             weights = np.frombuffer(blob, dtype="<f4", count=count,

@@ -18,7 +18,7 @@ from xbarsim.config import CrossbarConfig
 from xbarsim.convmap import (ConvSpec, FeatureMap, iteration_count,
                              resnet20_layer_table, unroll_kernel,
                              window_matrix)
-from xbarsim.engine import build_engine, evaluate_engine
+from xbarsim.engine import build_engine, evaluate_engine, program
 from xbarsim.metrics import bit_accuracy, gen_input, gen_kernel
 from xbarsim.netrunner import (build_tiny_model, quantization_sweep,
                                save_model, save_tensor)
@@ -116,8 +116,8 @@ def test_criterion_4_conversion_signal_ordering():
         X = conv_windows(spec, 8, 0.5, seed + 100)
         means = {}
         for frac in (1.0, 0.1, 0.001):
-            engine = build_engine(A, sample_inputs=X, seed=seed,
-                                  signal_fraction=frac)
+            engine = build_engine(program(A, signal_fraction=frac),
+                                  sample_inputs=X, seed=seed)
             means[frac] = evaluate_engine(engine, X).mean
         ok = ok and means[0.1] < means[1.0] and means[0.1] < means[0.001]
     assert report(4, "conversion signal ordering", ok), means
@@ -134,12 +134,12 @@ def test_criterion_5_improved_vs_original():
             spec = ConvSpec(3, 3, 32, 32, padding=1, weights=kernel)
             A = unroll_kernel(spec)
             X = conv_windows(spec, 8, sparse, seed + 50)
-            direct = build_engine(A, sample_inputs=X, seed=seed,
-                                  max_iter=0, calibrate=False)
-            original = build_engine(A, sample_inputs=X, seed=seed,
-                                    method="branch", target_scale=1.0,
-                                    signal_fraction=1.0, calibrate=False,
-                                    max_iter=30)
+            direct = build_engine(program(A, max_iter=0), sample_inputs=X,
+                                  seed=seed, calibrate=False)
+            original = build_engine(
+                program(A, method="branch", target_scale=1.0,
+                        signal_fraction=1.0, max_iter=30),
+                sample_inputs=X, seed=seed, calibrate=False)
             improved = build_engine(A, sample_inputs=X, seed=seed)
             means = tuple(evaluate_engine(e, X).mean
                           for e in (direct, original, improved))

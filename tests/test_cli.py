@@ -154,6 +154,10 @@ def test_bad_cali_samples_rejected_before_conversion(tmp_path, monkeypatch,
 
 # config values the commands must reject before they build any engine
 BAD_CONFIG_VALUES = [
+    ("simulate", {"crossbar": 5}),
+    ("simulate", {"crossbar": [1, 2]}),
+    ("build-engine", {"crossbar": 5}),
+    ("build-engine", {"crossbar": [1, 2]}),
     ("build-engine", {"x_max": float("nan")}),
     ("build-engine", {"x_max": 0}),
     ("build-engine", {"x_max": "1"}),
@@ -182,6 +186,7 @@ def test_bad_config_value_rejected_before_conversion(tmp_path, monkeypatch,
                                                      capsys, command, config):
     monkeypatch.chdir(tmp_path)
     save_tensor("g.mten", np.full((2, 2), 0.5))
+    save_tensor("v.mten", np.full(2, 0.1))
     save_model(build_tiny_model(seed=1, channels=(3,), hw=4), "tiny.json")
     os.mkdir("imgs")
     save_tensor("imgs/img0.mten", gen_input((4, 4, 3), 0.3, 1))
@@ -189,8 +194,9 @@ def test_bad_config_value_rejected_before_conversion(tmp_path, monkeypatch,
     monkeypatch.setattr(engine, "convert",
                         lambda *args, **kwargs: converted.append(args))
     Path("cfg.json").write_text(json.dumps(config))
+    args = {**CALI_ARGS, "simulate": UNREAD_CONFIG["simulate"][1]}[command]
     sweep = ["--conv-amp-sweep"] if command == "layer-exp" else []
-    rc = cli.main([command, "--config", "cfg.json", *CALI_ARGS[command], *sweep,
+    rc = cli.main([command, "--config", "cfg.json", *args, *sweep,
                    "--out", "out"])
     assert rc == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("validation error:")
@@ -316,9 +322,27 @@ def tiny_run_net_inputs(tmp_path, images):
             "--images", str(img_dir), "--out", str(tmp_path / "net")]
 
 
-def test_run_net_rejects_bad_bits(tmp_path):
+def test_run_net_rejects_bad_bits(tmp_path, monkeypatch):
     args = tiny_run_net_inputs(tmp_path, 1)
     assert cli.main(args + ["--bits", "8x"]) == cli.EXIT_USAGE
+    assert not (tmp_path / "net").exists()
+    converted = []
+    monkeypatch.setattr(engine, "convert",
+                        lambda *args, **kwargs: converted.append(args))
+    for bits in ("none,1", "17"):
+        assert cli.main(args + ["--bits", bits]) == cli.EXIT_VALIDATION
+        assert not (tmp_path / "net").exists()
+    assert not converted
+
+
+def test_run_net_rejects_images_that_are_not_a_directory(tmp_path, monkeypatch,
+                                                         capsys):
+    args = tiny_run_net_inputs(tmp_path, 1)
+    args[args.index("--images") + 1] = str(tmp_path / "tiny.json")
+    monkeypatch.setattr(cli, "load_model", lambda *args: pytest.fail(
+        "the model was loaded before --images was checked"))
+    assert cli.main(args + ["--bits", "none"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: not a directory:")
     assert not (tmp_path / "net").exists()
 
 

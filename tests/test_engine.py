@@ -210,7 +210,7 @@ def test_convert_validation():
 
 def test_calibration_ideal_engine_nominal_gain_zero_offset():
     A = gen_kernel(1, (12, 5), 6)
-    engine = build_engine(A, config=ideal_config(12, 5), seed=0)
+    engine = build_engine(program(A, config=ideal_config(12, 5)), seed=0)
     nominal = 1.0 / (engine.mapping.alpha * engine.mapping.beta)
     assert np.allclose(engine.cali.gain, nominal, rtol=1e-9)
     assert np.abs(engine.cali.offset).max() <= 1e-9 * nominal
@@ -233,10 +233,10 @@ def test_calibration_improves_on_uncorrected_conversion():
     # that the fitted per-column readout absorbs
     A = gen_kernel(1, (3, 3, 16, 16), 7).reshape(144, 16)
     X = default_sample_inputs(144, count=64, seed=1)
-    kwargs = dict(sample_inputs=X, seed=0, method="branch", target_scale=1.0,
-                  signal_fraction=1.0)
-    cal = build_engine(A, **kwargs)
-    raw = build_engine(A, calibrate=False, **kwargs)
+    programmed = program(A, method="branch", target_scale=1.0,
+                         signal_fraction=1.0)
+    cal = build_engine(programmed, sample_inputs=X, seed=0)
+    raw = build_engine(programmed, sample_inputs=X, calibrate=False, seed=0)
     assert evaluate_engine(cal, X).mean < evaluate_engine(raw, X).mean
 
 
@@ -244,7 +244,8 @@ def test_calibration_degenerate_column_flagged():
     # with no negative weights the shift c is 0, so an all-zero column
     # carries zero current for every sample and cannot be fitted
     A = np.array([[0.5, 0.0], [0.25, 0.0]])
-    engine = build_engine(A, config=ideal_config(2, 2), calibrate=False, seed=0)
+    engine = build_engine(program(A, config=ideal_config(2, 2)), calibrate=False,
+                          seed=0)
     samples = np.array([[0.1, 0.2], [0.4, 0.3], [0.7, 0.1]])
     cali = get_cali_para(engine, samples)
     assert cali.degenerate == [1]
@@ -256,7 +257,7 @@ def test_calibration_degenerate_column_flagged():
 def test_execute_ideal_engine_matches_double_loop_oracle():
     rng = np.random.default_rng(8)
     A = rng.normal(size=(10, 4))
-    engine = build_engine(A, config=ideal_config(10, 4), seed=0)
+    engine = build_engine(program(A, config=ideal_config(10, 4)), seed=0)
     X = rng.uniform(0.0, 1.0, size=(6, 10))
     got = engine.execute_batch(X)
     ref = np.zeros((6, 4))
@@ -270,7 +271,7 @@ def test_execute_ideal_engine_matches_double_loop_oracle():
 
 def test_execute_zero_input_gives_zero_output():
     A = gen_kernel(1, (8, 3), 9)
-    engine = build_engine(A, config=ideal_config(8, 3), seed=0)
+    engine = build_engine(program(A, config=ideal_config(8, 3)), seed=0)
     y = engine.execute(np.zeros(8))
     assert np.abs(y).max() <= 1e-6
 
@@ -307,7 +308,7 @@ def test_each_public_call_validates_once(monkeypatch):
 def test_engine_with_padded_array_matches_product():
     A = gen_kernel(1, (5, 3), 11)
     config = ideal_config(8, 6)   # larger than the weights
-    engine = build_engine(A, config=config, seed=0)
+    engine = build_engine(program(A, config=config), seed=0)
     rng = np.random.default_rng(12)
     X = rng.uniform(0.0, 1.0, size=(4, 5))
     got = engine.execute_batch(X)
@@ -348,7 +349,7 @@ def test_build_factorizes_once_per_conversion_pass(monkeypatch):
     X = default_sample_inputs(16, count=4, seed=5)
     for method in ("transfer", "branch"):
         built.clear()
-        engine = build_engine(A, method=method, calibrate=False, seed=0)
+        engine = build_engine(program(A, method=method), calibrate=False, seed=0)
         passes = engine.conversion_info["iterations"] + 1
         assert len(built) == passes
         assert engine.solver is built[-1]
@@ -416,7 +417,7 @@ def test_bad_calibration_sample_count_rejected_before_conversion(monkeypatch,
 def test_optimize_signal_zero_parasitics_tie_breaks_to_largest():
     A = gen_kernel(1, (16, 4), 16)
     frac, report = optimize_conversion_signal(
-        A, config=ideal_config(16, 4), seed=0,
+        program(A, config=ideal_config(16, 4)), seed=0,
         amplitudes=(1.0, 0.1, 0.001))
     assert frac == 1.0
     assert len(report) == 3
@@ -431,7 +432,7 @@ def test_readout_of_a_program_equals_a_full_build(method):
     for readout in (dict(seed=3), dict(dac_bits=6, adc_bits=6, seed=4),
                     dict(calibrate=False, adc_bits=8, seed=3)):
         shared = build_engine(programmed, **readout)
-        full = build_engine(A, method=method, **readout)
+        full = build_engine(program(A, method=method), **readout)
         assert shared.solver is programmed.solver
         assert shared.conversion_info == full.conversion_info
         assert np.array_equal(shared.execute_batch(X), full.execute_batch(X))
@@ -439,10 +440,13 @@ def test_readout_of_a_program_equals_a_full_build(method):
 
 
 def test_program_takes_no_conversion_arguments_again():
-    programmed = program(gen_kernel(1, (4, 2), 20))
-    with pytest.raises(ValidationError, match="conversion arguments"):
-        build_engine(programmed, method="branch")
-    with pytest.raises(ValidationError, match="conversion arguments"):
+    # conversion arguments go to `program` only; a readout has none
+    A = gen_kernel(1, (4, 2), 20)
+    programmed = program(A)
+    for weights in (A, programmed):
+        with pytest.raises(TypeError, match="method"):
+            build_engine(weights, method="branch")
+    with pytest.raises(TypeError, match="max_iter"):
         optimize_conversion_signal(programmed, max_iter=3)
 
 
@@ -450,9 +454,10 @@ def test_optimize_signal_shares_only_a_transfer_program(monkeypatch):
     A = gen_kernel(1, (16, 4), 21)
     X = default_sample_inputs(16, count=8, seed=2)
     amplitudes = (1.0, 0.1, 0.001)
-    with pytest.raises(ValidationError, match="transfer program"):
-        optimize_conversion_signal(program(A, method="branch"),
-                                   amplitudes=amplitudes, sample_inputs=X)
+    for not_transfer in (program(A, method="branch"), A):
+        with pytest.raises(ValidationError, match="transfer ProgrammedArray"):
+            optimize_conversion_signal(not_transfer, amplitudes=amplitudes,
+                                       sample_inputs=X)
     calls = []
     counted = engine_mod.convert
 
@@ -461,24 +466,20 @@ def test_optimize_signal_shares_only_a_transfer_program(monkeypatch):
         return counted(*args, **kwargs)
 
     monkeypatch.setattr(engine_mod, "convert", counting_convert)
-    _, report = optimize_conversion_signal(A, amplitudes=amplitudes,
+    _, report = optimize_conversion_signal(program(A), amplitudes=amplitudes,
                                            sample_inputs=X, adc_bits=8)
     assert calls == ["transfer"]
-    # one engine built per amplitude gives the same report, bit for bit
+    # one array programmed per amplitude gives the same report, bit for bit
     for entry, frac in zip(report, amplitudes):
-        stats = evaluate_engine(build_engine(A, sample_inputs=X, adc_bits=8,
-                                             signal_fraction=frac), X)
+        stats = evaluate_engine(build_engine(program(A, signal_fraction=frac),
+                                             sample_inputs=X, adc_bits=8), X)
         assert (entry["mean"], entry["worst"]) == (stats.mean, stats.worst)
-    calls.clear()
-    optimize_conversion_signal(A, amplitudes=amplitudes, sample_inputs=X,
-                               method="branch", target_scale=1.0)
-    assert calls == ["branch"] * len(amplitudes)
 
 
 def test_improvement_over_direct_mapping():
     A = gen_kernel(1, (3, 3, 16, 16), 17).reshape(144, 16)
     X = default_sample_inputs(144, count=64, seed=4)
     improved = build_engine(A, sample_inputs=X, seed=0)
-    direct = build_engine(A, sample_inputs=X, seed=0, max_iter=0,
+    direct = build_engine(program(A, max_iter=0), sample_inputs=X, seed=0,
                           calibrate=False)
     assert evaluate_engine(improved, X).mean < evaluate_engine(direct, X).mean

@@ -111,6 +111,22 @@ def test_model_manifest_missing_shape_param(tmp_path, layer, key):
         load_model(manifest)
 
 
+@pytest.mark.parametrize("key", ["blob_offset", "blob_len"])
+@pytest.mark.parametrize("value", ["missing", -4, 1.5, "0", None, True])
+def test_model_manifest_bad_blob_slice(tmp_path, key, value):
+    model = build_tiny_model(seed=3)
+    manifest, _ = save_model(model, tmp_path / "tiny.json")
+    doc = json.loads(manifest.read_text())
+    entry = next(e for e in doc["layers"] if e["name"] == "conv1")
+    if value == "missing":
+        del entry[key]
+    else:
+        entry[key] = value
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="conv1.*blob_offset and blob_len"):
+        load_model(manifest)
+
+
 def test_software_mode_matches_plain_numpy_reference():
     model = build_tiny_model(seed=4, channels=(3, 4), hw=6)
     img = gen_input((6, 6, 3), 0.1, seed=10)
