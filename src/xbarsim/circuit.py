@@ -25,18 +25,21 @@ the column output currents. The regimes differ only in how they assemble
   (r_in == r_out == 0) there is no unknown and the output is v_in @ g_dev.
 
 A is factorized once per conductance matrix, and every solve on it is
-residual-checked against A. The grid is factorized by exact block
+residual-checked against A on every node; the grid's A reuses a pattern
+cached per shape (`_grid_pattern`). The grid is factorized by exact block
 elimination over slabs (`_SlabFactor`): each row slab touches the next only
-through the column wires, so the dense blocks are only min(m, n) wide. The
-lumped system, at most m+n nodes, goes to SuperLU. The network is linear,
-so its output currents are `v_in @ T` for the transfer matrix
-T = S^T A^-1 C, which `transfer_matrix` computes once from one adjoint
-solve per column and caches; batch `currents` are that one product. Node
-voltages come only from `solve` (and `simulate`). Two references check the
-solver: `ideal_vmm`, the exact zero-parasitic product, and `oracle_solve`, a
-dense solve with independently derived assembly for small arrays.
+through the column wires, so the dense blocks, each built in closed form,
+are only min(m, n) wide. The lumped system, at most m+n nodes, goes to
+SuperLU. The network is linear, so its output currents are `v_in @ T` for
+the transfer matrix T = S^T A^-1 C, which `transfer_matrix` computes once
+from one adjoint solve per column, on C's sparse columns, and caches; batch
+`currents` are that one product. Node voltages come only from `solve` (and
+`simulate`). Two references check the solver: `ideal_vmm`, the exact
+zero-parasitic product, and `oracle_solve`, a dense solve with
+independently derived assembly for small arrays.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +110,37 @@ def _wire_neighbours(count):
     return k
 
 
+def _rung_blocks(gd, chain, rung, g_wire):
+    """K_k = D_k - G_k M_k^-1 G_k, (slabs, w, w), upper triangle only, and the
+    LDL^T pivots of the M_k (G_k: gd (slabs, w); D_k: rung (slabs, w); M_k:
+    chain (w, slabs) on the diagonal, -g_wire beside it). M^-1 is
+    semiseparable, (M^-1)_qq = 1 / (piv + back - chain) with backward pivots
+    back, (M^-1)_pq = mult_p (M^-1)_{p+1,q} for p < q, mult = g_wire / piv:
+    G M^-1 G is the outer product of gd / P and gd (M^-1)_qq P, P the prefix
+    products of mult, or that row recurrence where 1 / P leaves double range."""
+    slabs, w = gd.shape
+    piv, back = chain.copy(), chain.copy()
+    for p in range(1, w):
+        piv[p] -= g_wire ** 2 / piv[p - 1]
+        back[-1 - p] -= g_wire ** 2 / back[-p]
+    mult = g_wire / piv
+    m_diag = 1.0 / (piv + back - chain).T
+    prefix = np.cumprod(np.vstack([np.ones(slabs), mult[:-1]]), axis=0).T
+    K, idx = np.zeros((slabs, w, w)), np.arange(w)
+    if prefix[:, -1].min() > 1e-150:
+        np.multiply((gd / prefix)[:, :, None], (-gd * m_diag * prefix)[:, None, :],
+                    out=K, where=np.triu(np.ones((w, w), bool)))
+    else:
+        K[:, idx, idx] = -gd * gd * m_diag
+        ratio = gd[:, :-1] * mult[:-1].T / gd[:, 1:]
+        for p in range(w - 2, -1, -1):
+            np.multiply(ratio[:, p, None], K[:, p + 1, p + 1:], out=K[:, p, p + 1:])
+    K[:, idx, idx] += rung
+    return K, piv
+
+
 class _SlabFactor:
-    """Exact block elimination of the grid's A over slabs, with SuperLU's
+    """Exact block elimination of the grid's A over slabs, with a sparse
     `solve(rhs)`.
 
     A slab k holds a chain of w wire nodes and w rung nodes. The chain is
@@ -116,10 +148,11 @@ class _SlabFactor:
     end); rung node p ties only to its device and, through -g_w, to rung p
     of slabs k-1 and k+1 (diagonal D_k, a terminal on one end slab). With
     G_k the slab's device conductances, eliminating the chains leaves the
-    dense SPD rung blocks K_k = D_k - G_k M_k^-1 G_k, coupled as a block-
-    tridiagonal system whose Schur complements Sigma_0 = K_0,
+    dense SPD rung blocks K_k = D_k - G_k M_k^-1 G_k (`_rung_blocks`), coupled
+    as a block-tridiagonal system whose Schur complements Sigma_0 = K_0,
     Sigma_k = K_k - g_w^2 Sigma_{k-1}^-1 are inverted once here. `solve`
-    sweeps the rungs forward and back, then recovers the chains.
+    sweeps the rungs forward from the first slab it touches and back, then
+    recovers the chains.
 
     Slabs are rows (chain: top row with the source at its start; rungs:
     bottom nodes, sinking below the last row) unless cols > rows; then
@@ -144,19 +177,9 @@ class _SlabFactor:
         else:
             chain[0] += g_src
             rung[-1] += g_sink
-        # LDL^T pivots of every chain, all slabs at once
-        piv = chain
-        for p in range(1, w):
-            piv[p] -= g_wire ** 2 / piv[p - 1]
+        inv, piv = _rung_blocks(gd, chain, rung, g_wire)
         self._piv, self._mult = piv[:, :, None], (g_wire / piv)[:, :, None]
-        # K_k = D_k - G_k M_k^-1 G_k, then each Sigma_k^-1 in its place
-        idx = np.arange(w)
-        gmg = np.zeros((w, slabs, w))
-        gmg[idx, :, idx] = gd.T
-        gmg = self._chain_solve(gmg) * self._gd_chain
-        inv = np.negative(gmg.transpose(1, 0, 2), order="C")   # (slabs, w, w)
-        del gmg
-        inv[:, idx, idx] += rung
+        # each Sigma_k^-1 in its K_k's place; the lower triangles stay zero
         for k in range(slabs):
             if k:
                 inv[k] -= g_wire ** 2 * inv[k - 1]
@@ -183,34 +206,74 @@ class _SlabFactor:
         return r
 
     def solve(self, rhs):
-        """A x = rhs for a (2*rows*cols,) or (2*rows*cols, k) right-hand side."""
-        rhs = np.asarray(rhs, dtype=float)
+        """A x = rhs for a (2*rows*cols, k) COO right-hand side without
+        duplicate entries: the dense (2*rows*cols, k) solution."""
         m, n = self._shape
-        x = np.empty((2, m, n, rhs.size // (2 * m * n)))
-        # (chain, rung) views of the right-hand side and of the solution
-        (chain_rhs, rung_rhs), (chain, rung) = (
-            (b[1], b[0].transpose(1, 0, 2)) if self._columns
-            else (b[0].transpose(1, 0, 2), b[1])
-            for b in (rhs.reshape(x.shape), x))
+        x = np.zeros((2, m, n, rhs.shape[1]))
+        # (chain, rung) views of the solution
+        chain, rung = ((x[1], x[0].transpose(1, 0, 2)) if self._columns
+                       else (x[0].transpose(1, 0, 2), x[1]))
+        half, i, j = np.unravel_index(rhs.row, (2, m, n))
+        slab, pos = (j, i) if self._columns else (i, j)
+        c = half == self._columns   # entries on a chain
+        rung[slab[~c], pos[~c], rhs.col[~c]] = rhs.data[~c]
+        if c.any():   # eliminate the chains' injections into the rungs
+            z = np.zeros(chain.shape)
+            z[pos[c], slab[c], rhs.col[c]] = rhs.data[c]
+            rung += self._gd_rung * self._chain_solve(z).transpose(1, 0, 2)
         gw, inv = self._g_wire, self._inv
-        # rung right-hand sides with the chains eliminated (chains with no
-        # injection add nothing); slabs before the first nonzero one stay
-        # zero through the forward sweep
-        y = np.array(rung_rhs, order="C")
-        if chain_rhs.any():
-            z = self._chain_solve(np.array(chain_rhs, order="C"))
-            y += self._gd_rung * z.transpose(1, 0, 2)
-        nonzero = np.flatnonzero(y.any(axis=(1, 2)))
-        for k in range(nonzero[0] + 1 if len(nonzero) else len(y), len(y)):
-            y[k] += gw * (inv[k - 1] @ y[k - 1])
-        y[-1] = inv[-1] @ y[-1]
-        for k in range(len(y) - 2, -1, -1):
-            y[k] = inv[k] @ (y[k] + gw * y[k + 1])
-        rung[...] = y
-        z = np.multiply(self._gd_chain, y.transpose(1, 0, 2), order="C")
-        z += chain_rhs
+        # slabs before the first touched one stay zero through the forward sweep
+        for k in range(slab.min() + 1 if len(slab) else len(rung), len(rung)):
+            rung[k] += gw * (inv[k - 1] @ rung[k - 1])
+        rung[-1] = inv[-1] @ rung[-1]
+        for k in range(len(rung) - 2, -1, -1):
+            rung[k] = inv[k] @ (rung[k] + gw * rung[k + 1])
+        z = np.multiply(self._gd_chain, rung.transpose(1, 0, 2), order="C")
+        z[pos[c], slab[c], rhs.col[c]] += rhs.data[c]
         chain[...] = self._chain_solve(z)
-        return x.reshape(rhs.shape)
+        return x.reshape(-1, x.shape[-1])
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_pattern(m, n, r_wire, r_in, r_out):
+    """(A without its devices, the slots of the device stamps in A.data, S,
+    C) over top (i,j) -> i*n + j, bottom (i,j) -> m*n + i*n + j; shared, never
+    written. Stamps come rows first (source edge, then wire segments), then
+    columns (wire segments, then sink edge), then devices, each edge as
+    (a,a), (a,b), (b,b), (b,a); each slot sums its stamps in this order."""
+    top = np.arange(m * n).reshape(m, n)
+    bot = top + m * n
+
+    def stamp(a, b, g):
+        """(row, col, value) arrays, (lines, 4 * edges) each, of the edges
+        a[l, e] -- b[l, e]."""
+        g = np.broadcast_to(g, a.shape)
+        return [np.stack(t, axis=-1).reshape(len(a), -1)
+                for t in ((a, a, b, b), (a, b, b, a), (g, -g, g, -g))]
+
+    g_wire = 1.0 / r_wire
+    src, sink = top[:, :1], bot[-1:].T   # T(i,0) per row, B(m-1,j) per column
+    # each terminal edge includes one wire segment
+    g_src = np.full((m, 1), 1.0 / (r_in + r_wire))
+    g_sink = np.full((n, 1), 1.0 / (r_out + r_wire))
+    # a terminal edge stamps only its grid node's diagonal
+    rows = map(np.hstack, zip((src, src, g_src),
+                              stamp(top[:, :-1], top[:, 1:], g_wire)))
+    cols = map(np.hstack, zip(stamp(bot.T[:, :-1], bot.T[:, 1:], g_wire),
+                              (sink, sink, g_sink)))
+    i, j, v = (np.concatenate([r.ravel(), c.ravel(), d.ravel()])
+               for r, c, d in zip(rows, cols, stamp(top, bot, 0.0)))
+    size, wires = 2 * m * n, len(v) - 4 * m * n
+    keys, slot = np.unique(j * size + i, return_inverse=True)   # CSC order
+    A0 = sp.csc_matrix((np.bincount(slot[:wires], v[:wires], minlength=len(keys)),
+                        keys % size, np.searchsorted(keys, np.arange(size + 1) * size)),
+                       shape=(size, size))
+    S, C = (sp.csc_matrix((g[:, 0], (node[:, 0], np.arange(len(g)))),
+                          shape=(size, len(g)))
+            for node, g in ((src, g_src), (sink, g_sink)))
+    for shared in (A0.data, A0.indices, A0.indptr, slot, S.data, C.data):
+        shared.flags.writeable = False
+    return A0, slot[wires:], S, C
 
 
 class CrossbarSolver:
@@ -240,43 +303,13 @@ class CrossbarSolver:
             raise SolverError(f"singular crossbar system: {exc}") from exc
 
     def _factor_grid(self):
-        """(A, S, C) over the grid, top (i,j) -> i*n + j, bottom (i,j) ->
-        m*n + i*n + j, and the slab factorization of A.
-
-        Stamps come rows first (source edge, then wire segments), then columns
-        (wire segments, then sink edge), then devices, each edge as
-        (a,a), (a,b), (b,b), (b,a); this order fixes how `tocsc` sums them.
-        """
-        cfg = self.config
-        m, n = cfg.rows, cfg.cols
-        top = np.arange(m * n).reshape(m, n)
-        bot = top + m * n
-
-        def stamp(a, b, g):
-            """(row, col, value) arrays, (lines, 4 * edges) each, of the edges
-            a[l, e] -- b[l, e]."""
-            g = np.broadcast_to(g, a.shape)
-            return [np.stack(t, axis=-1).reshape(len(a), -1)
-                    for t in ((a, a, b, b), (a, b, b, a), (g, -g, g, -g))]
-
-        g_wire = 1.0 / cfg.r_wire
-        src, sink = top[:, :1], bot[-1:].T   # T(i,0) per row, B(m-1,j) per column
-        # each terminal edge includes one wire segment
-        g_src = np.full((m, 1), 1.0 / (cfg.r_in + cfg.r_wire))
-        g_sink = np.full((n, 1), 1.0 / (cfg.r_out + cfg.r_wire))
-        # a terminal edge stamps only its grid node's diagonal
-        rows = map(np.hstack, zip((src, src, g_src),
-                                  stamp(top[:, :-1], top[:, 1:], g_wire)))
-        cols = map(np.hstack, zip(stamp(bot.T[:, :-1], bot.T[:, 1:], g_wire),
-                                  (sink, sink, g_sink)))
-        i, j, v = (np.concatenate([r.ravel(), c.ravel(), d.ravel()])
-                   for r, c, d in zip(rows, cols, stamp(top, bot, self.g_dev)))
-        size = 2 * m * n
-        A = sp.coo_matrix((v, (i, j)), shape=(size, size)).tocsc()
-        S, C = (sp.csc_matrix((g[:, 0], (node[:, 0], np.arange(len(g)))),
-                              shape=(size, len(g)))
-                for node, g in ((src, g_src), (sink, g_sink)))
-        return A, S, C, _SlabFactor(self.g_dev, g_wire, g_src[0, 0], g_sink[0, 0])
+        """(A, S, C) over the grid and the slab factorization of A."""
+        cfg, gd = self.config, self.g_dev
+        A0, dev_slot, S, C = _grid_pattern(cfg.rows, cfg.cols, cfg.r_wire, cfg.r_in, cfg.r_out)
+        data = A0.data.copy()   # the devices' slots are distinct
+        data[dev_slot] += np.stack((gd, -gd, gd, -gd), axis=-1).ravel()
+        A = sp.csc_matrix((data, A0.indices, A0.indptr), shape=A0.shape)
+        return A, S, C, _SlabFactor(gd, 1.0 / cfg.r_wire, S.data[0], C.data[0])  # g_src, g_sink
 
     def _factor_lumped(self):
         """(A, S, C) over the free row nodes, then the free column nodes, and
@@ -299,13 +332,15 @@ class CrossbarSolver:
                 spla.splu(A))
 
     def _solve_free(self, rhs):
-        """A x = rhs, (unknowns, k): the free-node voltages x and the worst
+        """A x = rhs, sparse (unknowns, k): the free-node voltages x and the worst
         relative residual over the k columns, checked against RESIDUAL_TOL."""
+        rhs = rhs.tocoo()
         # row-major once, so neither sparse product below copies x again
-        x = np.ascontiguousarray(self._lu.solve(rhs))
+        x = np.ascontiguousarray(self._lu.solve(rhs if self._grid else rhs.toarray()))
         r = self._A @ x
-        r -= rhs
-        num, den = (np.sqrt(np.einsum("ij,ij->j", a, a)) for a in (r, rhs))
+        r[rhs.row, rhs.col] -= rhs.data
+        num, den = np.sqrt([np.einsum("ij,ij->j", r, r),
+                            np.bincount(rhs.col, rhs.data ** 2, minlength=rhs.shape[1])])
         worst = float((num / np.where(den > 0, den, np.inf)).max())
         if not worst <= RESIDUAL_TOL:   # also a NaN residual
             raise SolverError(f"solver residual {worst:.3g} above {RESIDUAL_TOL:.3g}",
@@ -318,18 +353,15 @@ class CrossbarSolver:
 
         Computed on the first call from one adjoint back-substitution per
         column on the existing factorization (A is symmetric), in blocks of
-        TRANSFER_BLOCK_COLS columns, each residual-checked, and cached
-        read-only. With no free node T is g_dev exactly.
+        TRANSFER_BLOCK_COLS sparse columns of C, each residual-checked, and
+        cached read-only. With no free node T is g_dev exactly.
         """
         if self._T is None:
             if self._A.shape[0]:
                 T = np.empty(self.g_dev.shape)
                 for start in range(0, T.shape[1], TRANSFER_BLOCK_COLS):
                     block = slice(start, start + TRANSFER_BLOCK_COLS)
-                    c = self._C[:, block].tocoo()
-                    E = np.zeros(c.shape)   # pages without an output node stay unwritten
-                    E[c.row, c.col] = c.data
-                    T[:, block] = self._S.T @ self._solve_free(E)[0]
+                    T[:, block] = self._S.T @ self._solve_free(self._C[:, block])[0]
             else:
                 T = self.g_dev.copy()
             T.flags.writeable = False
@@ -351,7 +383,7 @@ class CrossbarSolver:
         v_in = np.asarray(v_in, dtype=float)
         if check_range:
             _check_inputs(self.config, v_in)
-        x, residual = self._solve_free(self._S @ v_in[:, None])
+        x, residual = self._solve_free(sp.csc_matrix(self._S @ v_in[:, None]))
         x = x[:, 0]
         m, n = self.config.rows, self.config.cols
         if self._grid:

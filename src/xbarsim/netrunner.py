@@ -290,11 +290,19 @@ def load_model(manifest_path):
     blob = blob_path.read_bytes()
     if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
         raise ValidationError(f"weight blob checksum mismatch for {blob_path}")
+    if not isinstance(manifest["layers"], list):
+        raise ValidationError("model manifest 'layers' must be a list")
     layers = []
     for entry in manifest["layers"]:
         for key in ("name", "kind", "params", "predecessors"):
             if key not in entry:
                 raise ValidationError(f"layer entry missing key {key!r}")
+        p = entry["params"]
+        if not (isinstance(p, dict) and isinstance(entry["predecessors"], list)) or any(
+                not (type(p[k]) is int and p[k] >= 1) for k in (
+                    "kernel_h", "kernel_w", "in_channels", "out_channels", "channels") if k in p):
+            raise ValidationError(f"layer {entry['name']!r} needs object params with integer "
+                                  "sizes >= 1 and list predecessors")
         try:
             shape = _layer_weight_shape(entry["kind"], entry["params"])
         except KeyError as exc:

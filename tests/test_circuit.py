@@ -4,11 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import xbarsim.circuit
-from xbarsim.circuit import (CrossbarSolver, ideal_vmm, oracle_solve, simulate)
+from xbarsim.circuit import (CrossbarSolver, _rung_blocks, _wire_neighbours,
+                             ideal_vmm, oracle_solve, simulate)
 from xbarsim.config import CrossbarConfig
 from xbarsim.errors import SolverError, ValidationError
 
@@ -235,9 +237,10 @@ GRID_REGIMES = [regime for regime in REGIMES if regime[0] > 0.0]
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (4, 9), (9, 4),
-                                        (27, 16), (16, 40), (40, 16)])
+                                        (27, 16), (16, 40), (40, 16), (16, 160)])
 def test_slab_solver_matches_sparse_reference(rows, cols):
-    # row slabs, and column slabs where cols > rows, against spsolve on A
+    # row slabs, and column slabs where cols > rows, against spsolve on A;
+    # 16x160 passes C to the solver in three sparse blocks
     rng = np.random.default_rng(100 * rows + cols)
     for r_wire, r_in, r_out, r_t in GRID_REGIMES:
         config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out,
@@ -259,3 +262,90 @@ def test_slab_block_failure_is_a_solver_error(monkeypatch):
                         lambda a, **kwargs: (a, 1))
     with pytest.raises(SolverError, match="singular crossbar system"):
         CrossbarSolver(config, g)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rows, cols, r_wire, solve_tol", [
+    # g_wire^2 = 1e4 per slab over 100 slabs: the Schur recursion must not
+    # carry anything that grows with it
+    (100, 4, 0.01, 1e-12),
+    # the chain multipliers multiply to below 1e-308 across the 160-wide
+    # slabs. Devices then outweigh the wires about 100-fold, which costs digits
+    # in any solver: spsolve's own node voltages are 1e-12 off a refined
+    # solution here, so solve is held to 1e-11
+    (160, 160, 3e6, 1e-11)])
+def test_slab_solver_extreme_wire_resistance(rows, cols, r_wire, solve_tol):
+    rng = np.random.default_rng(rows)
+    config = CrossbarConfig(rows, cols, r_wire=r_wire)
+    g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
+    v = rng.uniform(0.0, config.v_sense_max, size=rows)
+    solver = CrossbarSolver(config, g)
+    A = solver._A.tocsc()
+    sol = solver.solve(v)
+    ref = spla.spsolve(A, solver._S @ v)
+    assert rel_diff(np.r_[sol.v_top.ravel(), sol.v_bot.ravel()], ref) <= solve_tol
+    adjoint = spla.spsolve(A, solver._C.toarray()).reshape(A.shape[0], cols)
+    assert rel_diff(solver.transfer_matrix(), solver._S.T @ adjoint) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("slabs, w, r_wire, underflows", [
+    (3, 1, 1.0, False), (4, 16, 1.0, False), (3, 64, 0.5, False),
+    (2, 64, 1e5, False), (2, 160, 3e6, True), (2, 400, 3e5, True)])
+def test_rung_blocks_match_dense_inverse(slabs, w, r_wire, underflows):
+    # K_k = D_k - G_k M_k^-1 G_k against a dense inverse of each tridiagonal
+    # chain block M_k, on the outer-product path and, where the prefix
+    # products of the chain multipliers underflow, on the row recurrence
+    rng = np.random.default_rng(w)
+    g_wire = 1.0 / r_wire
+    gd = rng.uniform(G_MIN, G_MAX, size=(slabs, w))
+    chain = gd.T + g_wire * _wire_neighbours(w)[:, None]
+    chain[0] += 1.0 / (1.0 + r_wire)
+    rung = gd + g_wire * _wire_neighbours(slabs)[:, None]
+    rung[-1] += 1.0 / (1.0 + r_wire)
+    K, piv = _rung_blocks(gd, chain, rung, g_wire)
+    assert (np.prod(g_wire / piv[:-1], axis=0).min() < np.finfo(float).tiny) == underflows
+    off = g_wire * (np.eye(w, k=1) + np.eye(w, k=-1))
+    for k in range(slabs):
+        M_inv = np.linalg.inv(np.diag(chain[:, k]) - off)
+        ref = np.diag(rung[k]) - gd[k][:, None] * M_inv * gd[k][None, :]
+        assert rel_diff(K[k], np.triu(ref)) <= 1e-12
+
+
+def coo_grid_matrix(config, g_dev):
+    """The grid's A, stamped edge by edge in loops and summed by coo -> csc."""
+    m, n = config.rows, config.cols
+    g_w = 1.0 / config.r_wire
+    entries = []
+
+    def edge(a, b, gc):
+        entries.extend([(a, a, gc), (a, b, -gc), (b, b, gc), (b, a, -gc)])
+
+    for i in range(m):   # a terminal stamps only its node's diagonal
+        entries.append((i * n, i * n, 1.0 / (config.r_in + config.r_wire)))
+        for j in range(n - 1):
+            edge(i * n + j, i * n + j + 1, g_w)
+    for j in range(n):
+        for i in range(m - 1):
+            edge(m * n + i * n + j, m * n + (i + 1) * n + j, g_w)
+        sink = m * n + (m - 1) * n + j
+        entries.append((sink, sink, 1.0 / (config.r_out + config.r_wire)))
+    for i in range(m):
+        for j in range(n):
+            edge(i * n + j, m * n + i * n + j, g_dev[i, j])
+    rows, cols, vals = zip(*entries)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(2 * m * n,) * 2).tocsc()
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (27, 16), (16, 40)])
+def test_cached_grid_pattern_matches_coo_assembly(rows, cols):
+    # each resistance set builds its pattern once; the second draw of
+    # conductances reuses it and fills only the devices
+    rng = np.random.default_rng(rows * cols)
+    for r_wire, r_in, r_out, r_t in ((1.0, 1.0, 1.0, 0.0), (0.5, 0.0, 2.0, 500.0)):
+        config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out,
+                                r_transistor_on=r_t)
+        for _ in range(2):
+            solver = CrossbarSolver(config, rng.uniform(G_MIN, G_MAX, size=(rows, cols)))
+            ref = coo_grid_matrix(config, solver.g_dev).toarray()
+            np.testing.assert_array_max_ulp(solver._A.toarray(), ref, maxulp=1)

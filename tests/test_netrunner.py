@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from xbarsim import engine
+from xbarsim import cli, engine
 from xbarsim.convmap import FeatureMap, resnet20_layer_table
 from xbarsim.errors import ValidationError
 from xbarsim.metrics import gen_input
@@ -125,6 +125,27 @@ def test_model_manifest_bad_blob_slice(tmp_path, key, value):
     manifest.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match="conv1.*blob_offset and blob_len"):
         load_model(manifest)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("layers", 5), ("predecessors", 7), ("params", [1]), ("kernel_h", "3")])
+def test_model_manifest_bad_field_types(tmp_path, field, value):
+    model = build_tiny_model(seed=3)
+    manifest, _ = save_model(model, tmp_path / "tiny.json")
+    doc = json.loads(manifest.read_text())
+    entry = next(e for e in doc["layers"] if e["name"] == "conv0")
+    if field == "layers":
+        doc["layers"] = value
+    elif field == "kernel_h":
+        entry["params"][field] = value
+    else:
+        entry[field] = value
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="'layers'" if field == "layers" else "conv0"):
+        load_model(manifest)
+    (tmp_path / "imgs").mkdir()
+    assert cli.main(["run-net", "--model", str(manifest), "--images", str(tmp_path / "imgs"),
+                     "--out", str(tmp_path / "net")]) == cli.EXIT_VALIDATION
 
 
 def test_software_mode_matches_plain_numpy_reference():
