@@ -116,25 +116,19 @@ def _rung_blocks(gd, chain, rung, g_wire):
     chain (w, slabs) on the diagonal, -g_wire beside it). M^-1 is
     semiseparable, (M^-1)_qq = 1 / (piv + back - chain) with backward pivots
     back, (M^-1)_pq = mult_p (M^-1)_{p+1,q} for p < q, mult = g_wire / piv:
-    G M^-1 G is the outer product of gd / P and gd (M^-1)_qq P, P the prefix
-    products of mult, or that row recurrence where 1 / P leaves double range."""
+    each row of G M^-1 G above the diagonal is the next row scaled, which
+    stays in double range however small the products of mult get."""
     slabs, w = gd.shape
     piv, back = chain.copy(), chain.copy()
     for p in range(1, w):
         piv[p] -= g_wire ** 2 / piv[p - 1]
         back[-1 - p] -= g_wire ** 2 / back[-p]
     mult = g_wire / piv
-    m_diag = 1.0 / (piv + back - chain).T
-    prefix = np.cumprod(np.vstack([np.ones(slabs), mult[:-1]]), axis=0).T
     K, idx = np.zeros((slabs, w, w)), np.arange(w)
-    if prefix[:, -1].min() > 1e-150:
-        np.multiply((gd / prefix)[:, :, None], (-gd * m_diag * prefix)[:, None, :],
-                    out=K, where=np.triu(np.ones((w, w), bool)))
-    else:
-        K[:, idx, idx] = -gd * gd * m_diag
-        ratio = gd[:, :-1] * mult[:-1].T / gd[:, 1:]
-        for p in range(w - 2, -1, -1):
-            np.multiply(ratio[:, p, None], K[:, p + 1, p + 1:], out=K[:, p, p + 1:])
+    K[:, idx, idx] = -gd * gd / (piv + back - chain).T
+    ratio = gd[:, :-1] * mult[:-1].T / gd[:, 1:]
+    for p in range(w - 2, -1, -1):
+        np.multiply(ratio[:, p, None], K[:, p + 1, p + 1:], out=K[:, p, p + 1:])
     K[:, idx, idx] += rung
     return K, piv
 
@@ -271,7 +265,8 @@ def _grid_pattern(m, n, r_wire, r_in, r_out):
     S, C = (sp.csc_matrix((g[:, 0], (node[:, 0], np.arange(len(g)))),
                           shape=(size, len(g)))
             for node, g in ((src, g_src), (sink, g_sink)))
-    for shared in (A0.data, A0.indices, A0.indptr, slot, S.data, C.data):
+    for shared in (slot, *(a for M in (A0, S, C)
+                           for a in (M.data, M.indices, M.indptr))):
         shared.flags.writeable = False
     return A0, slot[wires:], S, C
 

@@ -265,16 +265,13 @@ def test_slab_block_failure_is_a_solver_error(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("rows, cols, r_wire, solve_tol", [
+@pytest.mark.parametrize("rows, cols, r_wire", [
     # g_wire^2 = 1e4 per slab over 100 slabs: the Schur recursion must not
     # carry anything that grows with it
-    (100, 4, 0.01, 1e-12),
-    # the chain multipliers multiply to below 1e-308 across the 160-wide
-    # slabs. Devices then outweigh the wires about 100-fold, which costs digits
-    # in any solver: spsolve's own node voltages are 1e-12 off a refined
-    # solution here, so solve is held to 1e-11
-    (160, 160, 3e6, 1e-11)])
-def test_slab_solver_extreme_wire_resistance(rows, cols, r_wire, solve_tol):
+    (100, 4, 0.01),
+    # the chain multipliers multiply to below 1e-308 across the 160-wide slabs
+    (160, 160, 3e6)])
+def test_slab_solver_extreme_wire_resistance(rows, cols, r_wire):
     rng = np.random.default_rng(rows)
     config = CrossbarConfig(rows, cols, r_wire=r_wire)
     g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
@@ -283,7 +280,7 @@ def test_slab_solver_extreme_wire_resistance(rows, cols, r_wire, solve_tol):
     A = solver._A.tocsc()
     sol = solver.solve(v)
     ref = spla.spsolve(A, solver._S @ v)
-    assert rel_diff(np.r_[sol.v_top.ravel(), sol.v_bot.ravel()], ref) <= solve_tol
+    assert rel_diff(np.r_[sol.v_top.ravel(), sol.v_bot.ravel()], ref) <= 1e-12
     adjoint = spla.spsolve(A, solver._C.toarray()).reshape(A.shape[0], cols)
     assert rel_diff(solver.transfer_matrix(), solver._S.T @ adjoint) <= 1e-12
 
@@ -294,8 +291,8 @@ def test_slab_solver_extreme_wire_resistance(rows, cols, r_wire, solve_tol):
     (2, 64, 1e5, False), (2, 160, 3e6, True), (2, 400, 3e5, True)])
 def test_rung_blocks_match_dense_inverse(slabs, w, r_wire, underflows):
     # K_k = D_k - G_k M_k^-1 G_k against a dense inverse of each tridiagonal
-    # chain block M_k, on the outer-product path and, where the prefix
-    # products of the chain multipliers underflow, on the row recurrence
+    # chain block M_k, also where the products of the chain multipliers
+    # across a slab underflow
     rng = np.random.default_rng(w)
     g_wire = 1.0 / r_wire
     gd = rng.uniform(G_MIN, G_MAX, size=(slabs, w))
@@ -349,3 +346,6 @@ def test_cached_grid_pattern_matches_coo_assembly(rows, cols):
             solver = CrossbarSolver(config, rng.uniform(G_MIN, G_MAX, size=(rows, cols)))
             ref = coo_grid_matrix(config, solver.g_dev).toarray()
             np.testing.assert_array_max_ulp(solver._A.toarray(), ref, maxulp=1)
+            # S and C are shared by every solver of the shape: no in-place writes
+            for M in (solver._S, solver._C):
+                assert not any(a.flags.writeable for a in (M.data, M.indices, M.indptr))
