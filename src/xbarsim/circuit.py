@@ -234,7 +234,7 @@ def _grid_pattern(m, n, r_wire, r_in, r_out):
     C) over top (i,j) -> i*n + j, bottom (i,j) -> m*n + i*n + j; shared, never
     written. Stamps come rows first (source edge, then wire segments), then
     columns (wire segments, then sink edge), then devices, each edge as
-    (a,a), (a,b), (b,b), (b,a); each slot sums its stamps in this order."""
+    (a,a), (a,b), (b,b), (b,a); this order fixes how `tocsc` sums them."""
     top = np.arange(m * n).reshape(m, n)
     bot = top + m * n
 
@@ -258,17 +258,17 @@ def _grid_pattern(m, n, r_wire, r_in, r_out):
     i, j, v = (np.concatenate([r.ravel(), c.ravel(), d.ravel()])
                for r, c, d in zip(rows, cols, stamp(top, bot, 0.0)))
     size, wires = 2 * m * n, len(v) - 4 * m * n
-    keys, slot = np.unique(j * size + i, return_inverse=True)   # CSC order
-    A0 = sp.csc_matrix((np.bincount(slot[:wires], v[:wires], minlength=len(keys)),
-                        keys % size, np.searchsorted(keys, np.arange(size + 1) * size)),
-                       shape=(size, size))
+    # the devices' zero stamps stay in A0 as explicit zeros, which reserves their slots
+    A0 = sp.coo_matrix((v, (i, j)), shape=(size, size)).tocsc()
+    keys = np.repeat(np.arange(size), np.diff(A0.indptr)) * size + A0.indices
+    dev_slot = np.searchsorted(keys, j[wires:] * size + i[wires:])
     S, C = (sp.csc_matrix((g[:, 0], (node[:, 0], np.arange(len(g)))),
                           shape=(size, len(g)))
             for node, g in ((src, g_src), (sink, g_sink)))
-    for shared in (slot, *(a for M in (A0, S, C)
-                           for a in (M.data, M.indices, M.indptr))):
+    for shared in (dev_slot, *(a for M in (A0, S, C)
+                               for a in (M.data, M.indices, M.indptr))):
         shared.flags.writeable = False
-    return A0, slot[wires:], S, C
+    return A0, dev_slot, S, C
 
 
 class CrossbarSolver:
