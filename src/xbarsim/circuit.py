@@ -25,8 +25,8 @@ the column output currents. The regimes differ only in how they assemble
   (r_in == r_out == 0) there is no unknown and the output is v_in @ g_dev.
 
 A is factorized once per conductance matrix, and every solve on it is
-residual-checked against A on every node; the grid's A reuses a pattern
-cached per shape (`_grid_pattern`). The grid is factorized by exact block
+residual-checked against A on every node; each grid solver writes its own
+(A, S, C) straight into CSC. The grid is factorized by exact block
 elimination over slabs (`_SlabFactor`): each row slab touches the next only
 through the column wires, so the dense blocks, each built in closed form,
 are only min(m, n) wide. The lumped system, at most m+n nodes, goes to
@@ -39,7 +39,6 @@ zero-parasitic product, and `oracle_solve`, a dense solve with
 independently derived assembly for small arrays.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +54,11 @@ RESIDUAL_TOL = 1e-10
 # once; each holds a (2*rows*cols, block) solution and residual
 TRANSFER_BLOCK_COLS = 64
 ORACLE_MAX_CELLS = 64
+# relative slack on the device range and on the input range [0, v_sense_max]
+CONDUCTANCE_TOL = INPUT_SLACK = 1e-9
 
 
-def check_conductances(config, g, tol=1e-9):
+def check_conductances(config, g):
     """Validate a conductance matrix against config dimensions and bounds."""
     g = np.asarray(g, dtype=float)
     if g.shape != (config.rows, config.cols):
@@ -66,8 +67,8 @@ def check_conductances(config, g, tol=1e-9):
             f"{config.rows}x{config.cols} crossbar")
     if not np.all(np.isfinite(g)):
         raise ValidationError("conductance matrix contains non-finite entries")
-    lo = config.g_min * (1.0 - tol)
-    hi = config.g_max * (1.0 + tol)
+    lo = config.g_min * (1.0 - CONDUCTANCE_TOL)
+    hi = config.g_max * (1.0 + CONDUCTANCE_TOL)
     if g.min() < lo or g.max() > hi:
         raise ValidationError(
             f"conductances [{g.min():.4g}, {g.max():.4g}] outside device range "
@@ -75,7 +76,7 @@ def check_conductances(config, g, tol=1e-9):
     return g
 
 
-def _check_inputs(config, v_in, batch=False, slack=1e-9):
+def _check_inputs(config, v_in, batch=False):
     """Validate one input vector (rows,), or a (k, rows) batch if `batch`."""
     v_in = np.asarray(v_in, dtype=float)
     if v_in.ndim not in ((1, 2) if batch else (1,)) or v_in.shape[-1] != config.rows:
@@ -83,8 +84,8 @@ def _check_inputs(config, v_in, batch=False, slack=1e-9):
             f"input shape {v_in.shape} does not match {config.rows} rows")
     if not np.isfinite(v_in).all():
         raise ValidationError("inputs contain non-finite values")
-    if v_in.size and (v_in.min() < -slack
-                      or v_in.max() > config.v_sense_max * (1.0 + slack)):
+    if v_in.size and (v_in.min() < -INPUT_SLACK
+                      or v_in.max() > config.v_sense_max * (1.0 + INPUT_SLACK)):
         raise ValidationError(
             f"inputs [{v_in.min():.4g}, {v_in.max():.4g}] outside "
             f"[0, {config.v_sense_max}] V")
@@ -228,49 +229,6 @@ class _SlabFactor:
         return x.reshape(-1, x.shape[-1])
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_pattern(m, n, r_wire, r_in, r_out):
-    """(A without its devices, the slots of the device stamps in A.data, S,
-    C) over top (i,j) -> i*n + j, bottom (i,j) -> m*n + i*n + j; shared, never
-    written. Stamps come rows first (source edge, then wire segments), then
-    columns (wire segments, then sink edge), then devices, each edge as
-    (a,a), (a,b), (b,b), (b,a); this order fixes how `tocsc` sums them."""
-    top = np.arange(m * n).reshape(m, n)
-    bot = top + m * n
-
-    def stamp(a, b, g):
-        """(row, col, value) arrays, (lines, 4 * edges) each, of the edges
-        a[l, e] -- b[l, e]."""
-        g = np.broadcast_to(g, a.shape)
-        return [np.stack(t, axis=-1).reshape(len(a), -1)
-                for t in ((a, a, b, b), (a, b, b, a), (g, -g, g, -g))]
-
-    g_wire = 1.0 / r_wire
-    src, sink = top[:, :1], bot[-1:].T   # T(i,0) per row, B(m-1,j) per column
-    # each terminal edge includes one wire segment
-    g_src = np.full((m, 1), 1.0 / (r_in + r_wire))
-    g_sink = np.full((n, 1), 1.0 / (r_out + r_wire))
-    # a terminal edge stamps only its grid node's diagonal
-    rows = map(np.hstack, zip((src, src, g_src),
-                              stamp(top[:, :-1], top[:, 1:], g_wire)))
-    cols = map(np.hstack, zip(stamp(bot.T[:, :-1], bot.T[:, 1:], g_wire),
-                              (sink, sink, g_sink)))
-    i, j, v = (np.concatenate([r.ravel(), c.ravel(), d.ravel()])
-               for r, c, d in zip(rows, cols, stamp(top, bot, 0.0)))
-    size, wires = 2 * m * n, len(v) - 4 * m * n
-    # the devices' zero stamps stay in A0 as explicit zeros, which reserves their slots
-    A0 = sp.coo_matrix((v, (i, j)), shape=(size, size)).tocsc()
-    keys = np.repeat(np.arange(size), np.diff(A0.indptr)) * size + A0.indices
-    dev_slot = np.searchsorted(keys, j[wires:] * size + i[wires:])
-    S, C = (sp.csc_matrix((g[:, 0], (node[:, 0], np.arange(len(g)))),
-                          shape=(size, len(g)))
-            for node, g in ((src, g_src), (sink, g_sink)))
-    for shared in (dev_slot, *(a for M in (A0, S, C)
-                               for a in (M.data, M.indices, M.indptr))):
-        shared.flags.writeable = False
-    return A0, dev_slot, S, C
-
-
 class CrossbarSolver:
     """Factorized nodal solver for one (config, conductance matrix) pair.
 
@@ -298,13 +256,41 @@ class CrossbarSolver:
             raise SolverError(f"singular crossbar system: {exc}") from exc
 
     def _factor_grid(self):
-        """(A, S, C) over the grid and the slab factorization of A."""
+        """(A, S, C) over top (i,j) -> i*n + j, bottom (i,j) -> m*n + i*n + j,
+        written straight into CSC, and the slab factorization of A.
+
+        A is symmetric, so column k lists node k's neighbours in ascending
+        order: a top node's left wire, itself, its right wire and its device;
+        a bottom node's device, the wire above, itself and the wire below.
+        Slots past a wire's end are dropped. Each diagonal adds its device
+        last, after its terminal and wires, as a coo -> csc sum of the edge
+        stamps would."""
         cfg, gd = self.config, self.g_dev
-        A0, dev_slot, S, C = _grid_pattern(cfg.rows, cfg.cols, cfg.r_wire, cfg.r_in, cfg.r_out)
-        data = A0.data.copy()   # the devices' slots are distinct
-        data[dev_slot] += np.stack((gd, -gd, gd, -gd), axis=-1).ravel()
-        A = sp.csc_matrix((data, A0.indices, A0.indptr), shape=A0.shape)
-        return A, S, C, _SlabFactor(gd, 1.0 / cfg.r_wire, S.data[0], C.data[0])  # g_src, g_sink
+        m, n = gd.shape
+        mn, g_wire = m * n, 1.0 / cfg.r_wire
+        # each terminal edge includes one wire segment
+        g_src, g_sink = 1.0 / (cfg.r_in + cfg.r_wire), 1.0 / (cfg.r_out + cfg.r_wire)
+        wires = np.stack(np.broadcast_arrays(_wire_neighbours(n), _wire_neighbours(m)[:, None]))
+        g_diag = g_wire * wires
+        g_diag[0, :, 0] += g_src
+        g_diag[1, -1] += g_sink
+        g_diag += gd
+        top, bot = np.arange(2 * mn, dtype=np.int32).reshape(2, m, n)
+        # four slots per node (2, m, n, 4); those past a wire's end get row -1
+        row = np.stack((np.stack((top - 1, top, top + 1, bot), -1),
+                        np.stack((top, bot - n, bot, bot + n), -1)))
+        row[0, :, 0, 0] = row[0, :, -1, 2] = row[1, 0, :, 1] = row[1, -1, :, 3] = -1
+        val = np.full(row.shape, -g_wire)
+        val[0, ..., 1], val[1, ..., 2] = g_diag
+        val[0, ..., 3] = val[1, ..., 0] = -gd
+        kept = row >= 0
+        indptr = np.r_[0, (wires + 2).cumsum()].astype(np.int32)   # wires, itself, device
+        A = sp.csc_matrix((val[kept], row[kept], indptr), shape=(2 * mn,) * 2)
+        # one entry per column: the source node T(i,0), the sink node B(m-1,j)
+        S, C = (sp.csc_matrix((np.full(len(term), g), term, np.arange(len(term) + 1)),
+                              shape=(2 * mn, len(term)))
+                for term, g in ((top[:, 0], g_src), (bot[-1], g_sink)))
+        return A, S, C, _SlabFactor(gd, g_wire, g_src, g_sink)
 
     def _factor_lumped(self):
         """(A, S, C) over the free row nodes, then the free column nodes, and

@@ -38,6 +38,9 @@ TENSOR_VERSION = 1
 
 LAYER_KINDS = ("input", "conv", "fc", "relu", "batchnorm",
                "global_avg_pool", "add", "softmax")
+# the least value of each integer layer param a manifest may hold
+INT_PARAM_MIN = {"kernel_h": 1, "kernel_w": 1, "in_channels": 1, "out_channels": 1,
+                 "channels": 1, "stride": 1, "padding": 0}
 
 # one error-tap row per (window, column) output element of a tapped layer
 TAP_DTYPE = np.dtype([("layer", object), ("window", np.int64), ("column", np.int64),
@@ -294,15 +297,17 @@ def load_model(manifest_path):
         raise ValidationError("model manifest 'layers' must be a list")
     layers = []
     for entry in manifest["layers"]:
+        if not isinstance(entry, dict):
+            raise ValidationError("model manifest 'layers' must hold objects")
         for key in ("name", "kind", "params", "predecessors"):
             if key not in entry:
                 raise ValidationError(f"layer entry missing key {key!r}")
         p = entry["params"]
         if not (isinstance(p, dict) and isinstance(entry["predecessors"], list)) or any(
-                not (type(p[k]) is int and p[k] >= 1) for k in (
-                    "kernel_h", "kernel_w", "in_channels", "out_channels", "channels") if k in p):
+                not (type(p[k]) is int and p[k] >= low)
+                for k, low in INT_PARAM_MIN.items() if k in p):
             raise ValidationError(f"layer {entry['name']!r} needs object params with integer "
-                                  "sizes >= 1 and list predecessors")
+                                  "sizes and stride >= 1, padding >= 0 and list predecessors")
         try:
             shape = _layer_weight_shape(entry["kind"], entry["params"])
         except KeyError as exc:

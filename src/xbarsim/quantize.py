@@ -7,6 +7,8 @@ import numpy as np
 from .errors import ValidationError
 
 MIN_BITS, MAX_BITS = 2, 16
+# calibrated ADC full scale over the largest sample current
+ADC_HEADROOM = 1.05
 
 
 def check_bits(bits):
@@ -84,8 +86,8 @@ def adc_quantize(i, spec: AdcSpec):
     return _quantize(i, spec.i_min, spec.i_max, spec.bits, spec)
 
 
-def calibrate_adc_range(bits, sample_currents, headroom=1.05) -> AdcSpec:
-    """ADC reference range from observed column currents: [0, headroom * max]."""
+def calibrate_adc_range(bits, sample_currents) -> AdcSpec:
+    """ADC reference range from observed column currents: [0, ADC_HEADROOM * max]."""
     sample_currents = np.asarray(sample_currents, dtype=float)
     if sample_currents.size == 0:
         raise ValidationError("cannot calibrate ADC range from empty samples")
@@ -94,4 +96,4 @@ def calibrate_adc_range(bits, sample_currents, headroom=1.05) -> AdcSpec:
     peak = float(sample_currents.max())
     if peak <= 0.0:
         raise ValidationError("cannot calibrate ADC range from all-zero samples")
-    return AdcSpec(bits=bits, i_min=0.0, i_max=headroom * peak)
+    return AdcSpec(bits=bits, i_min=0.0, i_max=ADC_HEADROOM * peak)

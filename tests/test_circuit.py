@@ -334,18 +334,25 @@ def coo_grid_matrix(config, g_dev):
     return sp.coo_matrix((vals, (rows, cols)), shape=(2 * m * n,) * 2).tocsc()
 
 
-@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (27, 16), (16, 40)])
-def test_cached_grid_pattern_matches_coo_assembly(rows, cols):
-    # each resistance set builds its pattern once; the second draw of
-    # conductances reuses it and fills only the devices
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (27, 16), (16, 40), (16, 160)])
+def test_grid_matrices_match_coo_assembly(rows, cols):
+    # A is written straight into CSC: bit for bit the stamps summed by coo -> csc
     rng = np.random.default_rng(rows * cols)
-    for r_wire, r_in, r_out, r_t in ((1.0, 1.0, 1.0, 0.0), (0.5, 0.0, 2.0, 500.0)):
+    m, n = rows, cols
+    for r_wire, r_in, r_out, r_t in ((1.0, 1.0, 1.0, 0.0), (0.5, 0.0, 2.0, 500.0),
+                                     (3e6, 1.0, 1.0, 0.0)):
         config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out,
                                 r_transistor_on=r_t)
-        for _ in range(2):
-            solver = CrossbarSolver(config, rng.uniform(G_MIN, G_MAX, size=(rows, cols)))
-            ref = coo_grid_matrix(config, solver.g_dev).toarray()
-            np.testing.assert_array_max_ulp(solver._A.toarray(), ref, maxulp=1)
-            # S and C are shared by every solver of the shape: no in-place writes
-            for M in (solver._S, solver._C):
-                assert not any(a.flags.writeable for a in (M.data, M.indices, M.indptr))
+        solver = CrossbarSolver(config, rng.uniform(G_MIN, G_MAX, size=(rows, cols)))
+        A, ref = solver._A, coo_grid_matrix(config, solver.g_dev)
+        assert A.has_canonical_format
+        for got, want in ((A.data, ref.data), (A.indices, ref.indices),
+                          (A.indptr, ref.indptr)):
+            assert np.array_equal(got, want)
+        # one source (sink) entry per column, at T(i,0) (B(m-1,j))
+        for M, nodes, g_term in ((solver._S, np.arange(m) * n, 1.0 / (r_in + r_wire)),
+                                 (solver._C, m * n + (m - 1) * n + np.arange(n),
+                                  1.0 / (r_out + r_wire))):
+            assert M.shape == (2 * m * n, len(nodes)) and M.has_canonical_format
+            assert np.array_equal(M.indptr, np.arange(len(nodes) + 1))
+            assert np.array_equal(M.indices, nodes) and np.all(M.data == g_term)

@@ -128,7 +128,8 @@ def test_model_manifest_bad_blob_slice(tmp_path, key, value):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("layers", 5), ("predecessors", 7), ("params", [1]), ("kernel_h", "3")])
+    ("layers", 5), ("predecessors", 7), ("params", [1]), ("kernel_h", "3"),
+    ("entry", 5), ("stride", "2"), ("padding", "1"), ("padding", True)])
 def test_model_manifest_bad_field_types(tmp_path, field, value):
     model = build_tiny_model(seed=3)
     manifest, _ = save_model(model, tmp_path / "tiny.json")
@@ -136,12 +137,15 @@ def test_model_manifest_bad_field_types(tmp_path, field, value):
     entry = next(e for e in doc["layers"] if e["name"] == "conv0")
     if field == "layers":
         doc["layers"] = value
-    elif field == "kernel_h":
+    elif field == "entry":   # one layer entry that is not an object
+        doc["layers"].insert(1, value)
+    elif field in entry["params"]:
         entry["params"][field] = value
     else:
         entry[field] = value
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match="'layers'" if field == "layers" else "conv0"):
+    with pytest.raises(ValidationError,
+                       match="'layers'" if field in ("layers", "entry") else "conv0"):
         load_model(manifest)
     (tmp_path / "imgs").mkdir()
     assert cli.main(["run-net", "--model", str(manifest), "--images", str(tmp_path / "imgs"),
