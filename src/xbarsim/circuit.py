@@ -27,9 +27,9 @@ the column output currents. The regimes differ only in how they assemble
 A is factorized once per conductance matrix, and every solve on it is
 residual-checked against A on every node; each grid solver writes its own
 (A, S, C) straight into CSC. The grid is factorized by exact block
-elimination over slabs (`_SlabFactor`): each row slab touches the next only
+elimination over row slabs (`_SlabFactor`): each row touches the next only
 through the column wires, so the dense blocks, each built in closed form,
-are only min(m, n) wide. The lumped system, at most m+n nodes, goes to
+are only n wide. The lumped system, at most m+n nodes, goes to
 SuperLU. The network is linear, so its output currents are `v_in @ T` for
 the transfer matrix T = S^T A^-1 C, which `transfer_matrix` computes once
 from one adjoint solve per column, on C's sparse columns, and caches; batch
@@ -149,30 +149,21 @@ class _SlabFactor:
     sweeps the rungs forward from the first slab it touches and back, then
     recovers the chains.
 
-    Slabs are rows (chain: top row with the source at its start; rungs:
-    bottom nodes, sinking below the last row) unless cols > rows; then
-    they are columns (chain: bottom column with the sink at its end; rungs:
-    top nodes, driven before the first column). The dense blocks are
-    min(rows, cols) wide either way.
+    Slabs are rows: the chain is the top row with the source at its start,
+    the rungs are the bottom nodes, sinking below the last row, and the
+    dense blocks are cols wide.
     """
 
     def __init__(self, g_dev, g_wire, g_src, g_sink):
-        m, n = g_dev.shape
-        self._shape, self._g_wire = (m, n), g_wire
-        self._columns = n > m
-        gd = g_dev.T if self._columns else g_dev   # (slabs, w)
-        slabs, w = gd.shape
+        self._g_wire = g_wire
+        slabs, w = g_dev.shape
         # chains are laid out (w, slabs, ...), rungs (slabs, w, ...)
-        self._gd_chain, self._gd_rung = gd.T[:, :, None], gd[:, :, None]
-        chain = gd.T + g_wire * _wire_neighbours(w)[:, None]
-        rung = gd + g_wire * _wire_neighbours(slabs)[:, None]
-        if self._columns:
-            chain[-1] += g_sink
-            rung[0] += g_src
-        else:
-            chain[0] += g_src
-            rung[-1] += g_sink
-        inv, piv = _rung_blocks(gd, chain, rung, g_wire)
+        self._gd_chain, self._gd_rung = g_dev.T[:, :, None], g_dev[:, :, None]
+        chain = g_dev.T + g_wire * _wire_neighbours(w)[:, None]
+        rung = g_dev + g_wire * _wire_neighbours(slabs)[:, None]
+        chain[0] += g_src
+        rung[-1] += g_sink
+        inv, piv = _rung_blocks(g_dev, chain, rung, g_wire)
         self._piv, self._mult = piv[:, :, None], (g_wire / piv)[:, :, None]
         # each Sigma_k^-1 in its K_k's place; the lower triangles stay zero
         for k in range(slabs):
@@ -203,14 +194,11 @@ class _SlabFactor:
     def solve(self, rhs):
         """A x = rhs for a (2*rows*cols, k) COO right-hand side without
         duplicate entries: the dense (2*rows*cols, k) solution."""
-        m, n = self._shape
-        x = np.zeros((2, m, n, rhs.shape[1]))
-        # (chain, rung) views of the solution
-        chain, rung = ((x[1], x[0].transpose(1, 0, 2)) if self._columns
-                       else (x[0].transpose(1, 0, 2), x[1]))
-        half, i, j = np.unravel_index(rhs.row, (2, m, n))
-        slab, pos = (j, i) if self._columns else (i, j)
-        c = half == self._columns   # entries on a chain
+        x = np.zeros((2, *self._gd_rung.shape[:2], rhs.shape[1]))
+        # (chain, rung) views of the solution: the top rows, the bottom nodes
+        chain, rung = x[0].transpose(1, 0, 2), x[1]
+        half, slab, pos = np.unravel_index(rhs.row, x.shape[:3])
+        c = half == 0   # entries on a chain
         rung[slab[~c], pos[~c], rhs.col[~c]] = rhs.data[~c]
         if c.any():   # eliminate the chains' injections into the rungs
             z = np.zeros(chain.shape)

@@ -91,10 +91,11 @@ def _require_file(path):
 
 
 def _write_log(out_path, command):
-    """Sidecar log next to the output; the only place a timestamp appears."""
+    """Sidecar log next to the output, with the arguments `main` was given;
+    the only place a timestamp appears."""
     stamp = datetime.datetime.now().isoformat(timespec="seconds")
-    Path(str(out_path) + ".log").write_text(
-        f"{stamp} {command} {' '.join(sys.argv[1:])}\n")
+    argv = click.get_current_context().obj["argv"]
+    Path(str(out_path) + ".log").write_text(f"{stamp} {command} {' '.join(argv)}\n")
 
 
 def _resolve_threads(threads):
@@ -210,7 +211,7 @@ def build_engine_cmd(config_path, weights_path, samples_path, out_path):
 @click.option("--kernel-type", type=click.IntRange(1, 3), default=1)
 @click.option("--kernel-shape", type=str, default="3x3x32x32",
               help="Kernel dims kh x kw x in_c x out_c, e.g. 3x3x32x32.")
-@click.option("--input-hw", type=int, default=8,
+@click.option("--input-hw", type=click.IntRange(min=1), default=8,
               help="Synthetic input feature map height/width.")
 @click.option("--sparsity", type=float, default=0.5)
 @click.option("--seed", type=click.IntRange(min=0), default=0)
@@ -371,9 +372,11 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
 
 
 def main(argv=None):
-    """Entry point mapping exceptions onto the exit-code contract."""
+    """Entry point mapping exceptions onto the exit-code contract; `argv`
+    defaults to the process's own arguments."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cli.main(args=argv, standalone_mode=False)
+        cli.main(args=argv, standalone_mode=False, obj={"argv": argv})
         return 0
     except click.exceptions.Abort:
         click.echo("aborted", err=True)

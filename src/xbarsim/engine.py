@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import CrossbarSolver
+from .circuit import INPUT_SLACK, CrossbarSolver
 from .config import CrossbarConfig
 from .errors import ValidationError
 from .quantize import AdcSpec, DacSpec, adc_quantize, calibrate_adc_range, dac_quantize
@@ -139,6 +139,11 @@ def map_weights(weights, config: CrossbarConfig, x_max=1.0):
                                    beta=beta, x_max=float(x_max))
 
 
+def _is_fraction(a):
+    """Whether `a` is a number in (0, 1]; bools are not numbers here."""
+    return not isinstance(a, bool) and isinstance(a, numbers.Real) and 0.0 < a <= 1.0
+
+
 def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
             target_scale="auto", max_iter=100):
     """Iteratively tune programmed conductances against the solved circuit.
@@ -164,11 +169,13 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
     target_scale "auto" rescales each column to the largest fraction of the
     ideal target its devices can reach without ceiling saturation; a numeric
     value (e.g. 1.0) fixes the scale, which large parasitic arrays cannot
-    reach. Returns a ConversionResult whose `solver` (the engine's, in
-    `build_engine`), `g_device` and `col_error` belong to the last array
-    solved. `iterations` counts the updates applied: max_iter=0 is direct
-    mapping, and `iterations + 1` arrays are factorized. `stop` names the
-    exit taken; `converged` reports whether `col_error` <= CONVERGED_TOL.
+    reach. The signal must lie in (0, v_sense_max], target_scale be "auto"
+    or in (0, 1] and max_iter be an integer >= 0. Returns a
+    ConversionResult whose `solver` (the engine's, in `build_engine`),
+    `g_device` and `col_error` belong to the last array solved.
+    `iterations` counts the updates applied: max_iter=0 is direct mapping,
+    and `iterations + 1` arrays are factorized. `stop` names the exit taken;
+    `converged` reports whether `col_error` <= CONVERGED_TOL.
     """
     g_target = np.asarray(g_target, dtype=float)
     if g_target.shape != (config.rows, config.cols):
@@ -179,8 +186,17 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
         raise ValidationError(f"v_conv must have shape ({config.rows},)")
     if method not in ("transfer", "branch"):
         raise ValidationError(f"unknown conversion method {method!r}")
-    if method == "branch" and not (v_conv > 0.0).all():
-        raise ValidationError("branch conversion needs a strictly positive signal")
+    # also rejects NaN entries
+    if not ((v_conv > 0.0) & (v_conv <= config.v_sense_max * (1.0 + INPUT_SLACK))).all():
+        raise ValidationError(
+            f"conversion signal must lie in (0, {config.v_sense_max}] V")
+    if not (_is_fraction(target_scale)
+            or isinstance(target_scale, str) and target_scale == "auto"):
+        raise ValidationError(
+            f"target_scale must be 'auto' or a number in (0, 1], got {target_scale!r}")
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
+            or max_iter < 0):
+        raise ValidationError(f"max_iter must be an integer >= 0, got {max_iter!r}")
 
     i_unit = v_conv @ g_target     # ideal column currents at unit scale
     norm = max(float(np.abs(i_unit).max()), 1e-300)
@@ -261,8 +277,7 @@ def check_amplitudes(amplitudes):
     of numbers in (0, 1], fractions of v_sense_max; return them as a tuple."""
     values = (tuple(amplitudes)
               if isinstance(amplitudes, (list, tuple, np.ndarray)) else ())
-    if not values or any(isinstance(a, bool) or not isinstance(a, numbers.Real)
-                         or not 0.0 < a <= 1.0 for a in values):
+    if not values or not all(map(_is_fraction, values)):
         raise ValidationError(
             f"amplitudes must be a non-empty list of numbers in (0, 1], got {amplitudes!r}")
     return values

@@ -237,10 +237,12 @@ GRID_REGIMES = [regime for regime in REGIMES if regime[0] > 0.0]
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (4, 9), (9, 4),
-                                        (27, 16), (16, 40), (40, 16), (16, 160)])
+                                        (27, 16), (16, 40), (40, 16), (16, 160),
+                                        (4, 256)])
 def test_slab_solver_matches_sparse_reference(rows, cols):
-    # row slabs, and column slabs where cols > rows, against spsolve on A;
-    # 16x160 passes C to the solver in three sparse blocks
+    # the row slabs against spsolve on A, tall and wide; 4x256 (64:1) builds
+    # 256-wide dense blocks, and 16x160 and 4x256 pass C to the solver in
+    # several sparse blocks
     rng = np.random.default_rng(100 * rows + cols)
     for r_wire, r_in, r_out, r_t in GRID_REGIMES:
         config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out,

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,22 @@ def test_simulate_single_cell(tmp_path):
     assert rc == 0
     out = read_json(tmp_path / "out.json")
     assert out["i_out"][0] == pytest.approx(0.2 / 15_004.0, rel=1e-6)
+
+
+def test_log_records_the_arguments_main_was_given(monkeypatch, tmp_path):
+    save_tensor(tmp_path / "g.mten", np.array([[1.0 / 15_000.0]]))
+    save_tensor(tmp_path / "v.mten", np.array([0.2]))
+    args = ["simulate", "--conductance", str(tmp_path / "g.mten"),
+            "--input", str(tmp_path / "v.mten"), "--out", str(tmp_path / "out.json")]
+    # in-process: the host process's own arguments are not the command's
+    monkeypatch.setattr(sys, "argv", ["host", "extra-host-arg"])
+    assert cli.main(args) == 0
+    log = (tmp_path / "out.json.log").read_text()
+    assert log.split(" ", 1)[1] == "simulate " + " ".join(args) + "\n"
+    # with no argv, main runs on the process's arguments and logs them
+    monkeypatch.setattr(sys, "argv", ["xbarsim", *args])
+    assert cli.main() == 0
+    assert (tmp_path / "out.json.log").read_text().split(" ", 1)[1] == log.split(" ", 1)[1]
 
 
 def test_simulate_matches_oracle_from_files(tmp_path):
@@ -207,6 +224,14 @@ def test_bad_config_value_rejected_before_conversion(tmp_path, monkeypatch,
 def test_layer_exp_rejects_negative_seed_option(tmp_path):
     rc = cli.main(["layer-exp", "--kernel-shape", "2x2x3x3", "--input-hw", "4",
                    "--seed", "-1", "--out", str(tmp_path / "exp")])
+    assert rc == cli.EXIT_USAGE
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("input_hw", ["0", "-1"])
+def test_layer_exp_rejects_non_positive_input_hw_option(tmp_path, input_hw):
+    rc = cli.main(["layer-exp", "--kernel-shape", "2x2x3x3", "--input-hw", input_hw,
+                   "--out", str(tmp_path / "exp")])
     assert rc == cli.EXIT_USAGE
     assert not (tmp_path / "exp").exists()
 

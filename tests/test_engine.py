@@ -206,6 +206,27 @@ def test_convert_validation():
         convert(config, g, np.full(4, 0.02), method="nope")
     with pytest.raises(ValidationError):
         convert(config, g, np.zeros(4), method="branch")
+    v_max = config.v_sense_max
+    # a signal outside (0, v_sense_max] under either method
+    for method in ("transfer", "branch"):
+        for signal in (0.0, -0.01, np.nan, np.inf, 1.01 * v_max):
+            with pytest.raises(ValidationError, match="conversion signal"):
+                convert(config, g, np.full(4, signal), method=method)
+    for target_scale in (0.0, -1.0, 1.5, np.nan, "foo", None, True):
+        with pytest.raises(ValidationError, match="target_scale"):
+            convert(config, g, np.full(4, 0.02), target_scale=target_scale)
+    for max_iter in (-3, 2.5, None, True):
+        with pytest.raises(ValidationError, match="max_iter"):
+            convert(config, g, np.full(4, 0.02), max_iter=max_iter)
+    # the range ends and numpy scalars are accepted
+    convert(config, g, np.full(4, v_max), target_scale=1, max_iter=np.int64(0))
+    convert(config, g, np.full(4, 0.02), target_scale=np.float64(0.5), max_iter=0)
+    # program converts at signal_fraction * v_sense_max
+    for kwargs in ({"signal_fraction": 0.0}, {"signal_fraction": np.nan},
+                   {"signal_fraction": 1.5}, {"target_scale": 0.0},
+                   {"target_scale": -1.0}, {"target_scale": "foo"}, {"max_iter": -3}):
+        with pytest.raises(ValidationError):
+            program(gen_kernel(1, (4, 4), 0), **kwargs)
 
 
 def test_calibration_ideal_engine_nominal_gain_zero_offset():
