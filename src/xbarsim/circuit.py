@@ -165,7 +165,8 @@ class _SlabFactor:
         rung[-1] += g_sink
         inv, piv = _rung_blocks(g_dev, chain, rung, g_wire)
         self._piv, self._mult = piv[:, :, None], (g_wire / piv)[:, :, None]
-        # each Sigma_k^-1 in its K_k's place; the lower triangles stay zero
+        # each Sigma_k^-1 in its K_k's place, its upper triangle mirrored down
+        lower = np.tri(w, k=-1, dtype=bool)
         for k in range(slabs):
             if k:
                 inv[k] -= g_wire ** 2 * inv[k - 1]
@@ -177,8 +178,8 @@ class _SlabFactor:
             if info != 0:
                 raise np.linalg.LinAlgError(
                     f"slab {k} block is not positive definite (LAPACK info {info})")
-        self._inv = np.where(np.triu(np.ones((w, w), bool)), inv,
-                             inv.transpose(0, 2, 1))
+            inv[k][lower] = inv[k].T[lower]
+        self._inv = inv
 
     def _chain_solve(self, r):
         """M_k z_k = r_k for every slab k at once, in place; r (w, slabs, k)."""

@@ -127,62 +127,3 @@ def conv_reference_loops(fm: FeatureMap, spec: ConvSpec):
                 out[oy, ox, oc] = acc
     return FeatureMap(out)
 
-
-@dataclass
-class LayerGeometry:
-    """One row of a dense-mapping table: layer name plus conv geometry."""
-
-    name: str
-    kernel: tuple      # (kh, kw, in_c, out_c)
-    input_hw: tuple    # (H, W) of the input feature map
-    stride: int = 1
-    padding: int = 0
-    parallel_shortcut: bool = False   # summation layers run alongside convs
-
-    @property
-    def crossbar_shape(self):
-        kh, kw, ic, oc = self.kernel
-        return (kh * kw * ic, oc)
-
-    @property
-    def iterations(self):
-        kh, kw, ic, oc = self.kernel
-        spec = ConvSpec(kh, kw, ic, oc, stride=self.stride, padding=self.padding)
-        oh, ow = spec.output_shape(*self.input_hw)
-        return oh * ow
-
-
-def iteration_count(table):
-    """Per-layer iteration counts and the sequential total.
-
-    Shortcut-summation layers run in parallel with the convolutions and are
-    excluded from the sequential total.
-    """
-    per_layer = {g.name: g.iterations for g in table}
-    total = sum(g.iterations for g in table if not g.parallel_shortcut)
-    return per_layer, total
-
-
-def resnet20_layer_table():
-    """Dense-mapping table for ResNet-20 on 32x32x3 images (CIFAR-10).
-
-    Strides: 1 within stages, 2 at the two downsampling boundaries (Conv7,
-    Conv13 and their Sum shortcuts); 3x3 convolutions use padding 1.
-    """
-    t = []
-    t.append(LayerGeometry("conv0", (3, 3, 3, 16), (32, 32), 1, 1))
-    for i in (1, 2):
-        t.append(LayerGeometry(f"conv{i}", (3, 3, 16, 16), (32, 32), 1, 1))
-    t.append(LayerGeometry("sum1", (1, 1, 16, 16), (32, 32), 1, 0, parallel_shortcut=True))
-    for i in (3, 4, 5, 6):
-        t.append(LayerGeometry(f"conv{i}", (3, 3, 16, 16), (32, 32), 1, 1))
-    t.append(LayerGeometry("sum2", (1, 1, 16, 32), (32, 32), 2, 0, parallel_shortcut=True))
-    t.append(LayerGeometry("conv7", (3, 3, 16, 32), (32, 32), 2, 1))
-    for i in (8, 9, 10, 11, 12):
-        t.append(LayerGeometry(f"conv{i}", (3, 3, 32, 32), (16, 16), 1, 1))
-    t.append(LayerGeometry("sum3", (1, 1, 32, 64), (16, 16), 2, 0, parallel_shortcut=True))
-    t.append(LayerGeometry("conv13", (3, 3, 32, 64), (16, 16), 2, 1))
-    for i in (14, 15, 16, 17, 18):
-        t.append(LayerGeometry(f"conv{i}", (3, 3, 64, 64), (8, 8), 1, 1))
-    t.append(LayerGeometry("fc", (1, 1, 64, 10), (1, 1), 1, 0))
-    return t

@@ -40,7 +40,11 @@ LAYER_KINDS = ("input", "conv", "fc", "relu", "batchnorm",
                "global_avg_pool", "add", "softmax")
 # the least value of each integer layer param a manifest may hold
 INT_PARAM_MIN = {"kernel_h": 1, "kernel_w": 1, "in_channels": 1, "out_channels": 1,
-                 "channels": 1, "stride": 1, "padding": 0}
+                 "channels": 1, "height": 1, "width": 1, "stride": 1, "padding": 0}
+# the params each layer kind must carry
+CONV_PARAMS = ("kernel_h", "kernel_w", "in_channels", "out_channels")
+REQUIRED_PARAMS = {"input": ("height", "width", "channels"), "conv": CONV_PARAMS,
+                   "fc": CONV_PARAMS, "batchnorm": ("channels",)}
 
 # one error-tap row per (window, column) output element of a tapped layer
 TAP_DTYPE = np.dtype([("layer", object), ("window", np.int64), ("column", np.int64),
@@ -135,6 +139,9 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValidationError(f"unknown layer kind {self.kind!r}")
+        missing = [k for k in REQUIRED_PARAMS.get(self.kind, ()) if k not in self.params]
+        if missing:
+            raise ValidationError(f"layer {self.name!r} params missing key {missing[0]!r}")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
 
@@ -145,50 +152,75 @@ class LayerSpec:
                         p["out_channels"], stride=p.get("stride", 1),
                         padding=p.get("padding", 0))
 
+    @property
+    def weight_shape(self):
+        """The (rows, out_channels) unrolled kernel of a conv/fc layer, the
+        (2, channels) scale/bias of a batchnorm, None for the other kinds."""
+        if self.kind in ("conv", "fc"):
+            return (self.conv_spec.unrolled_rows, self.params["out_channels"])
+        return (2, self.params["channels"]) if self.kind == "batchnorm" else None
+
 
 class NetworkModel:
-    """Ordered, validated layer graph with per-layer program and engine caches."""
+    """Ordered, validated layer graph with per-layer program and engine caches.
+
+    `shapes` maps each layer to its (H, W, C) output, `windows` each conv/fc
+    layer to its output positions (one VMM each), and `sequential_windows` is
+    the longest window-weighted path through the graph: the VMMs one image
+    needs in sequence when branches run beside each other.
+    """
 
     def __init__(self, name, layers):
         self.name = name
         self.layers = list(layers)
-        self._by_name = {}
         self._programs = {}
         self._engines = {}
         self._validate()
 
     def _validate(self):
-        seen = set()
         inputs = [l for l in self.layers if l.kind == "input"]
         sinks = [l for l in self.layers if l.kind == "softmax"]
         if len(inputs) != 1:
             raise ValidationError(f"model needs exactly 1 input layer, got {len(inputs)}")
         if len(sinks) != 1:
             raise ValidationError(f"model needs exactly 1 softmax layer, got {len(sinks)}")
+        self.shapes, self.windows, path = {}, {}, {}
         for layer in self.layers:
-            if layer.name in seen:
-                raise ValidationError(f"duplicate layer name {layer.name!r}")
-            expected_preds = {"input": 0, "add": 2}.get(layer.kind, 1)
+            name, kind, p = layer.name, layer.kind, layer.params
+            if name in self.shapes:
+                raise ValidationError(f"duplicate layer name {name!r}")
+            expected_preds = {"input": 0, "add": 2}.get(kind, 1)
             if len(layer.predecessors) != expected_preds:
                 raise ValidationError(
-                    f"layer {layer.name!r} ({layer.kind}) needs "
+                    f"layer {name!r} ({kind}) needs "
                     f"{expected_preds} predecessors, got {len(layer.predecessors)}")
             for pred in layer.predecessors:
-                if pred not in seen:
+                if pred not in self.shapes:
                     raise ValidationError(
-                        f"layer {layer.name!r} references {pred!r} before definition")
-            if layer.kind in ("conv", "fc"):
-                spec = layer.conv_spec
-                expect = (spec.unrolled_rows, spec.out_channels)
-                if layer.weights is None or layer.weights.shape != expect:
-                    raise ValidationError(
-                        f"layer {layer.name!r} weights must have shape {expect}")
-            if layer.kind == "batchnorm":
-                ch = layer.params["channels"]
-                if layer.weights is None or layer.weights.shape != (2, ch):
-                    raise ValidationError(
-                        f"layer {layer.name!r} needs (2, {ch}) scale/bias weights")
-            seen.add(layer.name)
+                        f"layer {name!r} references {pred!r} before definition")
+            shape = layer.weight_shape
+            if shape is not None and (layer.weights is None or layer.weights.shape != shape):
+                raise ValidationError(f"layer {name!r} weights must have shape {shape}")
+            ins = [self.shapes[pred] for pred in layer.predecessors]
+            out = (p["height"], p["width"], p["channels"]) if kind == "input" else ins[0]
+            key = {"conv": "in_channels", "fc": "in_channels", "batchnorm": "channels"}.get(kind)
+            if key and p[key] != out[2]:
+                raise ValidationError(f"layer {name!r} has {key} {p[key]}, but "
+                                      f"{layer.predecessors[0]!r} gives {out[2]} channels")
+            if kind in ("conv", "fc"):
+                try:
+                    out = (*layer.conv_spec.output_shape(*out[:2]), p["out_channels"])
+                except ValidationError as exc:
+                    raise ValidationError(f"layer {name!r}: {exc}") from None
+                self.windows[name] = out[0] * out[1]
+            elif kind == "global_avg_pool":
+                out = (1, 1, out[2])
+            elif kind == "add" and ins[1] != out:
+                raise ValidationError(f"layer {name!r} adds shapes {ins[0]} and {ins[1]}")
+            self.shapes[name] = out
+            path[name] = self.windows.get(name, 0) + max(
+                (path[pred] for pred in layer.predecessors), default=0)
+        self.sequential_windows = max(path.values())
         self._by_name = {l.name: l for l in self.layers}
 
     def layer(self, name):
@@ -234,9 +266,6 @@ class NetworkModel:
                 adc_bits=adc_bits, seed=seed, name=layer.name, **readout)
         return self._engines[key]
 
-    def crossbar_shapes(self):
-        return {l.name: l.weights.shape for l in self.weight_layers()}
-
 
 # ---------------------------------------------------------------------------
 # manifest + blob io
@@ -266,15 +295,6 @@ def save_model(model: NetworkModel, manifest_path):
     blob_path.write_bytes(blob)
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path, blob_path
-
-
-def _layer_weight_shape(kind, params):
-    if kind in ("conv", "fc"):
-        rows = params["kernel_h"] * params["kernel_w"] * params["in_channels"]
-        return (rows, params["out_channels"])
-    if kind == "batchnorm":
-        return (2, params["channels"])
-    return None
 
 
 def load_model(manifest_path):
@@ -308,12 +328,9 @@ def load_model(manifest_path):
                 for k, low in INT_PARAM_MIN.items() if k in p):
             raise ValidationError(f"layer {entry['name']!r} needs object params with integer "
                                   "sizes and stride >= 1, padding >= 0 and list predecessors")
-        try:
-            shape = _layer_weight_shape(entry["kind"], entry["params"])
-        except KeyError as exc:
-            raise ValidationError(f"layer {entry['name']!r} params missing key "
-                                  f"{exc.args[0]!r}") from None
-        weights = None
+        layer = LayerSpec(name=entry["name"], kind=entry["kind"], params=p,
+                          predecessors=list(entry["predecessors"]))
+        shape = layer.weight_shape
         if shape is not None:
             offset, length = entry.get("blob_offset"), entry.get("blob_len")
             if not all(type(v) is int and v >= 0 for v in (offset, length)):
@@ -323,12 +340,9 @@ def load_model(manifest_path):
             if length != 4 * count or offset + length > len(blob):
                 raise ValidationError(
                     f"layer {entry['name']!r} blob slice does not match shape {shape}")
-            weights = np.frombuffer(blob, dtype="<f4", count=count,
-                                    offset=offset).astype(float).reshape(shape)
-        layers.append(LayerSpec(name=entry["name"], kind=entry["kind"],
-                                params=entry["params"],
-                                predecessors=list(entry["predecessors"]),
-                                weights=weights))
+            layer.weights = np.frombuffer(blob, dtype="<f4", count=count,
+                                          offset=offset).astype(float).reshape(shape)
+        layers.append(layer)
     return NetworkModel(manifest["name"], layers)
 
 
@@ -385,8 +399,7 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
     for layer in model.layers:
         preds = [outputs[p] for p in layer.predecessors]
         if layer.kind == "input":
-            p = layer.params
-            expect = (p["height"], p["width"], p["channels"])
+            expect = model.shapes[layer.name]
             if fm.data.shape != expect:
                 raise ValidationError(
                     f"input image shape {fm.data.shape} != {expect}")
@@ -394,9 +407,7 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
                 raise ValidationError("input image must be normalized to [0, 1]")
             out = fm
         elif layer.kind in ("conv", "fc"):
-            spec = layer.conv_spec
-            src = preds[0]
-            X = window_matrix(src, spec)
+            X = window_matrix(preds[0], layer.conv_spec)
             ideal = X @ layer.weights
             if mode == "software":
                 Y = ideal
@@ -412,8 +423,7 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
                     Y = np.zeros_like(ideal)
                 if layer.name in taps:
                     tapped.append(_tap_layer(report, layer.name, ideal, Y))
-            oh, ow = spec.output_shape(src.height, src.width)
-            out = FeatureMap(Y.reshape(oh, ow, spec.out_channels))
+            out = FeatureMap(Y.reshape(model.shapes[layer.name]))
         elif layer.kind == "relu":
             out = FeatureMap(relu(preds[0].data))
         elif layer.kind == "batchnorm":
@@ -477,9 +487,9 @@ def _unrolled_kernel(kernel_type, kh, kw, ic, oc, seed, scale=1.0):
 
 
 def _conv_layer(name, pred, kh, ic, oc, stride, padding, kernel_type, seed,
-                scale=1.0):
+                scale=1.0, kind="conv"):
     return LayerSpec(
-        name=name, kind="conv", predecessors=[pred],
+        name=name, kind=kind, predecessors=[pred],
         params={"kernel_h": kh, "kernel_w": kh, "in_channels": ic,
                 "out_channels": oc, "stride": stride, "padding": padding},
         weights=_unrolled_kernel(kernel_type, kh, kh, ic, oc, seed, scale))
@@ -515,8 +525,7 @@ def build_tiny_model(seed=0, kernel_type=1, channels=(4, 6, 8), hw=8,
         in_c = out_c
     layers.append(LayerSpec("pool", "global_avg_pool", predecessors=[prev]))
     layers.append(_conv_layer("fc", "pool", 1, in_c, classes, 1, 0,
-                              kernel_type, seed + 99, 1.0 / np.sqrt(in_c)))
-    layers[-1].kind = "fc"
+                              kernel_type, seed + 99, 1.0 / np.sqrt(in_c), kind="fc"))
     layers.append(LayerSpec("softmax", "softmax", predecessors=["fc"]))
     return NetworkModel(name, layers)
 
@@ -571,7 +580,6 @@ def build_resnet20_model(seed=0, kernel_type=1, name="resnet20-random"):
             in_c = out_c
     layers.append(LayerSpec("pool", "global_avg_pool", predecessors=[prev]))
     layers.append(_conv_layer("fc", "pool", 1, 64, 10, 1, 0, kernel_type,
-                              seed + 300, 1.0 / 8.0))
-    layers[-1].kind = "fc"
+                              seed + 300, 1.0 / 8.0, kind="fc"))
     layers.append(LayerSpec("softmax", "softmax", predecessors=["fc"]))
     return NetworkModel(name, layers)

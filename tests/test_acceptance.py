@@ -15,13 +15,11 @@ import pytest
 from xbarsim import cli
 from xbarsim.circuit import ideal_vmm, oracle_solve, simulate
 from xbarsim.config import CrossbarConfig
-from xbarsim.convmap import (ConvSpec, FeatureMap, iteration_count,
-                             resnet20_layer_table, unroll_kernel,
-                             window_matrix)
+from xbarsim.convmap import ConvSpec, FeatureMap, unroll_kernel, window_matrix
 from xbarsim.engine import build_engine, evaluate_engine, program
 from xbarsim.metrics import bit_accuracy, gen_input, gen_kernel
-from xbarsim.netrunner import (build_tiny_model, quantization_sweep,
-                               save_model, save_tensor)
+from xbarsim.netrunner import (build_resnet20_model, build_tiny_model,
+                               quantization_sweep, save_model, save_tensor)
 
 G_MIN = 1.0 / 300_000.0
 G_MAX = 1.0 / 15_000.0
@@ -98,9 +96,12 @@ def test_criterion_3_layer_table_reproduction():
         expected[f"conv{i}"] = ((576, 64), 64)
     expected["fc"] = ((64, 10), 1)
 
-    table = resnet20_layer_table()
-    got = {g.name: (g.crossbar_shape, g.iterations) for g in table}
-    _, total = iteration_count(table)
+    # the sequential total is the critical path: each projection shortcut
+    # (sum1..sum3) runs beside the two convolutions of its block
+    model = build_resnet20_model(0)
+    got = {l.name: (l.weight_shape, model.windows[l.name])
+           for l in model.weight_layers()}
+    total = model.sequential_windows
     ok = got == expected and total == 9089
     assert report(3, "layer table reproduction", ok), (got, total)
 

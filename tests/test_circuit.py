@@ -250,6 +250,9 @@ def test_slab_solver_matches_sparse_reference(rows, cols):
         g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
         v = rng.uniform(0.0, config.v_sense_max, size=rows)
         solver = CrossbarSolver(config, g)
+        # each Sigma_k^-1 block is its upper triangle mirrored, exactly symmetric
+        inv = solver._lu._inv
+        assert np.array_equal(inv, inv.transpose(0, 2, 1))
         A = solver._A.tocsc()
         sol = solver.solve(v)
         ref = spla.spsolve(A, solver._S @ v)

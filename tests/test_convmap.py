@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from xbarsim.convmap import (ConvSpec, FeatureMap, conv_reference,
-                             conv_reference_loops, iteration_count,
-                             resnet20_layer_table, unroll_kernel, window_matrix)
+                             conv_reference_loops, unroll_kernel, window_matrix)
 from xbarsim.errors import ValidationError
 from xbarsim.metrics import gen_input, gen_kernel
-from xbarsim.netrunner import LayerSpec, NetworkModel, run_inference
+from xbarsim.netrunner import (LayerSpec, NetworkModel, build_resnet20_model,
+                               run_inference)
 
 
 def make_spec(kh, kw, ic, oc, stride=1, padding=0, seed=0):
@@ -141,18 +141,19 @@ def test_layer_table_shapes_and_iterations():
         "conv18": ((576, 64), 64),
         "fc": ((64, 10), 1),
     }
-    table = {g.name: g for g in resnet20_layer_table()}
+    model = build_resnet20_model(0)
     for name, (shape, iters) in expected.items():
-        assert table[name].crossbar_shape == shape
-        assert table[name].iterations == iters
+        assert model.layer(name).weight_shape == shape
+        assert model.windows[name] == iters
 
 
 def test_sequential_iteration_total():
-    per_layer, total = iteration_count(resnet20_layer_table())
-    assert total == 9089
-    # parallel shortcut layers are excluded from the sequential total
-    assert per_layer["sum1"] == 1024
-    assert sum(per_layer.values()) - total == 1024 + 256 + 64
+    model = build_resnet20_model(0)
+    assert model.sequential_windows == 9089
+    # the shortcut layers run beside their blocks' convolutions, off the
+    # longest path
+    assert model.windows["sum1"] == 1024
+    assert sum(model.windows.values()) - model.sequential_windows == 1024 + 256 + 64
 
 
 def test_geometry_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xbarsim import cli, engine
-from xbarsim.convmap import FeatureMap, resnet20_layer_table
+from xbarsim.convmap import FeatureMap
 from xbarsim.errors import ValidationError
 from xbarsim.metrics import gen_input
 from xbarsim.netrunner import (LayerSpec, NetworkModel, batchnorm_affine,
@@ -63,7 +63,7 @@ def test_softmax_is_stable_for_large_inputs():
     assert np.isfinite(p).all() and p.sum() == pytest.approx(1.0)
 
 
-def test_model_graph_validation():
+def test_model_graph_validation(tmp_path, monkeypatch):
     inp = LayerSpec("image", "input", params={"height": 2, "width": 2, "channels": 1})
     sm = LayerSpec("softmax", "softmax", predecessors=["image"])
     with pytest.raises(ValidationError):
@@ -74,6 +74,40 @@ def test_model_graph_validation():
         NetworkModel("m", [inp, LayerSpec("a", "add", predecessors=["image"]), sm])
     with pytest.raises(ValidationError):
         LayerSpec("x", "mystery")
+
+    # layer shapes are inferred in graph order and must agree
+    def conv(name, pred, kh, ic, oc, padding=0):
+        params = {"kernel_h": kh, "kernel_w": kh, "in_channels": ic,
+                  "out_channels": oc, "padding": padding}
+        return LayerSpec(name, "conv", params, [pred], np.zeros((kh * kh * ic, oc)))
+    bn2 = LayerSpec("bn", "batchnorm", {"channels": 2}, ["image"], np.ones((2, 2)))
+    sm_c = LayerSpec("softmax", "softmax", predecessors=["c"])
+    sm_s = LayerSpec("softmax", "softmax", predecessors=["s"])
+    for layers, match in [
+            ([inp, conv("c", "image", 1, 2, 3), sm_c], "in_channels 2.*'image' gives 1"),
+            ([inp, bn2, LayerSpec("softmax", "softmax", predecessors=["bn"])],
+             "channels 2.*'image' gives 1"),
+            ([inp, conv("c", "image", 1, 1, 2),
+              LayerSpec("s", "add", predecessors=["c", "image"]), sm_s],
+             r"adds shapes \(2, 2, 2\) and \(2, 2, 1\)"),
+            ([inp, conv("c", "image", 5, 1, 1, padding=1), sm_c],
+             "'c': kernel 5x5 does not fit 2x2")]:
+        with pytest.raises(ValidationError, match=match):
+            NetworkModel("m", layers)
+    # a saved manifest is rejected the same way, before --out or any engine
+    manifest, _ = save_model(build_tiny_model(), tmp_path / "tiny.json")
+    doc = json.loads(manifest.read_text())
+    next(e for e in doc["layers"] if e["name"] == "fc")["predecessors"] = ["relu0"]
+    manifest.write_text(json.dumps(doc))
+    (tmp_path / "imgs").mkdir()
+    save_tensor(tmp_path / "imgs" / "img0.mten", gen_input((8, 8, 3), 0.3, 1))
+    converted = []
+    monkeypatch.setattr(engine, "convert",
+                        lambda *args, **kwargs: converted.append(args))
+    assert cli.main(["run-net", "--model", str(manifest), "--images",
+                     str(tmp_path / "imgs"), "--bits", "none",
+                     "--out", str(tmp_path / "net")]) == cli.EXIT_VALIDATION
+    assert not converted and not (tmp_path / "net").exists()
 
 
 def test_model_manifest_round_trip(tmp_path):
@@ -99,7 +133,7 @@ def test_model_manifest_checksum(tmp_path):
 
 @pytest.mark.parametrize("layer,key", [
     ("conv0", "kernel_h"), ("conv0", "kernel_w"), ("conv1", "in_channels"),
-    ("fc", "out_channels"), ("bn0", "channels")])
+    ("fc", "out_channels"), ("bn0", "channels"), ("image", "height")])
 def test_model_manifest_missing_shape_param(tmp_path, layer, key):
     model = build_tiny_model(seed=3)
     manifest, _ = save_model(model, tmp_path / "tiny.json")
@@ -255,14 +289,6 @@ def test_network_converts_each_weight_layer_once(monkeypatch):
         assert model.programmed(layer) is programs[layer.name]
         assert np.array_equal(programs[layer.name].solver.g, before[layer.name])
     assert len(calls) == len(model.weight_layers())
-
-
-def test_resnet20_model_matches_layer_table():
-    model = build_resnet20_model(seed=0)
-    shapes = model.crossbar_shapes()
-    for geom in resnet20_layer_table():
-        assert shapes[geom.name] == geom.crossbar_shape
-    assert len(model.weight_layers()) == 23
 
 
 def test_resnet20_software_forward_pass():
