@@ -9,6 +9,8 @@ config and seed; timestamps go to a sidecar .log file only. Exit codes:
 
 import csv
 import datetime
+import functools
+import io
 import json
 import multiprocessing
 import os
@@ -35,6 +37,9 @@ from .quantize import check_bits
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
+
+# a tap report's columns: the layer name, then the numeric TAP_DTYPE fields
+TAP_HEADER = ("layer", *TAP_DTYPE.names)
 
 # the config keys each command reads; any other key is rejected
 CONFIG_KEYS = {
@@ -115,19 +120,50 @@ def _write_json(path, obj):
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path, header, rows):
-    """One header line, then the rows; csv writes floats with repr."""
+def _csv_field(value):
+    """`value` as csv.writer writes it among other fields: floats with repr,
+    other non-strings with str, and quoting as QUOTE_MINIMAL does."""
+    buf = io.StringIO()
+    # the default line ending, since it decides what gets quoted; the empty
+    # second field keeps a lone "" unquoted
+    csv.writer(buf).writerow((value, ""))
+    return buf.getvalue()[:-3]   # drop ",\r\n"
+
+
+def _csv_fields(column):
+    """One column's fields as csv.writer writes them. A float numpy array
+    is written as its `tolist()` with `float.__repr__`, an int array with
+    `int.__repr__`, each distinct int once; other values go through
+    `_csv_field`, each distinct string once."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return map(float.__repr__, column.tolist())
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        values, index = np.unique(column, return_inverse=True)
+        return map(list(map(int.__repr__, values.tolist())).__getitem__,
+                   index.tolist())
+    # only strings share a field when equal (0.0 and -0.0 are equal numbers)
+    string_field = functools.cache(_csv_field)
+    return [string_field(v) if type(v) is str else _csv_field(v) for v in column]
+
+
+def _write_csv(path, header, columns):
+    """The one CSV writer: a header line, then one row per element of the
+    equal-length `columns`, each column formatted at once. For rows of two
+    or more fields, as every report has, the bytes equal those `csv.writer`
+    writes for the same header and rows: floats with repr, other numbers
+    with str, strings quoted as QUOTE_MINIMAL quotes them, and CRLF line
+    endings."""
+    lines = "\r\n".join(map(",".join, zip(*map(_csv_fields, columns), strict=True)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(_csv_field, header)) + "\r\n")
+        if lines:
+            fh.write(lines + "\r\n")
 
 
 def _write_taps(path, layer, columns):
     """One layer's tap report: `layer` on every row, then its numeric
     columns (window, column, ideal, actual, rel_err), numpy arrays."""
-    _write_csv(path, TAP_DTYPE.names,
-               zip(repeat(layer), *(c.tolist() for c in columns)))
+    _write_csv(path, TAP_HEADER, [repeat(layer, len(columns[0])), *columns])
 
 
 @click.group()
@@ -266,13 +302,13 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
         summary[label] = stats.to_dict()
         summary[label]["conversion"] = engine.conversion_info
     _write_csv(out / "variants.csv",
-               ("variant", "mean", "worst", "samples", "output_range"), rows)
+               ("variant", "mean", "worst", "samples", "output_range"), zip(*rows))
     if conv_amp_sweep:
         _, sweep = optimize_conversion_signal(improved, amplitudes=amplitudes,
                                               **common)
         header = ("fraction", "mean", "worst")
         _write_csv(out / "amplitude_sweep.csv", header,
-                   ([entry[k] for k in header] for entry in sweep))
+                   [[entry[k] for entry in sweep] for k in header])
         summary["amplitude_sweep"] = sweep
     _write_json(out / "summary.json", summary)
     _write_log(out / "summary.json", "layer-exp")
@@ -328,7 +364,7 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
                                engine_kwargs=engine_kwargs or None)
     header = ("bits", "mean_rel_err", "worst_rel_err", "agreement", "images")
     _write_csv(out / "accuracy.csv", header,
-               ([row[k] for k in header] for row in table))
+               [[row[k] for row in table] for k in header])
     summary = {"accuracy": table}
     if taps:
         first_bits = bit_list[0] if bit_list else "none"
@@ -343,16 +379,16 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
             if len(rep.rows):
                 rep.rows["window"] += offset
                 offset = 1 + int(rep.rows["window"].max())
+            # each tapped layer's rows are contiguous, in aggregates order
+            start = 0
             for layer, agg in rep.aggregates.items():
                 per_layer.setdefault(layer, []).append(
-                    (rep.rows[rep.rows["layer"] == layer], agg))
-        # one job per layer, its numeric columns as plain arrays: the
-        # object-dtype rows would cost a slow pickle to ship
-        jobs = []
-        for layer, parts in per_layer.items():
-            rows = np.concatenate([r for r, _ in parts])
-            jobs.append((out / f"layer_{layer}.csv", layer,
-                         [np.ascontiguousarray(rows[f]) for f in TAP_DTYPE.names[1:]]))
+                    (rep.rows[start:start + agg["count"]], agg))
+                start += agg["count"]
+        # one job per layer, its numeric columns as contiguous arrays
+        jobs = [(out / f"layer_{layer}.csv", layer,
+                 [np.concatenate([r[f] for r, _ in parts]) for f in TAP_DTYPE.names])
+                for layer, parts in per_layer.items()]
         workers = min(ctx.obj["threads"], len(jobs))
         if workers > 1:
             # fork, so that no worker imports numpy and scipy afresh; the

@@ -13,9 +13,12 @@ File formats:
 - Model manifest: JSON listing layers (name, kind, params, predecessors,
   blob_offset, blob_len) next to one raw float32 weight blob whose SHA-256
   is recorded in the manifest.
-- Error taps: `ErrorReport.rows` is one `TAP_DTYPE` structured array, a
-  row per output element of each tapped conv/fc layer (tapping any other
-  name is a ValidationError). `run-net` writes it as one CSV per layer,
+- Error taps: `ErrorReport.rows` is one numeric `TAP_DTYPE` structured
+  array, a row per output element of each tapped conv/fc layer (tapping
+  any other name is a ValidationError). Rows hold no layer name: each
+  layer's rows are contiguous, in model order, and `ErrorReport.aggregates`,
+  in the same order, gives their number as `aggregates[name]["count"]`.
+  `run-net` splits the rows by those counts into one CSV per layer,
   numbering each image's windows after the previous image's largest.
 """
 
@@ -46,8 +49,9 @@ CONV_PARAMS = ("kernel_h", "kernel_w", "in_channels", "out_channels")
 REQUIRED_PARAMS = {"input": ("height", "width", "channels"), "conv": CONV_PARAMS,
                    "fc": CONV_PARAMS, "batchnorm": ("channels",)}
 
-# one error-tap row per (window, column) output element of a tapped layer
-TAP_DTYPE = np.dtype([("layer", object), ("window", np.int64), ("column", np.int64),
+# one error-tap row per (window, column) output element of a tapped layer;
+# the layer is found by position (see the module docstring)
+TAP_DTYPE = np.dtype([("window", np.int64), ("column", np.int64),
                       ("ideal", float), ("actual", float), ("rel_err", float)])
 
 
@@ -208,10 +212,15 @@ class NetworkModel:
                 raise ValidationError(f"layer {name!r} has {key} {p[key]}, but "
                                       f"{layer.predecessors[0]!r} gives {out[2]} channels")
             if kind in ("conv", "fc"):
+                in_hw = out[:2]
                 try:
-                    out = (*layer.conv_spec.output_shape(*out[:2]), p["out_channels"])
+                    out = (*layer.conv_spec.output_shape(*in_hw), p["out_channels"])
                 except ValidationError as exc:
                     raise ValidationError(f"layer {name!r}: {exc}") from None
+                if kind == "fc" and (in_hw, out[:2]) != ((1, 1), (1, 1)):
+                    raise ValidationError(
+                        f"layer {name!r} (fc) maps {in_hw[0]}x{in_hw[1]} to "
+                        f"{out[0]}x{out[1]}; an fc layer maps 1x1 to 1x1")
                 self.windows[name] = out[0] * out[1]
             elif kind == "global_avg_pool":
                 out = (1, 1, out[2])
@@ -361,11 +370,11 @@ class ErrorReport:
 
 
 def _tap_layer(report, name, ideal, actual):
-    """Record one layer's error aggregates; return its TAP_DTYPE rows."""
+    """Record one layer's error aggregates, whose "count" is its number of
+    rows; return its TAP_DTYPE rows."""
     rng = output_range(ideal) or 1.0
     rel = relative_error(actual, ideal, rng)
     rows = np.empty(ideal.size, dtype=TAP_DTYPE)
-    rows["layer"] = name
     rows["window"], rows["column"] = (i.ravel() for i in np.indices(ideal.shape))
     rows["ideal"], rows["actual"] = ideal.ravel(), actual.ravel()
     rows["rel_err"] = rel.ravel()

@@ -1,6 +1,7 @@
 """Command-line interface tests: commands, file plumbing, exit codes."""
 
 import csv
+import io
 import json
 import os
 import sys
@@ -384,6 +385,54 @@ def test_run_net_rejects_unknown_taps(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "net").exists()
 
 
+def csv_writer_bytes(header, rows):
+    """The reference: what csv.writer writes for `header` and `rows`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("n", [9, 0])
+@pytest.mark.parametrize("layer", ["conv0", "a,b", 'q"x', "line\nbreak"])
+def test_write_csv_matches_csv_writer(tmp_path, layer, n):
+    floats = [-0.0, 5e-324, 1e-05, 0.0001, 1e16, 123456789012345.6,
+              float("nan"), float("inf"), float("-inf")][:n]
+    # a tap report: numpy columns, the layer name repeated; zero rows gives
+    # the header only
+    taps = [np.array([2**31 + 7 * k for k in range(n)]),
+            np.array([2**62 - k for k in range(n)]),
+            np.array(floats), np.array(floats[::-1]), -np.array(floats)]
+    cli._write_taps(tmp_path / "taps.csv", layer, taps)
+    assert (tmp_path / "taps.csv").read_bytes() == csv_writer_bytes(
+        cli.TAP_HEADER, zip([layer] * n, *(c.tolist() for c in taps)))
+    if not n:
+        assert (tmp_path / "taps.csv").read_bytes() == \
+            b"layer,window,column,ideal,actual,rel_err\r\n"
+    # the lists of the other reports: a bits column mixing "none" with ints,
+    # as in accuracy.csv, strings, and numbers equal in value but written
+    # apart (0.0 and -0.0, 1 and 1.0 and True)
+    header = ("bits", "name", "value", layer)
+    columns = [["none", 8, 2**40, "none", 4, 2**31, 6, 2, 16][:n],
+               [layer, "", " x", "cr\rlf", layer, "", "plain", "a,b", layer][:n],
+               [0.0, -0.0, 1, 1.0, True, *floats[:4]][:n],
+               [2**31 + k for k in range(n)]]
+    cli._write_csv(tmp_path / "mixed.csv", header, columns)
+    assert (tmp_path / "mixed.csv").read_bytes() == csv_writer_bytes(
+        header, zip(*columns))
+
+
+def layer_rows(report, layer):
+    """`layer`'s tap rows: each tapped layer's rows are contiguous, in
+    aggregates order, and its aggregate count says how many."""
+    counts = [agg["count"] for agg in report.aggregates.values()]
+    k = list(report.aggregates).index(layer)
+    start = sum(counts[:k])
+    assert sum(counts) == len(report.rows)
+    return report.rows[start:start + counts[k]]
+
+
 def test_run_net_tap_csvs(tmp_path):
     args = tiny_run_net_inputs(tmp_path, 2)
     assert cli.main(args + ["--bits", "none", "--taps", "all"]) == 0
@@ -396,7 +445,7 @@ def test_run_net_tap_csvs(tmp_path):
             lines = list(csv.reader(fh))
         assert lines[0] == ["layer", "window", "column", "ideal", "actual",
                             "rel_err"]
-        expect = [(rep.rows[rep.rows["layer"] == layer], offset)
+        expect = [(layer_rows(rep, layer), offset)
                   for rep, offset in zip(reports, (0, first_window))]
         got = lines[1:]
         assert len(got) == sum(len(rows) for rows, _ in expect)

@@ -76,11 +76,12 @@ def test_model_graph_validation(tmp_path, monkeypatch):
         LayerSpec("x", "mystery")
 
     # layer shapes are inferred in graph order and must agree
-    def conv(name, pred, kh, ic, oc, padding=0):
+    def conv(name, pred, kh, ic, oc, padding=0, kind="conv"):
         params = {"kernel_h": kh, "kernel_w": kh, "in_channels": ic,
                   "out_channels": oc, "padding": padding}
-        return LayerSpec(name, "conv", params, [pred], np.zeros((kh * kh * ic, oc)))
+        return LayerSpec(name, kind, params, [pred], np.zeros((kh * kh * ic, oc)))
     bn2 = LayerSpec("bn", "batchnorm", {"channels": 2}, ["image"], np.ones((2, 2)))
+    pool = LayerSpec("p", "global_avg_pool", predecessors=["image"])
     sm_c = LayerSpec("softmax", "softmax", predecessors=["c"])
     sm_s = LayerSpec("softmax", "softmax", predecessors=["s"])
     for layers, match in [
@@ -91,23 +92,36 @@ def test_model_graph_validation(tmp_path, monkeypatch):
               LayerSpec("s", "add", predecessors=["c", "image"]), sm_s],
              r"adds shapes \(2, 2, 2\) and \(2, 2, 1\)"),
             ([inp, conv("c", "image", 5, 1, 1, padding=1), sm_c],
-             "'c': kernel 5x5 does not fit 2x2")]:
+             "'c': kernel 5x5 does not fit 2x2"),
+            # an fc layer maps a 1x1 input to a 1x1 output; softmax takes any
+            # shape (tests/test_convmap.py runs image -> conv -> softmax)
+            ([inp, conv("c", "image", 1, 1, 2, kind="fc"), sm_c],
+             r"'c' \(fc\) maps 2x2 to 2x2"),
+            ([inp, pool, conv("c", "p", 1, 1, 2, padding=1, kind="fc"), sm_c],
+             r"'c' \(fc\) maps 1x1 to 3x3")]:
         with pytest.raises(ValidationError, match=match):
             NetworkModel("m", layers)
-    # a saved manifest is rejected the same way, before --out or any engine
-    manifest, _ = save_model(build_tiny_model(), tmp_path / "tiny.json")
-    doc = json.loads(manifest.read_text())
-    next(e for e in doc["layers"] if e["name"] == "fc")["predecessors"] = ["relu0"]
-    manifest.write_text(json.dumps(doc))
+    NetworkModel("m", [inp, pool, conv("c", "p", 1, 1, 2, kind="fc"), sm_c])
+    # a saved manifest is rejected the same way, before --out or any engine:
+    # fc after relu0 has the wrong channel count, fc after relu2 the right
+    # one on an 8x8 map
     (tmp_path / "imgs").mkdir()
     save_tensor(tmp_path / "imgs" / "img0.mten", gen_input((8, 8, 3), 0.3, 1))
     converted = []
     monkeypatch.setattr(engine, "convert",
                         lambda *args, **kwargs: converted.append(args))
-    assert cli.main(["run-net", "--model", str(manifest), "--images",
-                     str(tmp_path / "imgs"), "--bits", "none",
-                     "--out", str(tmp_path / "net")]) == cli.EXIT_VALIDATION
-    assert not converted and not (tmp_path / "net").exists()
+    for pred, match in (("relu0", "in_channels 8"),
+                        ("relu2", r"\(fc\) maps 8x8 to 8x8")):
+        manifest, _ = save_model(build_tiny_model(), tmp_path / "tiny.json")
+        doc = json.loads(manifest.read_text())
+        next(e for e in doc["layers"] if e["name"] == "fc")["predecessors"] = [pred]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=match):
+            load_model(manifest)
+        assert cli.main(["run-net", "--model", str(manifest), "--images",
+                         str(tmp_path / "imgs"), "--bits", "none",
+                         "--out", str(tmp_path / "net")]) == cli.EXIT_VALIDATION
+        assert not converted and not (tmp_path / "net").exists()
 
 
 def test_model_manifest_round_trip(tmp_path):
@@ -211,12 +225,16 @@ def test_default_parasitics_analog_is_close_and_tapped():
     p_an, report = run_inference(model, img, mode="analog", taps="all")
     assert np.abs(p_an - p_sw).max() <= 1e-2
     assert set(report.aggregates) == {"conv0", "conv1", "fc"}
-    # aggregates equal recomputation from the raw rows
+    # aggregates equal recomputation from the raw rows; each layer's rows
+    # are contiguous, in aggregates order, and its count says how many
+    start = 0
     for layer, agg in report.aggregates.items():
-        rel = [r[5] for r in report.rows if r[0] == layer]
+        rel = report.rows["rel_err"][start:start + agg["count"]]
+        start += agg["count"]
         assert agg["count"] == len(rel)
         assert agg["mean"] == pytest.approx(float(np.mean(rel)))
         assert agg["worst"] == pytest.approx(float(np.max(rel)))
+    assert start == len(report.rows)
 
 
 def test_input_validation():
