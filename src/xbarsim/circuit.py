@@ -13,28 +13,31 @@ form over its free (unknown) node voltages x:
 
 with A the symmetric Kirchhoff-current-law matrix, S the map from the
 inputs to the currents they inject and C the map from the node voltages to
-the column output currents. The regimes differ only in how they assemble
-(A, S, C):
+the column output currents. The regimes differ in how they hold (A, S, C):
 
 - grid (r_wire > 0): all 2*m*n grid nodes are free; S drives T(i,0) through
   r_in plus the edge segment and C reads B(m-1,j) through the edge segment
-  plus r_out;
+  plus r_out. No matrix is assembled: A is applied node by node as the
+  current each node sends out through its device, wires and terminal;
 - lumped (r_wire == 0): each row and each column is a single node. A row is
   fixed to its input when r_in == 0 and a column is grounded when
-  r_out == 0; the remaining nodes (at most m+n) are free. With neither free
-  (r_in == r_out == 0) there is no unknown and the output is v_in @ g_dev.
+  r_out == 0; the remaining nodes (at most m+n) are free, and (A, S, C) are
+  assembled. With neither free (r_in == r_out == 0) there is no unknown and
+  the output is v_in @ g_dev.
 
 A is factorized once per conductance matrix, and every solve on it is
-residual-checked against A on every node; each grid solver writes its own
-(A, S, C) straight into CSC. The grid is factorized by exact block
-elimination over row slabs (`_SlabFactor`): each row touches the next only
-through the column wires, so the dense blocks, each built in closed form,
-are only n wide. The lumped system, at most m+n nodes, goes to
-SuperLU. The network is linear, so its output currents are `v_in @ T` for
-the transfer matrix T = S^T A^-1 C, which `transfer_matrix` computes once
-from one adjoint solve per column, on C's sparse columns, and caches; batch
-`currents` are that one product. Node voltages come only from `solve` (and
-`simulate`). Two references check the solver: `ideal_vmm`, the exact
+residual-checked, ||A x - b|| / ||b|| per right-hand side over every node.
+The grid is factorized by exact block elimination over row slabs
+(`_SlabFactor`): each row touches the next only through the column wires, so
+the dense blocks, each built in closed form, are only n wide. The lumped
+system, at most m+n nodes, goes to SuperLU. The network is linear, so its
+output currents are `v_in @ T` for the transfer matrix T = S^T A^-1 C, which
+`transfer_matrix` computes once from one adjoint solve per column and
+caches; batch `currents` are that one product. A grid transfer holds one
+block of columns' rung voltages at a time, no larger than the factor's
+Sigma^-1 store, and recovers the chains, T and the residual from them a
+fixed-size block of slabs at a time. Node voltages come only from `solve`
+(and `simulate`). Two references check the solver: `ideal_vmm`, the exact
 zero-parasitic product, and `oracle_solve`, a dense solve with
 independently derived assembly for small arrays.
 """
@@ -50,9 +53,11 @@ from .config import CrossbarConfig
 from .errors import SolverError, ValidationError
 
 RESIDUAL_TOL = 1e-10
-# adjoint right-hand sides `transfer_matrix` solves and residual-checks at
-# once; each holds a (2*rows*cols, block) solution and residual
+# adjoint right-hand sides `transfer_matrix` solves and residual-checks at once
 TRANSFER_BLOCK_COLS = 64
+# bytes of the chain voltages a grid transfer recovers and residual-checks at
+# once; the block's residual and wire currents take twice as much again
+SLAB_BLOCK_BYTES = 1 << 20
 ORACLE_MAX_CELLS = 64
 # relative slack on the device range and on the input range [0, v_sense_max]
 CONDUCTANCE_TOL = INPUT_SLACK = 1e-9
@@ -135,8 +140,8 @@ def _rung_blocks(gd, chain, rung, g_wire):
 
 
 class _SlabFactor:
-    """Exact block elimination of the grid's A over slabs, with a sparse
-    `solve(rhs)`.
+    """Exact block elimination of the grid's A over slabs, and A's slab
+    stencil for residuals.
 
     A slab k holds a chain of w wire nodes and w rung nodes. The chain is
     tridiagonal (block M_k: wire segments, its devices, a terminal at one
@@ -145,26 +150,28 @@ class _SlabFactor:
     G_k the slab's device conductances, eliminating the chains leaves the
     dense SPD rung blocks K_k = D_k - G_k M_k^-1 G_k (`_rung_blocks`), coupled
     as a block-tridiagonal system whose Schur complements Sigma_0 = K_0,
-    Sigma_k = K_k - g_w^2 Sigma_{k-1}^-1 are inverted once here. `solve`
-    sweeps the rungs forward from the first slab it touches and back, then
-    recovers the chains.
+    Sigma_k = K_k - g_w^2 Sigma_{k-1}^-1 are inverted once here. A solve
+    sweeps the rungs forward from the first slab it injects into and back,
+    then recovers the chains. Every right-hand side is terminal injections:
+    sources at the chains' heads, sinks at the last slab's rungs.
 
     Slabs are rows: the chain is the top row with the source at its start,
     the rungs are the bottom nodes, sinking below the last row, and the
-    dense blocks are cols wide.
+    dense blocks are cols wide. Node voltages are laid out (slabs, w, k),
+    for the chains as for the rungs.
     """
 
     def __init__(self, g_dev, g_wire, g_src, g_sink):
-        self._g_wire = g_wire
+        self._g_wire, self.g_src, self.g_sink = g_wire, g_src, g_sink
         slabs, w = g_dev.shape
-        # chains are laid out (w, slabs, ...), rungs (slabs, w, ...)
-        self._gd_chain, self._gd_rung = g_dev.T[:, :, None], g_dev[:, :, None]
+        self._gd = g_dev[:, :, None]
         chain = g_dev.T + g_wire * _wire_neighbours(w)[:, None]
         rung = g_dev + g_wire * _wire_neighbours(slabs)[:, None]
         chain[0] += g_src
         rung[-1] += g_sink
         inv, piv = _rung_blocks(g_dev, chain, rung, g_wire)
-        self._piv, self._mult = piv[:, :, None], (g_wire / piv)[:, :, None]
+        self._piv = np.ascontiguousarray(piv.T[:, :, None])
+        self._mult = g_wire / self._piv
         # each Sigma_k^-1 in its K_k's place, its upper triangle mirrored down
         lower = np.tri(w, k=-1, dtype=bool)
         for k in range(slabs):
@@ -181,50 +188,135 @@ class _SlabFactor:
             inv[k][lower] = inv[k].T[lower]
         self._inv = inv
 
-    def _chain_solve(self, r):
-        """M_k z_k = r_k for every slab k at once, in place; r (w, slabs, k)."""
-        mult = self._mult
-        tmp = np.empty(r.shape[1:])
-        for p in range(1, len(r)):
-            r[p] += np.multiply(mult[p - 1], r[p - 1], out=tmp)
-        r /= self._piv
-        for p in range(len(r) - 2, -1, -1):
-            r[p] += np.multiply(mult[p], r[p + 1], out=tmp)
+    def _chain_solve(self, r, lo=0):
+        """M_k z_k = r_k in place for the slabs k = lo, lo+1, ... of
+        r (slabs, w, k)."""
+        mult, piv = self._mult[lo:lo + len(r)], self._piv[lo:lo + len(r)]
+        tmp = np.empty((len(r), r.shape[2]))
+        for p in range(1, r.shape[1]):
+            r[:, p] += np.multiply(mult[:, p - 1], r[:, p - 1], out=tmp)
+        r /= piv
+        for p in range(r.shape[1] - 2, -1, -1):
+            r[:, p] += np.multiply(mult[:, p], r[:, p + 1], out=tmp)
         return r
 
-    def solve(self, rhs):
-        """A x = rhs for a (2*rows*cols, k) COO right-hand side without
-        duplicate entries: the dense (2*rows*cols, k) solution."""
-        x = np.zeros((2, *self._gd_rung.shape[:2], rhs.shape[1]))
-        # (chain, rung) views of the solution: the top rows, the bottom nodes
-        chain, rung = x[0].transpose(1, 0, 2), x[1]
-        half, slab, pos = np.unravel_index(rhs.row, x.shape[:3])
-        c = half == 0   # entries on a chain
-        rung[slab[~c], pos[~c], rhs.col[~c]] = rhs.data[~c]
-        if c.any():   # eliminate the chains' injections into the rungs
-            z = np.zeros(chain.shape)
-            z[pos[c], slab[c], rhs.col[c]] = rhs.data[c]
-            rung += self._gd_rung * self._chain_solve(z).transpose(1, 0, 2)
+    def _sweep(self, rung, first):
+        """The block-tridiagonal rung system in place on rung (slabs, w, k),
+        whose slabs before `first` hold zeros: forward, then back."""
         gw, inv = self._g_wire, self._inv
-        # slabs before the first touched one stay zero through the forward sweep
-        for k in range(slab.min() + 1 if len(slab) else len(rung), len(rung)):
+        for k in range(first + 1, len(rung)):
             rung[k] += gw * (inv[k - 1] @ rung[k - 1])
         rung[-1] = inv[-1] @ rung[-1]
         for k in range(len(rung) - 2, -1, -1):
             rung[k] = inv[k] @ (rung[k] + gw * rung[k + 1])
-        z = np.multiply(self._gd_chain, rung.transpose(1, 0, 2), order="C")
-        z[pos[c], slab[c], rhs.col[c]] += rhs.data[c]
-        chain[...] = self._chain_solve(z)
-        return x.reshape(-1, x.shape[-1])
+
+    def _chains(self, rung, lo, hi, src=None, out=None):
+        """The chain voltages (hi - lo, w, k) of slabs lo:hi from the solved
+        rungs, with src (slabs, k) injected at the chains' heads."""
+        z = np.multiply(self._gd[lo:hi], rung[lo:hi], out=out)
+        if src is not None:
+            z[:, 0] += src[lo:hi]
+        return self._chain_solve(z, lo)
+
+    def _residual(self, top, rung, lo, src=None, sink=None, work=None):
+        """A x - b on the top and on the bottom nodes of slabs lo:lo+h, each
+        (h, w, k), from their top voltages (h, w, k), which it overwrites with
+        the top residual, and the rung voltages of every slab; b is src
+        (slabs, k) at the chains' heads and sink (w, k) at the last slab's
+        rungs. Row by row, A x is the current each node sends out through its
+        branches: its device, its wires, its terminal. The bottom residual
+        and the wire currents go to work (2, >= h + 1, w, k)."""
+        h, hi = len(top), lo + len(top)
+        if work is None:
+            work = np.empty((2, h + 1, *top.shape[1:]))
+        gw, bot = self._g_wire, rung[lo:hi]
+        dev = np.subtract(top, bot, out=work[0, :h])
+        dev *= self._gd[lo:hi]
+        # wire currents along the chains, from node p to node p + 1
+        wire = np.subtract(top[:, :-1], top[:, 1:], out=work[1, :h, :-1])
+        wire *= gw
+        head = self.g_src * top[:, 0]
+        r_top = top
+        np.add(dev[:, :-1], wire, out=r_top[:, :-1])
+        r_top[:, -1] = dev[:, -1]
+        r_top[:, 1:] -= wire
+        r_top[:, 0] += head
+        # wire currents down the rungs, wire[q] from slab lo - up + q into the
+        # next, up = 1 if a slab lies above the block
+        up = min(lo, 1)
+        ends = rung[lo - up:hi + 1]
+        wire = np.subtract(ends[:-1], ends[1:], out=work[1, :len(ends) - 1])
+        wire *= gw
+        r_bot = np.negative(dev, out=dev)
+        r_bot[:len(wire) - up] += wire[up:]
+        r_bot[1 - up:] -= wire[:h - 1 + up]
+        if hi == len(rung):
+            r_bot[-1] += self.g_sink * bot[-1]
+            if sink is not None:
+                r_bot[-1] -= sink
+        if src is not None:
+            r_top[:, 0] -= src[lo:hi]
+        return r_top, r_bot
+
+    def solve(self, v):
+        """Node voltages for inputs v (slabs, k) at the sources: top and
+        bottom (slabs, w, k), and the columns' sums of squares of the residual
+        and of the right-hand side."""
+        src = self.g_src * v
+        z = np.zeros((*self._gd.shape[:2], src.shape[1]))
+        z[:, 0] = src
+        # eliminate the chains' injections into the rungs
+        rung = self._gd * self._chain_solve(z)
+        self._sweep(rung, 0)
+        top = self._chains(rung, 0, len(rung), src)
+        num2 = sum(np.einsum("ijk,ijk->k", r, r)
+                   for r in self._residual(top.copy(), rung, 0, src=src))
+        return top, rung, num2, np.einsum("ik,ik->k", src, src)
+
+    def transfer(self, start, stop):
+        """Columns start:stop of T = g_src x_top[:, 0], (slabs, stop - start),
+        from one adjoint solve per column with its sink as right-hand side,
+        and the columns' sums of squares of the residual and of the
+        right-hand side. Only the rungs are stored whole; the chains, T and
+        the residual go slab block by slab block, in buffers of
+        SLAB_BLOCK_BYTES each, made once."""
+        slabs, w = self._gd.shape[:2]
+        cols = np.arange(stop - start)
+        sink = np.zeros((w, len(cols)))
+        sink[start + cols, cols] = self.g_sink
+        rung = np.zeros((slabs, *sink.shape))
+        rung[-1] = sink
+        self._sweep(rung, slabs - 1)
+        T, num2 = np.empty((slabs, len(cols))), np.zeros(len(cols))
+        step = min(slabs, max(1, SLAB_BLOCK_BYTES // sink.nbytes))
+        work = np.empty((3, step + 1, *sink.shape))
+        for lo in range(0, slabs, step):
+            hi = min(lo + step, slabs)
+            top = self._chains(rung, lo, hi, out=work[2, :hi - lo])
+            T[lo:hi] = self.g_src * top[:, 0]
+            for r in self._residual(top, rung, lo, sink=sink, work=work[:2]):
+                num2 += np.einsum("ijk,ijk->k", r, r)
+        return T, num2, np.einsum("jk,jk->k", sink, sink)
+
+
+def _worst_residual(num2, den2):
+    """The worst relative residual ||A x - b|| / ||b|| over the columns, from
+    their sums of squares, checked against RESIDUAL_TOL."""
+    num, den = np.sqrt([num2, den2])
+    worst = float((num / np.where(den > 0, den, np.inf)).max())
+    if not worst <= RESIDUAL_TOL:   # also a NaN residual
+        raise SolverError(f"solver residual {worst:.3g} above {RESIDUAL_TOL:.3g}",
+                          residual=worst)
+    return worst
 
 
 class CrossbarSolver:
     """Factorized nodal solver for one (config, conductance matrix) pair.
 
-    Building the solver validates inputs, assembles the (A, S, C) form of
-    its regime and factorizes A once: slab by slab for the grid, by SuperLU
-    for the lumped model. `solve` back-substitutes for the node voltages of
-    one input; `currents` multiplies a batch of inputs by the cached
+    Building the solver validates inputs and factorizes its regime's A
+    once: slab by slab for the grid, by SuperLU for the lumped model, which
+    also keeps its (A, S, C). `solve` back-substitutes for the node voltages
+    of one input; `currents` multiplies a batch of inputs by the cached
     transfer matrix, so many input vectors against the same conductances
     cost one matrix product.
     """
@@ -239,47 +331,15 @@ class CrossbarSolver:
         self._grid = config.r_wire > 0.0
         self._T = None
         try:
-            self._A, self._S, self._C, self._lu = (
-                self._factor_grid() if self._grid else self._factor_lumped())
+            if self._grid:
+                # each terminal edge includes one wire segment
+                self._lu = _SlabFactor(self.g_dev, 1.0 / config.r_wire,
+                                       1.0 / (config.r_in + config.r_wire),
+                                       1.0 / (config.r_out + config.r_wire))
+            else:
+                self._A, self._S, self._C, self._lu = self._factor_lumped()
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise SolverError(f"singular crossbar system: {exc}") from exc
-
-    def _factor_grid(self):
-        """(A, S, C) over top (i,j) -> i*n + j, bottom (i,j) -> m*n + i*n + j,
-        written straight into CSC, and the slab factorization of A.
-
-        A is symmetric, so column k lists node k's neighbours in ascending
-        order: a top node's left wire, itself, its right wire and its device;
-        a bottom node's device, the wire above, itself and the wire below.
-        Slots past a wire's end are dropped. Each diagonal adds its device
-        last, after its terminal and wires, as a coo -> csc sum of the edge
-        stamps would."""
-        cfg, gd = self.config, self.g_dev
-        m, n = gd.shape
-        mn, g_wire = m * n, 1.0 / cfg.r_wire
-        # each terminal edge includes one wire segment
-        g_src, g_sink = 1.0 / (cfg.r_in + cfg.r_wire), 1.0 / (cfg.r_out + cfg.r_wire)
-        wires = np.stack(np.broadcast_arrays(_wire_neighbours(n), _wire_neighbours(m)[:, None]))
-        g_diag = g_wire * wires
-        g_diag[0, :, 0] += g_src
-        g_diag[1, -1] += g_sink
-        g_diag += gd
-        top, bot = np.arange(2 * mn, dtype=np.int32).reshape(2, m, n)
-        # four slots per node (2, m, n, 4); those past a wire's end get row -1
-        row = np.stack((np.stack((top - 1, top, top + 1, bot), -1),
-                        np.stack((top, bot - n, bot, bot + n), -1)))
-        row[0, :, 0, 0] = row[0, :, -1, 2] = row[1, 0, :, 1] = row[1, -1, :, 3] = -1
-        val = np.full(row.shape, -g_wire)
-        val[0, ..., 1], val[1, ..., 2] = g_diag
-        val[0, ..., 3] = val[1, ..., 0] = -gd
-        kept = row >= 0
-        indptr = np.r_[0, (wires + 2).cumsum()].astype(np.int32)   # wires, itself, device
-        A = sp.csc_matrix((val[kept], row[kept], indptr), shape=(2 * mn,) * 2)
-        # one entry per column: the source node T(i,0), the sink node B(m-1,j)
-        S, C = (sp.csc_matrix((np.full(len(term), g), term, np.arange(len(term) + 1)),
-                              shape=(2 * mn, len(term)))
-                for term, g in ((top[:, 0], g_src), (bot[-1], g_sink)))
-        return A, S, C, _SlabFactor(gd, g_wire, g_src, g_sink)
 
     def _factor_lumped(self):
         """(A, S, C) over the free row nodes, then the free column nodes, and
@@ -302,20 +362,24 @@ class CrossbarSolver:
                 spla.splu(A))
 
     def _solve_free(self, rhs):
-        """A x = rhs, sparse (unknowns, k): the free-node voltages x and the worst
-        relative residual over the k columns, checked against RESIDUAL_TOL."""
+        """Lumped A x = rhs, sparse (unknowns, k): the free-node voltages x and
+        the worst relative residual over the k columns."""
         rhs = rhs.tocoo()
-        # row-major once, so neither sparse product below copies x again
-        x = np.ascontiguousarray(self._lu.solve(rhs if self._grid else rhs.toarray()))
+        # row-major once, so the sparse product below does not copy x again
+        x = np.ascontiguousarray(self._lu.solve(rhs.toarray()))
         r = self._A @ x
         r[rhs.row, rhs.col] -= rhs.data
-        num, den = np.sqrt([np.einsum("ij,ij->j", r, r),
-                            np.bincount(rhs.col, rhs.data ** 2, minlength=rhs.shape[1])])
-        worst = float((num / np.where(den > 0, den, np.inf)).max())
-        if not worst <= RESIDUAL_TOL:   # also a NaN residual
-            raise SolverError(f"solver residual {worst:.3g} above {RESIDUAL_TOL:.3g}",
-                              residual=worst)
-        return x, worst
+        return x, _worst_residual(
+            np.einsum("ij,ij->j", r, r),
+            np.bincount(rhs.col, rhs.data ** 2, minlength=rhs.shape[1]))
+
+    def _transfer_block(self, start, stop):
+        """Columns start:stop of the transfer matrix, residual-checked."""
+        if self._grid:
+            T, num2, den2 = self._lu.transfer(start, stop)
+            _worst_residual(num2, den2)
+            return T
+        return self._S.T @ self._solve_free(self._C[:, start:stop])[0]
 
     def transfer_matrix(self):
         """Exact input-to-output linear map T = S^T A^-1 C, (rows, cols):
@@ -323,15 +387,20 @@ class CrossbarSolver:
 
         Computed on the first call from one adjoint back-substitution per
         column on the existing factorization (A is symmetric), in blocks of
-        TRANSFER_BLOCK_COLS sparse columns of C, each residual-checked, and
-        cached read-only. With no free node T is g_dev exactly.
+        TRANSFER_BLOCK_COLS columns, each residual-checked on every node, and
+        cached read-only. A grid block keeps only its rung voltages whole, no
+        larger than the Sigma^-1 store; its chain voltages, rows of T and
+        residual come a block of SLAB_BLOCK_BYTES at a time, so no full
+        solution or residual is made. With no free node T is g_dev
+        exactly.
         """
         if self._T is None:
-            if self._A.shape[0]:
-                T = np.empty(self.g_dev.shape)
-                for start in range(0, T.shape[1], TRANSFER_BLOCK_COLS):
-                    block = slice(start, start + TRANSFER_BLOCK_COLS)
-                    T[:, block] = self._S.T @ self._solve_free(self._C[:, block])[0]
+            m, n = self.g_dev.shape
+            if self._grid or self._A.shape[0]:
+                T = np.empty((m, n))
+                for start in range(0, n, TRANSFER_BLOCK_COLS):
+                    stop = min(start + TRANSFER_BLOCK_COLS, n)
+                    T[:, start:stop] = self._transfer_block(start, stop)
             else:
                 T = self.g_dev.copy()
             T.flags.writeable = False
@@ -353,17 +422,23 @@ class CrossbarSolver:
         v_in = np.asarray(v_in, dtype=float)
         if check_range:
             _check_inputs(self.config, v_in)
-        x, residual = self._solve_free(sp.csc_matrix(self._S @ v_in[:, None]))
-        x = x[:, 0]
         m, n = self.config.rows, self.config.cols
         if self._grid:
-            v_top, v_bot = x[:m * n].reshape(m, n), x[m * n:].reshape(m, n)
+            # an unchecked non-finite input leaves a non-finite residual,
+            # which the check below rejects
+            with np.errstate(invalid="ignore"):
+                top, bot, num2, den2 = self._lu.solve(v_in[:, None])
+            residual = _worst_residual(num2, den2)
+            v_top, v_bot = top[..., 0], bot[..., 0]
+            i_out = self._lu.g_sink * v_bot[-1]
         else:   # fixed rows hold their inputs, grounded columns sit at 0 V
+            x, residual = self._solve_free(sp.csc_matrix(self._S @ v_in[:, None]))
+            x = x[:, 0]
             u = np.r_[v_in, np.zeros(n)]
             u[self._free] = x
             v_top = np.repeat(u[:m, None], n, axis=1)
             v_bot = np.repeat(u[None, m:], m, axis=0)
-        i_out = self._C.T @ x if len(x) else v_in @ self.g_dev
+            i_out = self._C.T @ x if len(x) else v_in @ self.g_dev
         return NodeSolution(v_top=v_top, v_bot=v_bot, i_out=i_out,
                             residual=residual)
 

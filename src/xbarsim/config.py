@@ -40,8 +40,13 @@ class CrossbarConfig:
 
     def __post_init__(self):
         for name, value in self.to_dict().items():
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        for name in ("rows", "cols"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValidationError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValidationError(f"rows/cols must be positive, got {self.rows}x{self.cols}")
         if not (0.0 < self.g_min < self.g_max):

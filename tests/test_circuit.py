@@ -1,6 +1,7 @@
 """Crossbar nodal solver tests against independent dense oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,8 @@ def test_transfer_matrix_residual_checked_and_read_only(monkeypatch):
             CrossbarSolver(config, g).transfer_matrix()
         with pytest.raises(SolverError):
             CrossbarSolver(config, g).currents(np.zeros(config.rows))
+        with pytest.raises(SolverError):
+            CrossbarSolver(config, g).solve(np.full(config.rows, 0.1))
 
 
 @pytest.mark.parametrize("rows, cols", [(16, 160), (160, 160)])
@@ -147,13 +150,13 @@ def test_transfer_matrix_column_blocks_match_one_block(monkeypatch, rows, cols):
         g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
         solver = CrossbarSolver(config, g)
         widths = []
-        solve_free = solver._solve_free
+        transfer_block = solver._transfer_block
 
-        def recording_solve_free(rhs):
-            widths.append(rhs.shape[1])
-            return solve_free(rhs)
+        def recording_transfer_block(start, stop):
+            widths.append(stop - start)
+            return transfer_block(start, stop)
 
-        monkeypatch.setattr(solver, "_solve_free", recording_solve_free)
+        monkeypatch.setattr(solver, "_transfer_block", recording_transfer_block)
         T = solver.transfer_matrix()
         # every column solved and residual-checked once, at most 64 at a time
         assert widths == [64, 64, 32]
@@ -161,6 +164,38 @@ def test_transfer_matrix_column_blocks_match_one_block(monkeypatch, rows, cols):
             m.setattr(xbarsim.circuit, "TRANSFER_BLOCK_COLS", cols)
             ref = CrossbarSolver(config, g).transfer_matrix()
         assert rel_diff(T, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 5), (9, 4), (27, 16)])
+def test_transfer_slab_blocks_cover_every_node(monkeypatch, rows, cols):
+    # one slab per block against every slab in one block: the same T and the
+    # same residual sums, so no block boundary drops or repeats a node
+    rng = np.random.default_rng(rows * cols)
+    config = CrossbarConfig(rows, cols, r_in=0.0, r_out=2.0, r_transistor_on=500.0)
+    lu = CrossbarSolver(config, rng.uniform(G_MIN, G_MAX, size=(rows, cols)))._lu
+    runs = []
+    for block_bytes in (1, 1 << 40):
+        monkeypatch.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", block_bytes)
+        runs.append(lu.transfer(0, cols))
+    (T, num2, den2), (T_one, num2_one, den2_one) = runs
+    assert np.array_equal(T, T_one) and np.array_equal(den2, den2_one)
+    assert np.all(num2 > 0.0) and rel_diff(num2, num2_one) <= 1e-12
+
+
+def test_grid_transfer_peak_memory_is_bounded_by_its_factor():
+    # the rung voltages of one 64-column block are as large as the Sigma^-1
+    # store; the chains and residuals go through fixed-size slab blocks, so
+    # no full solution or residual is ever made (75.8 MB once, at 576x64)
+    rng = np.random.default_rng(576)
+    solver = CrossbarSolver(CrossbarConfig(576, 64),
+                            rng.uniform(G_MIN, G_MAX, size=(576, 64)))
+    tracemalloc.start()
+    try:
+        solver.transfer_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * solver._lu._inv.nbytes
 
 
 def test_transfer_matrix_ideal_is_conductance():
@@ -236,13 +271,62 @@ def test_single_solves_reject_2d_input():
 GRID_REGIMES = [regime for regime in REGIMES if regime[0] > 0.0]
 
 
+def coo_grid_matrix(config, g_dev):
+    """The grid's A, stamped edge by edge in loops and summed by coo -> csc."""
+    m, n = config.rows, config.cols
+    g_w = 1.0 / config.r_wire
+    entries = []
+
+    def edge(a, b, gc):
+        entries.extend([(a, a, gc), (a, b, -gc), (b, b, gc), (b, a, -gc)])
+
+    for i in range(m):   # a terminal stamps only its node's diagonal
+        entries.append((i * n, i * n, 1.0 / (config.r_in + config.r_wire)))
+        for j in range(n - 1):
+            edge(i * n + j, i * n + j + 1, g_w)
+    for j in range(n):
+        for i in range(m - 1):
+            edge(m * n + i * n + j, m * n + (i + 1) * n + j, g_w)
+        sink = m * n + (m - 1) * n + j
+        entries.append((sink, sink, 1.0 / (config.r_out + config.r_wire)))
+    for i in range(m):
+        for j in range(n):
+            edge(i * n + j, m * n + i * n + j, g_dev[i, j])
+    rows, cols, vals = zip(*entries)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(2 * m * n,) * 2).tocsc()
+
+
+def grid_terminals(config):
+    """The grid's source map S (2mn, m), each input into T(i,0), and sink map
+    C (2mn, n), each output out of B(m-1,j), through r_in (r_out) plus one
+    wire segment."""
+    m, n = config.rows, config.cols
+    S = np.zeros((2 * m * n, m))
+    S[np.arange(m) * n, np.arange(m)] = 1.0 / (config.r_in + config.r_wire)
+    C = np.zeros((2 * m * n, n))
+    C[m * n + (m - 1) * n + np.arange(n), np.arange(n)] = 1.0 / (config.r_out + config.r_wire)
+    return S, C
+
+
+def check_against_sparse_reference(config, solver, v):
+    """Node voltages of one solve and the transfer matrix against spsolve on
+    the coo-assembled A with the test's own terminal maps."""
+    A = coo_grid_matrix(config, solver.g_dev)
+    S, C = grid_terminals(config)
+    sol = solver.solve(v)
+    ref = spla.spsolve(A, S @ v)
+    assert rel_diff(np.r_[sol.v_top.ravel(), sol.v_bot.ravel()], ref) <= 1e-12
+    adjoint = spla.spsolve(A, C).reshape(A.shape[0], config.cols)
+    assert rel_diff(solver.transfer_matrix(), S.T @ adjoint) <= 1e-12
+
+
 @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (4, 9), (9, 4),
                                         (27, 16), (16, 40), (40, 16), (16, 160),
                                         (4, 256)])
 def test_slab_solver_matches_sparse_reference(rows, cols):
     # the row slabs against spsolve on A, tall and wide; 4x256 (64:1) builds
-    # 256-wide dense blocks, and 16x160 and 4x256 pass C to the solver in
-    # several sparse blocks
+    # 256-wide dense blocks, and 16x160 and 4x256 transfer in several
+    # blocks of columns
     rng = np.random.default_rng(100 * rows + cols)
     for r_wire, r_in, r_out, r_t in GRID_REGIMES:
         config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out,
@@ -253,12 +337,7 @@ def test_slab_solver_matches_sparse_reference(rows, cols):
         # each Sigma_k^-1 block is its upper triangle mirrored, exactly symmetric
         inv = solver._lu._inv
         assert np.array_equal(inv, inv.transpose(0, 2, 1))
-        A = solver._A.tocsc()
-        sol = solver.solve(v)
-        ref = spla.spsolve(A, solver._S @ v)
-        assert rel_diff(np.r_[sol.v_top.ravel(), sol.v_bot.ravel()], ref) <= 1e-12
-        adjoint = spla.spsolve(A, solver._C.toarray()).reshape(A.shape[0], cols)
-        assert rel_diff(solver.transfer_matrix(), solver._S.T @ adjoint) <= 1e-12
+        check_against_sparse_reference(config, solver, v)
 
 
 def test_slab_block_failure_is_a_solver_error(monkeypatch):
@@ -281,13 +360,7 @@ def test_slab_solver_extreme_wire_resistance(rows, cols, r_wire):
     config = CrossbarConfig(rows, cols, r_wire=r_wire)
     g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
     v = rng.uniform(0.0, config.v_sense_max, size=rows)
-    solver = CrossbarSolver(config, g)
-    A = solver._A.tocsc()
-    sol = solver.solve(v)
-    ref = spla.spsolve(A, solver._S @ v)
-    assert rel_diff(np.r_[sol.v_top.ravel(), sol.v_bot.ravel()], ref) <= 1e-12
-    adjoint = spla.spsolve(A, solver._C.toarray()).reshape(A.shape[0], cols)
-    assert rel_diff(solver.transfer_matrix(), solver._S.T @ adjoint) <= 1e-12
+    check_against_sparse_reference(config, CrossbarSolver(config, g), v)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -314,50 +387,28 @@ def test_rung_blocks_match_dense_inverse(slabs, w, r_wire, underflows):
         assert rel_diff(K[k], np.triu(ref)) <= 1e-12
 
 
-def coo_grid_matrix(config, g_dev):
-    """The grid's A, stamped edge by edge in loops and summed by coo -> csc."""
-    m, n = config.rows, config.cols
-    g_w = 1.0 / config.r_wire
-    entries = []
-
-    def edge(a, b, gc):
-        entries.extend([(a, a, gc), (a, b, -gc), (b, b, gc), (b, a, -gc)])
-
-    for i in range(m):   # a terminal stamps only its node's diagonal
-        entries.append((i * n, i * n, 1.0 / (config.r_in + config.r_wire)))
-        for j in range(n - 1):
-            edge(i * n + j, i * n + j + 1, g_w)
-    for j in range(n):
-        for i in range(m - 1):
-            edge(m * n + i * n + j, m * n + (i + 1) * n + j, g_w)
-        sink = m * n + (m - 1) * n + j
-        entries.append((sink, sink, 1.0 / (config.r_out + config.r_wire)))
-    for i in range(m):
-        for j in range(n):
-            edge(i * n + j, m * n + i * n + j, g_dev[i, j])
-    rows, cols, vals = zip(*entries)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(2 * m * n,) * 2).tocsc()
-
-
 @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (27, 16), (16, 40), (16, 160)])
 def test_grid_matrices_match_coo_assembly(rows, cols):
-    # A is written straight into CSC: bit for bit the stamps summed by coo -> csc
+    # the slab stencil's residual, over slab blocks of every size the
+    # transfer could take, is coo_grid_matrix(...) @ x - b on random node
+    # voltages x and terminal injections b
     rng = np.random.default_rng(rows * cols)
-    m, n = rows, cols
+    m, n, k = rows, cols, 3
     for r_wire, r_in, r_out, r_t in ((1.0, 1.0, 1.0, 0.0), (0.5, 0.0, 2.0, 500.0),
                                      (3e6, 1.0, 1.0, 0.0)):
         config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out,
                                 r_transistor_on=r_t)
         solver = CrossbarSolver(config, rng.uniform(G_MIN, G_MAX, size=(rows, cols)))
-        A, ref = solver._A, coo_grid_matrix(config, solver.g_dev)
-        assert A.has_canonical_format
-        for got, want in ((A.data, ref.data), (A.indices, ref.indices),
-                          (A.indptr, ref.indptr)):
-            assert np.array_equal(got, want)
-        # one source (sink) entry per column, at T(i,0) (B(m-1,j))
-        for M, nodes, g_term in ((solver._S, np.arange(m) * n, 1.0 / (r_in + r_wire)),
-                                 (solver._C, m * n + (m - 1) * n + np.arange(n),
-                                  1.0 / (r_out + r_wire))):
-            assert M.shape == (2 * m * n, len(nodes)) and M.has_canonical_format
-            assert np.array_equal(M.indptr, np.arange(len(nodes) + 1))
-            assert np.array_equal(M.indices, nodes) and np.all(M.data == g_term)
+        top, bot = rng.uniform(0.0, 0.2, size=(2, m, n, k))
+        src, sink = rng.uniform(0.0, 1e-3, size=(m, k)), rng.uniform(0.0, 1e-3, size=(n, k))
+        S, C = grid_terminals(config)
+        b = (S > 0) @ src + (C > 0) @ sink
+        ref = (coo_grid_matrix(config, solver.g_dev) @ np.r_[top.reshape(-1, k),
+                                                            bot.reshape(-1, k)] - b)
+        for step in sorted({1, 2, max(m - 1, 1), m}):
+            r_top, r_bot = zip(*(solver._lu._residual(top[lo:lo + step].copy(), bot, lo,
+                                                      src=src, sink=sink)
+                                 for lo in range(0, m, step)))
+            got = np.r_[np.concatenate(r_top).reshape(-1, k),
+                        np.concatenate(r_bot).reshape(-1, k)]
+            assert rel_diff(got, ref) <= 1e-15

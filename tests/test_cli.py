@@ -94,6 +94,21 @@ def test_simulate_rejects_non_finite_config(tmp_path):
         assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("size", [{"rows": 16.0}, {"rows": True}, {"cols": 2.0}])
+def test_build_engine_rejects_crossbar_size_that_is_not_an_integer(tmp_path, capsys,
+                                                                 size):
+    # a one-row weight matrix, which `"rows": true` would otherwise fit as 1
+    (tmp_path / "cfg.json").write_text(json.dumps({"crossbar": size}))
+    save_tensor(tmp_path / "w.mten", np.full((1, 2), 0.5))
+    rc = cli.main(["build-engine", "--config", str(tmp_path / "cfg.json"),
+                   "--weights", str(tmp_path / "w.mten"),
+                   "--out", str(tmp_path / "e.json")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and next(iter(size)) in err
+    assert not (tmp_path / "e.json").exists()
+
+
 def test_missing_file_exits_with_usage_code(tmp_path):
     rc = cli.main(["simulate", "--conductance", str(tmp_path / "nope.mten"),
                    "--input", str(tmp_path / "nope2.mten"),
