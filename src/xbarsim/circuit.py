@@ -33,11 +33,13 @@ the dense blocks, each built in closed form, are only n wide. The lumped
 system, at most m+n nodes, goes to SuperLU. The network is linear, so its
 output currents are `v_in @ T` for the transfer matrix T = S^T A^-1 C, which
 `transfer_matrix` computes once from one adjoint solve per column and
-caches; batch `currents` are that one product. A grid transfer holds one
-block of columns' rung voltages at a time, no larger than the factor's
-Sigma^-1 store, and recovers the chains, T and the residual from them a
-fixed-size block of slabs at a time. Node voltages come only from `solve`
-(and `simulate`). Two references check the solver: `ideal_vmm`, the exact
+caches; batch `currents` are that one product. A grid solve back-sweeps
+its rungs from the sinks up a fixed-size block of slabs at a time, and
+recovers each block's chains, rows of T and residual as soon as the block's
+rungs and the rung of the slab above it are known. A transfer keeps only
+that window of rungs, so its working set is a few such blocks, well under
+the factor's Sigma^-1 store. Node voltages come only from `solve` (and
+`simulate`). Two references check the solver: `ideal_vmm`, the exact
 zero-parasitic product, and `oracle_solve`, a dense solve with
 independently derived assembly for small arrays.
 """
@@ -55,8 +57,9 @@ from .errors import SolverError, ValidationError
 RESIDUAL_TOL = 1e-10
 # adjoint right-hand sides `transfer_matrix` solves and residual-checks at once
 TRANSFER_BLOCK_COLS = 64
-# bytes of the chain voltages a grid transfer recovers and residual-checks at
-# once; the block's residual and wire currents take twice as much again
+# bytes of one block of slabs' voltages a grid solve back-sweeps, recovers
+# and residual-checks at once; its window of rungs, chains, residual and wire
+# currents take about four such blocks
 SLAB_BLOCK_BYTES = 1 << 20
 ORACLE_MAX_CELLS = 64
 # relative slack on the device range and on the input range [0, v_sense_max]
@@ -151,9 +154,10 @@ class _SlabFactor:
     dense SPD rung blocks K_k = D_k - G_k M_k^-1 G_k (`_rung_blocks`), coupled
     as a block-tridiagonal system whose Schur complements Sigma_0 = K_0,
     Sigma_k = K_k - g_w^2 Sigma_{k-1}^-1 are inverted once here. A solve
-    sweeps the rungs forward from the first slab it injects into and back,
-    then recovers the chains. Every right-hand side is terminal injections:
-    sources at the chains' heads, sinks at the last slab's rungs.
+    sweeps the rungs forward, then back from the sinks up, recovering the
+    chains and the residual block by block as it goes (`_back_sweep`). Every
+    right-hand side is terminal injections: sources at the chains' heads,
+    sinks at the last slab's rungs.
 
     Slabs are rows: the chain is the top row with the source at its start,
     the rungs are the bottom nodes, sinking below the last row, and the
@@ -200,36 +204,65 @@ class _SlabFactor:
             r[:, p] += np.multiply(mult[:, p], r[:, p + 1], out=tmp)
         return r
 
-    def _sweep(self, rung, first):
-        """The block-tridiagonal rung system in place on rung (slabs, w, k),
-        whose slabs before `first` hold zeros: forward, then back."""
-        gw, inv = self._g_wire, self._inv
-        for k in range(first + 1, len(rung)):
-            rung[k] += gw * (inv[k - 1] @ rung[k - 1])
-        rung[-1] = inv[-1] @ rung[-1]
-        for k in range(len(rung) - 2, -1, -1):
-            rung[k] = inv[k] @ (rung[k] + gw * rung[k + 1])
+    def _back_sweep(self, y, src=None, sink=None, top=None):
+        """Back-substitution of the forward-swept rung system from the sinks
+        up, and the chains and the residual from it, a block of slabs at a
+        time: a block is done as soon as its own rungs and the rung of the
+        slab above it are known, so only a window of step + 2 slabs of rungs
+        is kept, in buffers of about SLAB_BLOCK_BYTES each, made once.
 
-    def _chains(self, rung, lo, hi, src=None, out=None):
-        """The chain voltages (hi - lo, w, k) of slabs lo:hi from the solved
-        rungs, with src (slabs, k) injected at the chains' heads."""
-        z = np.multiply(self._gd[lo:hi], rung[lo:hi], out=out)
-        if src is not None:
-            z[:, 0] += src[lo:hi]
-        return self._chain_solve(z, lo)
+        The right-hand side is y (slabs, w, k), which takes the rungs in
+        place, with top (slabs, w, k) taking the chains; or, with y None,
+        sink (w, k) at the last slab alone, every slab above holding zeros.
+        b is src (slabs, k) at the chains' heads and sink at the last slab's
+        rungs. Returns the chains' head voltages (slabs, k) and the columns'
+        sums of squares of the residual."""
+        gw, inv, slabs = self._g_wire, self._inv, len(self._gd)
+        last = sink if y is None else y[-1]
+        step = min(slabs, max(1, SLAB_BLOCK_BYTES // last.nbytes))
+        # window slot s - lo + 1 holds the rungs of slab s, lo - 1 <= s <= hi
+        win = np.empty((step + 2, *last.shape))
+        work = np.empty((3, step + 1, *last.shape))
+        heads, num2 = np.empty((slabs, last.shape[1])), np.zeros(last.shape[1])
+        for lo in reversed(range(0, slabs, step)):
+            hi, up = min(lo + step, slabs), min(lo, 1)
+            h = hi - lo
+            if hi == slabs:
+                np.matmul(inv[-1], last, out=win[h])
+            else:   # slabs hi - 1 and hi, solved with the block below
+                win[h:h + 2] = win[:2]
+            for s in range(hi - 2, lo - up - 1, -1):
+                b = gw * win[s - lo + 2]
+                if y is not None:
+                    b += y[s]
+                np.matmul(inv[s], b, out=win[s - lo + 1])
+            top_lo = np.multiply(self._gd[lo:hi], win[1:h + 1], out=work[2, :h])
+            if src is not None:
+                top_lo[:, 0] += src[lo:hi]
+            self._chain_solve(top_lo, lo)
+            heads[lo:hi] = top_lo[:, 0]
+            if y is not None:
+                y[lo:hi], top[lo:hi] = win[1:h + 1], top_lo
+            for r in self._residual(top_lo, win[1 - up:h + 1 + (hi < slabs)], lo,
+                                    src=src, sink=sink, work=work[:2]):
+                num2 += np.einsum("ijk,ijk->k", r, r)
+        return heads, num2
 
     def _residual(self, top, rung, lo, src=None, sink=None, work=None):
         """A x - b on the top and on the bottom nodes of slabs lo:lo+h, each
         (h, w, k), from their top voltages (h, w, k), which it overwrites with
-        the top residual, and the rung voltages of every slab; b is src
-        (slabs, k) at the chains' heads and sink (w, k) at the last slab's
-        rungs. Row by row, A x is the current each node sends out through its
-        branches: its device, its wires, its terminal. The bottom residual
-        and the wire currents go to work (2, >= h + 1, w, k)."""
+        the top residual, and the rung voltages of slabs lo - 1 (if any) to
+        lo + h (if any), the block's and its neighbours'; b is src (slabs, k)
+        at the chains' heads and sink (w, k) at the last slab's rungs. Row by
+        row, A x is the current each node sends out through its branches: its
+        device, its wires, its terminal. The bottom residual and the wire
+        currents go to work (2, >= h + 1, w, k)."""
         h, hi = len(top), lo + len(top)
         if work is None:
             work = np.empty((2, h + 1, *top.shape[1:]))
-        gw, bot = self._g_wire, rung[lo:hi]
+        # up = 1 if a slab lies above the block
+        gw, up = self._g_wire, min(lo, 1)
+        bot = rung[up:up + h]
         dev = np.subtract(top, bot, out=work[0, :h])
         dev *= self._gd[lo:hi]
         # wire currents along the chains, from node p to node p + 1
@@ -242,15 +275,13 @@ class _SlabFactor:
         r_top[:, 1:] -= wire
         r_top[:, 0] += head
         # wire currents down the rungs, wire[q] from slab lo - up + q into the
-        # next, up = 1 if a slab lies above the block
-        up = min(lo, 1)
-        ends = rung[lo - up:hi + 1]
-        wire = np.subtract(ends[:-1], ends[1:], out=work[1, :len(ends) - 1])
+        # next
+        wire = np.subtract(rung[:-1], rung[1:], out=work[1, :len(rung) - 1])
         wire *= gw
         r_bot = np.negative(dev, out=dev)
         r_bot[:len(wire) - up] += wire[up:]
         r_bot[1 - up:] -= wire[:h - 1 + up]
-        if hi == len(rung):
+        if hi == len(self._gd):
             r_bot[-1] += self.g_sink * bot[-1]
             if sink is not None:
                 r_bot[-1] -= sink
@@ -262,41 +293,31 @@ class _SlabFactor:
         """Node voltages for inputs v (slabs, k) at the sources: top and
         bottom (slabs, w, k), and the columns' sums of squares of the residual
         and of the right-hand side."""
+        gw, inv = self._g_wire, self._inv
         src = self.g_src * v
-        z = np.zeros((*self._gd.shape[:2], src.shape[1]))
-        z[:, 0] = src
-        # eliminate the chains' injections into the rungs
-        rung = self._gd * self._chain_solve(z)
-        self._sweep(rung, 0)
-        top = self._chains(rung, 0, len(rung), src)
-        num2 = sum(np.einsum("ijk,ijk->k", r, r)
-                   for r in self._residual(top.copy(), rung, 0, src=src))
+        rung = np.zeros((*self._gd.shape[:2], src.shape[1]))
+        rung[:, 0] = src
+        # eliminate the chains' injections into the rungs, then sweep forward
+        rung = self._gd * self._chain_solve(rung)
+        for k in range(1, len(rung)):
+            rung[k] += gw * (inv[k - 1] @ rung[k - 1])
+        top = np.empty_like(rung)
+        num2 = self._back_sweep(rung, src=src, top=top)[1]
         return top, rung, num2, np.einsum("ik,ik->k", src, src)
 
     def transfer(self, start, stop):
         """Columns start:stop of T = g_src x_top[:, 0], (slabs, stop - start),
         from one adjoint solve per column with its sink as right-hand side,
         and the columns' sums of squares of the residual and of the
-        right-hand side. Only the rungs are stored whole; the chains, T and
-        the residual go slab block by slab block, in buffers of
-        SLAB_BLOCK_BYTES each, made once."""
-        slabs, w = self._gd.shape[:2]
+        right-hand side. No solution is stored whole: the back sweep keeps a
+        window of rungs, and the chains, T and the residual go slab block by
+        slab block."""
+        w = self._gd.shape[1]
         cols = np.arange(stop - start)
         sink = np.zeros((w, len(cols)))
         sink[start + cols, cols] = self.g_sink
-        rung = np.zeros((slabs, *sink.shape))
-        rung[-1] = sink
-        self._sweep(rung, slabs - 1)
-        T, num2 = np.empty((slabs, len(cols))), np.zeros(len(cols))
-        step = min(slabs, max(1, SLAB_BLOCK_BYTES // sink.nbytes))
-        work = np.empty((3, step + 1, *sink.shape))
-        for lo in range(0, slabs, step):
-            hi = min(lo + step, slabs)
-            top = self._chains(rung, lo, hi, out=work[2, :hi - lo])
-            T[lo:hi] = self.g_src * top[:, 0]
-            for r in self._residual(top, rung, lo, sink=sink, work=work[:2]):
-                num2 += np.einsum("ijk,ijk->k", r, r)
-        return T, num2, np.einsum("jk,jk->k", sink, sink)
+        heads, num2 = self._back_sweep(None, sink=sink)
+        return self.g_src * heads, num2, np.einsum("jk,jk->k", sink, sink)
 
 
 def _worst_residual(num2, den2):
@@ -388,11 +409,13 @@ class CrossbarSolver:
         Computed on the first call from one adjoint back-substitution per
         column on the existing factorization (A is symmetric), in blocks of
         TRANSFER_BLOCK_COLS columns, each residual-checked on every node, and
-        cached read-only. A grid block keeps only its rung voltages whole, no
-        larger than the Sigma^-1 store; its chain voltages, rows of T and
-        residual come a block of SLAB_BLOCK_BYTES at a time, so no full
-        solution or residual is made. With no free node T is g_dev
-        exactly.
+        cached read-only. A grid block is back-swept from the sinks up a
+        block of SLAB_BLOCK_BYTES of slabs at a time; each slab block's
+        chain voltages, rows of T and residual are made once its rungs and
+        the rung of the slab above are known, and only that window of rungs
+        is kept, so no full solution or residual is made and the working
+        set is a few slab blocks (5 MB at 576x64, against an 18.9 MB
+        Sigma^-1 store). With no free node T is g_dev exactly.
         """
         if self._T is None:
             m, n = self.g_dev.shape

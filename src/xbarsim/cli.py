@@ -104,15 +104,18 @@ def _write_log(out_path, command):
 
 
 def _resolve_threads(threads):
+    """--threads, or XBAR_THREADS when the flag is not given, or 1; the
+    error names whichever of the two gave a bad value."""
+    source = "--threads"
     if threads is None:
-        env = os.environ.get("XBAR_THREADS")
+        source, env = "XBAR_THREADS", os.environ.get("XBAR_THREADS")
         try:
             threads = int(env) if env else 1
         except ValueError:
             raise ValidationError(
                 f"XBAR_THREADS must be an integer >= 1, got {env!r}") from None
     if threads < 1:
-        raise ValidationError(f"--threads must be >= 1, got {threads}")
+        raise ValidationError(f"{source} must be >= 1, got {threads}")
     return threads
 
 

@@ -353,7 +353,7 @@ class VmmEngine:
         if not np.isfinite(X).all():
             raise ValidationError("inputs contain non-finite values")
         lim = self.mapping.x_max * (1.0 + 1e-9)
-        if X.min() < -1e-12 or X.max() > lim:
+        if X.size and (X.min() < -1e-12 or X.max() > lim):
             raise ValidationError(
                 f"inputs must lie in [0, {self.mapping.x_max}]")
         return X

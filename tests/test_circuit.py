@@ -166,26 +166,41 @@ def test_transfer_matrix_column_blocks_match_one_block(monkeypatch, rows, cols):
         assert rel_diff(T, ref) <= 1e-12
 
 
-@pytest.mark.parametrize("rows, cols", [(1, 5), (9, 4), (27, 16)])
+@pytest.mark.parametrize("rows, cols", [(1, 5), (9, 4), (27, 16), (40, 16)])
 def test_transfer_slab_blocks_cover_every_node(monkeypatch, rows, cols):
-    # one slab per block against every slab in one block: the same T and the
-    # same residual sums, so no block boundary drops or repeats a node
+    # blocks of 1, 2 and 7 slabs, with a partial block at the sinks, against
+    # every slab in one block: the back sweep, the chains and the residual
+    # give the same T, node voltages and output currents bit for bit, and
+    # the same residual sums, so no block boundary drops or repeats a node
     rng = np.random.default_rng(rows * cols)
-    config = CrossbarConfig(rows, cols, r_in=0.0, r_out=2.0, r_transistor_on=500.0)
-    lu = CrossbarSolver(config, rng.uniform(G_MIN, G_MAX, size=(rows, cols)))._lu
-    runs = []
-    for block_bytes in (1, 1 << 40):
-        monkeypatch.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", block_bytes)
-        runs.append(lu.transfer(0, cols))
-    (T, num2, den2), (T_one, num2_one, den2_one) = runs
-    assert np.array_equal(T, T_one) and np.array_equal(den2, den2_one)
-    assert np.all(num2 > 0.0) and rel_diff(num2, num2_one) <= 1e-12
+    g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
+    for r_wire, r_in, r_out, r_t in GRID_REGIMES:
+        config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out,
+                                r_transistor_on=r_t)
+        v = rng.uniform(0.0, config.v_sense_max, size=rows)
+        solver = CrossbarSolver(config, g)
+        runs = []
+        for slabs in (1, 2, 7, rows):
+            # a slab of the transfer holds cols x cols voltages, of a solve cols
+            monkeypatch.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", slabs * cols * cols * 8)
+            T, num2, den2 = solver._lu.transfer(0, cols)
+            monkeypatch.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", slabs * cols * 8)
+            runs.append((T, num2, den2, solver.solve(v)))
+        T_one, num2_one, den2_one, sol_one = runs.pop()
+        assert np.all(num2_one > 0.0) and sol_one.residual > 0.0
+        for T, num2, den2, sol in runs:
+            assert np.array_equal(T, T_one) and np.array_equal(den2, den2_one)
+            assert rel_diff(num2, num2_one) <= 1e-12
+            for field in ("v_top", "v_bot", "i_out"):
+                assert np.array_equal(getattr(sol, field), getattr(sol_one, field))
+            assert sol.residual == pytest.approx(sol_one.residual, rel=1e-12)
 
 
 def test_grid_transfer_peak_memory_is_bounded_by_its_factor():
-    # the rung voltages of one 64-column block are as large as the Sigma^-1
-    # store; the chains and residuals go through fixed-size slab blocks, so
-    # no full solution or residual is ever made (75.8 MB once, at 576x64)
+    # the back sweep keeps a window of rungs, and the chains and residuals go
+    # through fixed-size slab blocks, so no full solution or residual is ever
+    # made: well under the Sigma^-1 store (5 of 18.9 MB at 576x64; 22.8 MB
+    # with every rung stored, 75.8 MB with the whole solution)
     rng = np.random.default_rng(576)
     solver = CrossbarSolver(CrossbarConfig(576, 64),
                             rng.uniform(G_MIN, G_MAX, size=(576, 64)))
@@ -195,7 +210,7 @@ def test_grid_transfer_peak_memory_is_bounded_by_its_factor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * solver._lu._inv.nbytes
+    assert peak < 0.5 * solver._lu._inv.nbytes
 
 
 def test_transfer_matrix_ideal_is_conductance():
@@ -406,8 +421,10 @@ def test_grid_matrices_match_coo_assembly(rows, cols):
         ref = (coo_grid_matrix(config, solver.g_dev) @ np.r_[top.reshape(-1, k),
                                                             bot.reshape(-1, k)] - b)
         for step in sorted({1, 2, max(m - 1, 1), m}):
-            r_top, r_bot = zip(*(solver._lu._residual(top[lo:lo + step].copy(), bot, lo,
-                                                      src=src, sink=sink)
+            # each block gets its rungs and those of the slabs beside it
+            r_top, r_bot = zip(*(solver._lu._residual(top[lo:lo + step].copy(),
+                                                      bot[max(lo - 1, 0):lo + step + 1],
+                                                      lo, src=src, sink=sink)
                                  for lo in range(0, m, step)))
             got = np.r_[np.concatenate(r_top).reshape(-1, k),
                         np.concatenate(r_bot).reshape(-1, k)]

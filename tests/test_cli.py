@@ -541,10 +541,17 @@ def test_run_net_tap_writer_error_reaches_parent(tmp_path, monkeypatch, threads)
 
 
 def test_threads_flag_validation(monkeypatch, capsys):
-    assert cli.main(["--threads", "0", "simulate", "--conductance", "x",
-                     "--input", "y", "--out", "z"]) == cli.EXIT_VALIDATION
-    for env in ("0", "abc"):
+    # the error names the source of the bad count: the flag, which wins over
+    # the environment, or XBAR_THREADS when no flag is given
+    args = ["simulate", "--conductance", "x", "--input", "y", "--out", "z"]
+    for env in (None, "4", "0"):
+        if env is not None:
+            monkeypatch.setenv("XBAR_THREADS", env)
+        assert cli.main(["--threads", "0", *args]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--threads must be >= 1, got 0" in err and "XBAR_THREADS" not in err
+    for env in ("0", "-3", "abc"):
         monkeypatch.setenv("XBAR_THREADS", env)
-        assert cli.main(["simulate", "--conductance", "x", "--input", "y",
-                         "--out", "z"]) == cli.EXIT_VALIDATION
-    assert "XBAR_THREADS" in capsys.readouterr().err
+        assert cli.main(args) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "XBAR_THREADS must be" in err and "--threads" not in err

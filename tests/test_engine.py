@@ -307,6 +307,19 @@ def test_execute_validates_inputs():
         engine.execute([0.1, -0.2, 0.3, 0.4])
 
 
+def test_empty_batch_gives_empty_outputs():
+    # a (0, rows) batch passes validation as the solver's currents do, with
+    # and without quantizers and calibration
+    A = gen_kernel(1, (16, 4), 10)
+    for kwargs in ({}, dict(dac_bits=8, adc_bits=8,
+                            sample_inputs=default_sample_inputs(16, count=6, seed=1))):
+        engine = build_engine(A, seed=0, **kwargs)
+        for method in (engine.execute_batch, engine.corrected_currents,
+                       engine.raw_currents):
+            assert method(np.empty((0, 16))).shape == (0, 4), method.__name__
+        assert engine.solver.currents(np.empty((0, engine.config.rows))).shape == (0, 4)
+
+
 def test_each_public_call_validates_once(monkeypatch):
     engine = build_engine(gen_kernel(1, (16, 4), 10), dac_bits=8, adc_bits=8,
                           seed=0)
