@@ -29,7 +29,10 @@ A is factorized once per conductance matrix, and every solve on it is
 residual-checked, ||A x - b|| / ||b|| per right-hand side over every node.
 The grid is factorized by exact block elimination over row slabs
 (`_SlabFactor`): each row touches the next only through the column wires, so
-the dense blocks, each built in closed form, are only n wide. The lumped
+the dense blocks, each built in closed form, are only n wide. Each slab's
+symmetric Sigma^-1 block is kept as its packed upper triangle, n(n+1)/2
+values (9.6 MB at 576x64 instead of 18.9 MB), built, inverted and packed a
+fixed-size block of slabs at a time and unpacked the same way. The lumped
 system, at most m+n nodes, goes to SuperLU. The network is linear, so its
 output currents are `v_in @ T` for the transfer matrix T = S^T A^-1 C, which
 `transfer_matrix` computes once from one adjoint solve per column and
@@ -38,7 +41,7 @@ its rungs from the sinks up a fixed-size block of slabs at a time, and
 recovers each block's chains, rows of T and residual as soon as the block's
 rungs and the rung of the slab above it are known. A transfer keeps only
 that window of rungs, so its working set is a few such blocks, well under
-the factor's Sigma^-1 store. Node voltages come only from `solve` (and
+the factor's packed Sigma^-1 store. Node voltages come only from `solve` (and
 `simulate`). Two references check the solver: `ideal_vmm`, the exact
 zero-parasitic product, and `oracle_solve`, a dense solve with
 independently derived assembly for small arrays.
@@ -57,9 +60,11 @@ from .errors import SolverError, ValidationError
 RESIDUAL_TOL = 1e-10
 # adjoint right-hand sides `transfer_matrix` solves and residual-checks at once
 TRANSFER_BLOCK_COLS = 64
-# bytes of one block of slabs' voltages a grid solve back-sweeps, recovers
-# and residual-checks at once; its window of rungs, chains, residual and wire
-# currents take about four such blocks
+# bytes of one block of slabs the grid factor builds, inverts and packs into
+# its packed Sigma^-1 store (9.6 MB at 576x64), and the sweeps unpack, at once
+# (8 w^2 bytes a slab); and of one block of slabs' voltages a grid solve
+# back-sweeps, recovers and residual-checks at once, whose window of rungs,
+# chains, residual and wire currents take about four such blocks
 SLAB_BLOCK_BYTES = 1 << 20
 ORACLE_MAX_CELLS = 64
 # relative slack on the device range and on the input range [0, v_sense_max]
@@ -142,6 +147,56 @@ def _rung_blocks(gd, chain, rung, g_wire):
     return K, piv
 
 
+def _schur_inverses(K, prev, g_wire, lo):
+    """Sigma_k^-1 of slabs lo, lo+1, ... in place of their rung blocks K
+    (h, w, w), upper triangles only, from Sigma_k = K_k - g_wire^2
+    Sigma_{k-1}^-1 with prev the Sigma^-1 of slab lo - 1 (None if lo is 0).
+    The lower triangles, zero in K and in prev, stay zero."""
+    for i, a in enumerate(K):
+        if lo + i:
+            a -= g_wire ** 2 * (K[i - 1] if i else prev)
+        # in place through the Fortran-ordered transpose: the Cholesky factor
+        # reads, and the inverse fills, the upper triangle only
+        c, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            c, info = lapack.dpotri(c, lower=1, overwrite_c=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"slab {lo + i} block is not positive definite (LAPACK info {info})")
+
+
+def _packing(w):
+    """Index maps of the packed upper triangle of a symmetric w x w matrix:
+    the flat positions of its w(w+1)/2 entries, row by row, and the packed
+    index of every entry (i, j), which is that of (j, i)."""
+    i, j = np.triu_indices(w)
+    sym = np.empty((w, w), dtype=np.intp)
+    sym[i, j] = sym[j, i] = np.arange(len(i))
+    return i * w + j, sym
+
+
+class _Sigmas:
+    """The Sigma_k^-1 of a packed store (slabs, w(w+1)/2), unpacked through
+    sym a block of slabs at a time as a sweep asks for them, into one buffer
+    of about SLAB_BLOCK_BYTES; a miss below the block refills the slabs
+    below and up to k, any other miss the slabs from k on."""
+
+    def __init__(self, inv, sym):
+        self._inv, self._sym = inv, sym
+        step = max(1, SLAB_BLOCK_BYTES // (8 * sym.size))
+        self._buf = np.empty((min(step, len(inv)), *sym.shape))
+        self._lo = self._hi = 0
+
+    def __getitem__(self, k):
+        if not self._lo <= k < self._hi:
+            step = len(self._buf)
+            self._lo = max(0, k + 1 - step) if k < self._lo else k
+            self._hi = min(self._lo + step, len(self._inv))
+            np.take(self._inv[self._lo:self._hi], self._sym, axis=1, mode="clip",
+                    out=self._buf[:self._hi - self._lo])
+        return self._buf[k - self._lo]
+
+
 class _SlabFactor:
     """Exact block elimination of the grid's A over slabs, and A's slab
     stencil for residuals.
@@ -153,7 +208,11 @@ class _SlabFactor:
     G_k the slab's device conductances, eliminating the chains leaves the
     dense SPD rung blocks K_k = D_k - G_k M_k^-1 G_k (`_rung_blocks`), coupled
     as a block-tridiagonal system whose Schur complements Sigma_0 = K_0,
-    Sigma_k = K_k - g_w^2 Sigma_{k-1}^-1 are inverted once here. A solve
+    Sigma_k = K_k - g_w^2 Sigma_{k-1}^-1 are inverted once here, a block of
+    slabs at a time, upper triangles only (`_schur_inverses`). Each
+    Sigma_k^-1 is kept as its packed upper triangle, w(w+1)/2 values (9.6 MB
+    at 576x64 instead of 18.9 MB), and the sweeps unpack it, bit for bit
+    the symmetric block, a block of slabs at a time (`_Sigmas`). A solve
     sweeps the rungs forward, then back from the sinks up, recovering the
     chains and the residual block by block as it goes (`_back_sweep`). Every
     right-hand side is terminal injections: sources at the chains' heads,
@@ -173,24 +232,22 @@ class _SlabFactor:
         rung = g_dev + g_wire * _wire_neighbours(slabs)[:, None]
         chain[0] += g_src
         rung[-1] += g_sink
-        inv, piv = _rung_blocks(g_dev, chain, rung, g_wire)
-        self._piv = np.ascontiguousarray(piv.T[:, :, None])
+        upper, self._sym = _packing(w)
+        self._piv = np.empty((slabs, w, 1))
+        self._inv = np.empty((slabs, len(upper)))
+        # the rung blocks are made, inverted and packed a block of slabs at a
+        # time; prev carries the last Sigma^-1 of a block to the next one
+        step, prev = max(1, SLAB_BLOCK_BYTES // (8 * w * w)), None
+        for lo in range(0, slabs, step):
+            hi = min(lo + step, slabs)
+            K, piv = _rung_blocks(g_dev[lo:hi], chain[:, lo:hi], rung[lo:hi], g_wire)
+            self._piv[lo:hi, :, 0] = piv.T
+            _schur_inverses(K, prev, g_wire, lo)
+            np.take(K.reshape(hi - lo, -1), upper, axis=1, mode="clip",
+                    out=self._inv[lo:hi])
+            prev = K[-1].copy() if hi < slabs else None
+            del K   # before the next block is made
         self._mult = g_wire / self._piv
-        # each Sigma_k^-1 in its K_k's place, its upper triangle mirrored down
-        lower = np.tri(w, k=-1, dtype=bool)
-        for k in range(slabs):
-            if k:
-                inv[k] -= g_wire ** 2 * inv[k - 1]
-            # in place through the Fortran-ordered transpose: the Cholesky
-            # factor reads, and the inverse fills, the upper triangle only
-            c, info = lapack.dpotrf(inv[k].T, lower=1, clean=0, overwrite_a=1)
-            if info == 0:
-                c, info = lapack.dpotri(c, lower=1, overwrite_c=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(
-                    f"slab {k} block is not positive definite (LAPACK info {info})")
-            inv[k][lower] = inv[k].T[lower]
-        self._inv = inv
 
     def _chain_solve(self, r, lo=0):
         """M_k z_k = r_k in place for the slabs k = lo, lo+1, ... of
@@ -217,8 +274,9 @@ class _SlabFactor:
         b is src (slabs, k) at the chains' heads and sink at the last slab's
         rungs. Returns the chains' head voltages (slabs, k) and the columns'
         sums of squares of the residual."""
-        gw, inv, slabs = self._g_wire, self._inv, len(self._gd)
+        gw, slabs = self._g_wire, len(self._gd)
         last = sink if y is None else y[-1]
+        sig = _Sigmas(self._inv, self._sym)
         step = min(slabs, max(1, SLAB_BLOCK_BYTES // last.nbytes))
         # window slot s - lo + 1 holds the rungs of slab s, lo - 1 <= s <= hi
         win = np.empty((step + 2, *last.shape))
@@ -228,14 +286,14 @@ class _SlabFactor:
             hi, up = min(lo + step, slabs), min(lo, 1)
             h = hi - lo
             if hi == slabs:
-                np.matmul(inv[-1], last, out=win[h])
+                np.matmul(sig[slabs - 1], last, out=win[h])
             else:   # slabs hi - 1 and hi, solved with the block below
                 win[h:h + 2] = win[:2]
             for s in range(hi - 2, lo - up - 1, -1):
                 b = gw * win[s - lo + 2]
                 if y is not None:
                     b += y[s]
-                np.matmul(inv[s], b, out=win[s - lo + 1])
+                np.matmul(sig[s], b, out=win[s - lo + 1])
             top_lo = np.multiply(self._gd[lo:hi], win[1:h + 1], out=work[2, :h])
             if src is not None:
                 top_lo[:, 0] += src[lo:hi]
@@ -293,14 +351,14 @@ class _SlabFactor:
         """Node voltages for inputs v (slabs, k) at the sources: top and
         bottom (slabs, w, k), and the columns' sums of squares of the residual
         and of the right-hand side."""
-        gw, inv = self._g_wire, self._inv
+        gw, sig = self._g_wire, _Sigmas(self._inv, self._sym)
         src = self.g_src * v
         rung = np.zeros((*self._gd.shape[:2], src.shape[1]))
         rung[:, 0] = src
         # eliminate the chains' injections into the rungs, then sweep forward
         rung = self._gd * self._chain_solve(rung)
         for k in range(1, len(rung)):
-            rung[k] += gw * (inv[k - 1] @ rung[k - 1])
+            rung[k] += gw * (sig[k - 1] @ rung[k - 1])
         top = np.empty_like(rung)
         num2 = self._back_sweep(rung, src=src, top=top)[1]
         return top, rung, num2, np.einsum("ik,ik->k", src, src)
@@ -414,8 +472,9 @@ class CrossbarSolver:
         chain voltages, rows of T and residual are made once its rungs and
         the rung of the slab above are known, and only that window of rungs
         is kept, so no full solution or residual is made and the working
-        set is a few slab blocks (5 MB at 576x64, against an 18.9 MB
-        Sigma^-1 store). With no free node T is g_dev exactly.
+        set is a few slab blocks (6 MB at 576x64, against a packed Sigma^-1
+        store of 9.6 MB, 18.9 MB unpacked). With no free node T is g_dev
+        exactly.
         """
         if self._T is None:
             m, n = self.g_dev.shape

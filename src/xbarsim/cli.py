@@ -274,10 +274,13 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
     build_seed = _check_seed(cfg.get("seed", seed))
     amplitudes = check_amplitudes(cfg.get("amplitudes", SIGNAL_AMPLITUDES))
     try:
-        kh, kw, ic, oc = (int(x) for x in kernel_shape.lower().split("x"))
+        dims = [int(x) for x in kernel_shape.lower().split("x")]
     except ValueError:
-        raise ValidationError(
-            f"kernel shape must be KHxKWxICxOC, got {kernel_shape!r}")
+        dims = []
+    if len(dims) != 4 or min(dims) < 1:
+        raise ValidationError(f"kernel shape must be KHxKWxICxOC, four integers "
+                              f">= 1, got {kernel_shape!r}")
+    kh, kw, ic, oc = dims
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = ConvSpec(kh, kw, ic, oc, stride=1, padding=1,

@@ -41,6 +41,10 @@ from .quantize import AdcSpec, DacSpec, adc_quantize, calibrate_adc_range, dac_q
 SIGNAL_AMPLITUDES = (1.0, 0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
 DEFAULT_SIGNAL_FRACTION = 0.1
 
+# the keys `VmmEngine.load` reads from a descriptor besides format and name
+DESCRIPTOR_KEYS = {"blob_file", "blob_sha256", "arrays", "config", "mapping",
+                   "col_scale", "conversion", "dac", "adc", "calibration"}
+
 DEFAULT_CALI_SAMPLES = 10
 CONVERGED_TOL = 1e-6   # col_error at or below which a conversion converged
 G_TOL = 1e-6           # largest relative device update below which it stalled
@@ -451,8 +455,12 @@ class VmmEngine:
             desc = json.loads(json_path.read_text())
         except json.JSONDecodeError as exc:
             raise ValidationError(f"bad engine descriptor: {exc}") from exc
-        if desc.get("format") != "xbar-engine":
+        if not isinstance(desc, dict) or desc.get("format") != "xbar-engine":
             raise ValidationError(f"{json_path} is not an engine descriptor")
+        missing = sorted(DESCRIPTOR_KEYS - set(desc))
+        if missing:
+            raise ValidationError(
+                f"engine descriptor {json_path} is missing keys: {missing}")
         blob_path = json_path.parent / desc["blob_file"]
         if not blob_path.exists():
             raise ValidationError(f"missing conductance blob {blob_path}")
@@ -463,24 +471,40 @@ class VmmEngine:
                 f"conductance blob checksum mismatch for {blob_path}")
 
         def read_array(key):
-            meta = desc["arrays"][key]
-            shape = tuple(meta["shape"])
+            try:
+                meta = desc["arrays"][key]
+                shape = tuple(int(n) for n in meta["shape"])
+                offset = int(meta["offset"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"engine descriptor {json_path} has no valid arrays.{key}: "
+                    f"{exc!r}") from exc
             count = int(np.prod(shape))
+            if min(shape, default=0) < 0 or offset < 0 or offset + 8 * count > len(blob):
+                raise ValidationError(
+                    f"array {key} of shape {list(shape)} at offset {offset} does "
+                    f"not fit the {len(blob)}-byte blob {blob_path}")
             return np.frombuffer(blob, dtype="<f8", count=count,
-                                 offset=meta["offset"]).reshape(shape).copy()
+                                 offset=offset).reshape(shape).copy()
 
-        cali = desc["calibration"]
+        dac, adc, cali = desc["dac"], desc["adc"], desc["calibration"]
+        try:
+            mapping = WeightMapping.from_dict(desc["mapping"])
+            dac = None if dac is None else DacSpec(**dac)
+            adc = None if adc is None else AdcSpec(**adc)
+            cali = None if cali is None else CalibrationParams.from_dict(cali)
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(
+                f"engine descriptor {json_path} has a malformed entry: {exc!r}") from exc
         return cls(
             weights=read_array("weights"),
             solver=CrossbarSolver(CrossbarConfig.from_dict(desc["config"]),
                                   read_array("g_device")),
-            mapping=WeightMapping.from_dict(desc["mapping"]),
+            mapping=mapping,
             g_target=read_array("g_target"),
             col_scale=np.asarray(desc["col_scale"], dtype=float),
             conversion_info=desc["conversion"],
-            dac=None if desc["dac"] is None else DacSpec(**desc["dac"]),
-            adc=None if desc["adc"] is None else AdcSpec(**desc["adc"]),
-            cali=None if cali is None else CalibrationParams.from_dict(cali),
+            dac=dac, adc=adc, cali=cali,
             name=desc.get("name", "engine"),
         )
 

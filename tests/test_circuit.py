@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import xbarsim.circuit
-from xbarsim.circuit import (CrossbarSolver, _rung_blocks, _wire_neighbours,
+from xbarsim.circuit import (CrossbarSolver, _rung_blocks, _Sigmas, _wire_neighbours,
                              ideal_vmm, oracle_solve, simulate)
 from xbarsim.config import CrossbarConfig
 from xbarsim.errors import SolverError, ValidationError
@@ -169,26 +169,29 @@ def test_transfer_matrix_column_blocks_match_one_block(monkeypatch, rows, cols):
 @pytest.mark.parametrize("rows, cols", [(1, 5), (9, 4), (27, 16), (40, 16)])
 def test_transfer_slab_blocks_cover_every_node(monkeypatch, rows, cols):
     # blocks of 1, 2 and 7 slabs, with a partial block at the sinks, against
-    # every slab in one block: the back sweep, the chains and the residual
-    # give the same T, node voltages and output currents bit for bit, and
-    # the same residual sums, so no block boundary drops or repeats a node
+    # every slab in one block: the factor's Sigma^-1 store, the back sweep,
+    # the chains and the residual give the same T, node voltages and output
+    # currents bit for bit, and the same residual sums, so no block boundary
+    # drops or repeats a node or a Schur complement
     rng = np.random.default_rng(rows * cols)
     g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
     for r_wire, r_in, r_out, r_t in GRID_REGIMES:
         config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out,
                                 r_transistor_on=r_t)
         v = rng.uniform(0.0, config.v_sense_max, size=rows)
-        solver = CrossbarSolver(config, g)
         runs = []
         for slabs in (1, 2, 7, rows):
-            # a slab of the transfer holds cols x cols voltages, of a solve cols
+            # a slab of the factor's rung blocks, of its unpacked Sigma^-1 and
+            # of the transfer holds cols x cols values, of a solve cols
             monkeypatch.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", slabs * cols * cols * 8)
+            solver = CrossbarSolver(config, g)
             T, num2, den2 = solver._lu.transfer(0, cols)
             monkeypatch.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", slabs * cols * 8)
-            runs.append((T, num2, den2, solver.solve(v)))
-        T_one, num2_one, den2_one, sol_one = runs.pop()
+            runs.append((solver._lu._inv, T, num2, den2, solver.solve(v)))
+        inv_one, T_one, num2_one, den2_one, sol_one = runs.pop()
         assert np.all(num2_one > 0.0) and sol_one.residual > 0.0
-        for T, num2, den2, sol in runs:
+        for inv, T, num2, den2, sol in runs:
+            assert np.array_equal(inv, inv_one)
             assert np.array_equal(T, T_one) and np.array_equal(den2, den2_one)
             assert rel_diff(num2, num2_one) <= 1e-12
             for field in ("v_top", "v_bot", "i_out"):
@@ -196,11 +199,29 @@ def test_transfer_slab_blocks_cover_every_node(monkeypatch, rows, cols):
             assert sol.residual == pytest.approx(sol_one.residual, rel=1e-12)
 
 
+def test_grid_factor_peak_memory_is_below_one_unpacked_store():
+    # each Sigma_k^-1 is kept as its packed upper triangle (9.6 MB at
+    # 576x64), and the rung blocks are made, inverted and packed a slab
+    # block at a time, so building the factor peaks well under one unpacked
+    # (rows, cols, cols) store (18.9 MB; 1.12x of it when the blocks were
+    # made whole and mirrored)
+    rng = np.random.default_rng(576)
+    g = rng.uniform(G_MIN, G_MAX, size=(576, 64))
+    tracemalloc.start()
+    try:
+        CrossbarSolver(CrossbarConfig(576, 64), g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 576 * 64 * 64 * 8
+
+
 def test_grid_transfer_peak_memory_is_bounded_by_its_factor():
-    # the back sweep keeps a window of rungs, and the chains and residuals go
-    # through fixed-size slab blocks, so no full solution or residual is ever
-    # made: well under the Sigma^-1 store (5 of 18.9 MB at 576x64; 22.8 MB
-    # with every rung stored, 75.8 MB with the whole solution)
+    # the back sweep keeps a window of rungs and unpacks Sigma^-1 a slab block
+    # at a time, and the chains and residuals go through fixed-size slab
+    # blocks, so no full solution or residual is ever made: well under one
+    # unpacked Sigma^-1 store (6 of 18.9 MB at 576x64; 22.8 MB with every
+    # rung stored, 75.8 MB with the whole solution)
     rng = np.random.default_rng(576)
     solver = CrossbarSolver(CrossbarConfig(576, 64),
                             rng.uniform(G_MIN, G_MAX, size=(576, 64)))
@@ -210,7 +231,7 @@ def test_grid_transfer_peak_memory_is_bounded_by_its_factor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * solver._lu._inv.nbytes
+    assert peak < 0.5 * 576 * 64 * 64 * 8
 
 
 def test_transfer_matrix_ideal_is_conductance():
@@ -349,9 +370,13 @@ def test_slab_solver_matches_sparse_reference(rows, cols):
         g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
         v = rng.uniform(0.0, config.v_sense_max, size=rows)
         solver = CrossbarSolver(config, g)
-        # each Sigma_k^-1 block is its upper triangle mirrored, exactly symmetric
-        inv = solver._lu._inv
-        assert np.array_equal(inv, inv.transpose(0, 2, 1))
+        # each Sigma_k^-1 unpacks, in a sweep down then up, to exactly
+        # symmetric blocks whose upper triangles are the packed store
+        lu = solver._lu
+        sigmas = _Sigmas(lu._inv, lu._sym)
+        for k in [*range(rows - 1, -1, -1), *range(rows)]:
+            assert np.array_equal(sigmas[k], sigmas[k].T)
+            assert np.array_equal(sigmas[k][np.triu_indices(cols)], lu._inv[k])
         check_against_sparse_reference(config, solver, v)
 
 

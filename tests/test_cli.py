@@ -252,6 +252,14 @@ def test_layer_exp_rejects_non_positive_input_hw_option(tmp_path, input_hw):
     assert not (tmp_path / "exp").exists()
 
 
+@pytest.mark.parametrize("shape", ["3x3x-2x4", "3x3x0x4", "0x3x2x4", "3x3x4", "3x3xax4"])
+def test_layer_exp_rejects_bad_kernel_shape_before_out(tmp_path, shape):
+    rc = cli.main(["layer-exp", "--kernel-shape", shape, "--input-hw", "4",
+                   "--out", str(tmp_path / "exp")])
+    assert rc == cli.EXIT_VALIDATION
+    assert not (tmp_path / "exp").exists()
+
+
 def test_numeric_failure_exit_code(monkeypatch, tmp_path):
     def boom(*args, **kwargs):
         raise SolverError("synthetic numeric failure")

@@ -412,6 +412,32 @@ def test_engine_load_detects_corruption(tmp_path):
         VmmEngine.load(json_path)
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.pop("blob_sha256"), r"missing keys: \['blob_sha256'\]"),
+    (lambda d: d.pop("mapping"), r"missing keys: \['mapping'\]"),
+    (lambda d: d["arrays"].pop("g_device"), "no valid arrays.g_device"),
+    (lambda d: d["arrays"]["weights"].pop("offset"), "no valid arrays.weights"),
+    # the blob holds three 4x2 arrays, 192 bytes
+    (lambda d: d["arrays"]["g_device"].update(shape=[5, 2]),
+     r"g_device of shape \[5, 2\] at offset 128 does not fit the 192-byte blob"),
+    (lambda d: d["arrays"]["weights"].update(offset=-8), "does not fit"),
+    (lambda d: d["arrays"]["weights"].update(shape=[-4, 2]), "does not fit"),
+    (lambda d: d["mapping"].pop("alpha"), "malformed entry.*alpha"),
+    (lambda d: d.update(calibration={}), "malformed entry.*gain"),
+    (lambda d: d.update(dac=[8, 1.0]), "malformed entry")],
+    ids=["no-blob_sha256", "no-mapping", "no-g_device", "no-offset", "past-blob-end",
+         "negative-offset", "negative-dim", "no-mapping-alpha", "no-calibration-gain",
+         "dac-not-a-mapping"])
+def test_engine_load_rejects_incomplete_descriptor(tmp_path, edit, match):
+    engine = build_engine(gen_kernel(1, (4, 2), 15), seed=0)
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    desc = json.loads(json_path.read_text())
+    edit(desc)
+    json_path.write_text(json.dumps(desc))
+    with pytest.raises(ValidationError, match=match):
+        VmmEngine.load(json_path)
+
+
 def test_engine_load_rejects_non_finite_adc_range(tmp_path):
     engine = build_engine(gen_kernel(1, (4, 2), 15), adc_bits=8, seed=0)
     json_path, _ = engine.save(tmp_path / "engine.json")
