@@ -33,25 +33,23 @@ the dense blocks, each built in closed form, are only n wide. Each slab's
 symmetric Sigma^-1 block is kept as its packed upper triangle, n(n+1)/2
 values (9.6 MB at 576x64 instead of 18.9 MB), built, inverted and packed a
 fixed-size block of slabs at a time and unpacked the same way. The lumped
-system, at most m+n nodes, goes to SuperLU. The network is linear, so its
-output currents are `v_in @ T` for the transfer matrix T = S^T A^-1 C, which
-`transfer_matrix` computes once from one adjoint solve per column and
-caches; batch `currents` are that one product. A grid solve back-sweeps
-its rungs from the sinks up a fixed-size block of slabs at a time, and
-recovers each block's chains, rows of T and residual as soon as the block's
-rungs and the rung of the slab above it are known. A transfer keeps only
-that window of rungs, so its working set is a few such blocks, well under
-the factor's packed Sigma^-1 store. Node voltages come only from `solve` (and
-`simulate`). Two references check the solver: `ideal_vmm`, the exact
-zero-parasitic product, and `oracle_solve`, a dense solve with
+system, at most m+n nodes, is dense and gets a LAPACK Cholesky factor. The
+network is linear, so its output currents are `v_in @ T` for the transfer
+matrix T = S^T A^-1 C, which `transfer_matrix` computes once from one adjoint
+solve per column and caches; batch `currents` are that one product. A grid
+solve back-sweeps its rungs from the sinks up a fixed-size block of slabs at
+a time, and recovers each block's chains, rows of T and residual as soon as
+the block's rungs and the rung of the slab above it are known. A transfer
+keeps only that window of rungs, so its working set is a few such blocks,
+well under the factor's packed Sigma^-1 store. Node voltages come only from
+`solve` (and `simulate`). Two references check the solver: `ideal_vmm`, the
+exact zero-parasitic product, and `oracle_solve`, a dense solve with
 independently derived assembly for small arrays.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .config import CrossbarConfig
@@ -393,11 +391,11 @@ class CrossbarSolver:
     """Factorized nodal solver for one (config, conductance matrix) pair.
 
     Building the solver validates inputs and factorizes its regime's A
-    once: slab by slab for the grid, by SuperLU for the lumped model, which
-    also keeps its (A, S, C). `solve` back-substitutes for the node voltages
-    of one input; `currents` multiplies a batch of inputs by the cached
-    transfer matrix, so many input vectors against the same conductances
-    cost one matrix product.
+    once: slab by slab for the grid, by a dense Cholesky factor for the
+    lumped model, which also keeps its dense (A, S, C). `solve`
+    back-substitutes for the node voltages of one input; `currents`
+    multiplies a batch of inputs by the cached transfer matrix, so many
+    input vectors against the same conductances cost one matrix product.
     """
 
     def __init__(self, config: CrossbarConfig, g):
@@ -417,12 +415,12 @@ class CrossbarSolver:
                                        1.0 / (config.r_out + config.r_wire))
             else:
                 self._A, self._S, self._C, self._lu = self._factor_lumped()
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
+        except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular crossbar system: {exc}") from exc
 
     def _factor_lumped(self):
-        """(A, S, C) over the free row nodes, then the free column nodes, and
-        the SuperLU factorization of A."""
+        """Dense (A, S, C) over the free row nodes, then the free column
+        nodes, and the upper Cholesky factor of A."""
         cfg, gd = self.config, self.g_dev
         m, n = gd.shape
         rows_free, cols_free = cfg.r_in > 0.0, cfg.r_out > 0.0
@@ -436,21 +434,21 @@ class CrossbarSolver:
         S = g_in * np.eye(m + n, m) if rows_free else -G[:, :m]
         C = g_out * np.eye(m + n, n, -m) if cols_free else -G[:, m:]
         self._free = np.r_[np.full(m, rows_free), np.full(n, cols_free)]
-        A = sp.csc_matrix(G[np.ix_(self._free, self._free)])
-        return (A, sp.csc_matrix(S[self._free]), sp.csc_matrix(C[self._free]),
-                spla.splu(A))
+        A = G[np.ix_(self._free, self._free)]
+        factor, info = lapack.dpotrf(A)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"lumped block is not positive definite (LAPACK info {info})")
+        return A, S[self._free], C[self._free], factor
 
     def _solve_free(self, rhs):
-        """Lumped A x = rhs, sparse (unknowns, k): the free-node voltages x and
-        the worst relative residual over the k columns."""
-        rhs = rhs.tocoo()
-        # row-major once, so the sparse product below does not copy x again
-        x = np.ascontiguousarray(self._lu.solve(rhs.toarray()))
-        r = self._A @ x
-        r[rhs.row, rhs.col] -= rhs.data
-        return x, _worst_residual(
-            np.einsum("ij,ij->j", r, r),
-            np.bincount(rhs.col, rhs.data ** 2, minlength=rhs.shape[1]))
+        """Lumped A x = rhs (unknowns, k): the free-node voltages x and the
+        worst relative residual over the k columns. LAPACK takes no
+        right-hand side of 0 rows, so with no free node x is rhs itself."""
+        x = lapack.dpotrs(self._lu, rhs)[0] if len(rhs) else rhs
+        r = self._A @ x - rhs
+        return x, _worst_residual(np.einsum("ij,ij->j", r, r),
+                                  np.einsum("ij,ij->j", rhs, rhs))
 
     def _transfer_block(self, start, stop):
         """Columns start:stop of the transfer matrix, residual-checked."""
@@ -514,7 +512,8 @@ class CrossbarSolver:
             v_top, v_bot = top[..., 0], bot[..., 0]
             i_out = self._lu.g_sink * v_bot[-1]
         else:   # fixed rows hold their inputs, grounded columns sit at 0 V
-            x, residual = self._solve_free(sp.csc_matrix(self._S @ v_in[:, None]))
+            with np.errstate(invalid="ignore"):   # as for the grid
+                x, residual = self._solve_free(self._S @ v_in[:, None])
             x = x[:, 0]
             u = np.r_[v_in, np.zeros(n)]
             u[self._free] = x

@@ -380,12 +380,67 @@ def test_slab_solver_matches_sparse_reference(rows, cols):
         check_against_sparse_reference(config, solver, v)
 
 
-def test_slab_block_failure_is_a_solver_error(monkeypatch):
-    config, g, _ = random_instance(5)
+@pytest.mark.parametrize("r_wire", [1.0, 0.0], ids=["grid", "lumped"])
+def test_slab_block_failure_is_a_solver_error(monkeypatch, r_wire):
+    # the grid's slab blocks and the lumped block share LAPACK's Cholesky
+    config, g, _ = random_instance(5, r_wire=r_wire)
     monkeypatch.setattr(xbarsim.circuit.lapack, "dpotrf",
                         lambda a, **kwargs: (a, 1))
     with pytest.raises(SolverError, match="singular crossbar system"):
         CrossbarSolver(config, g)
+
+
+# the lumped regimes: (r_in, r_out) x r_transistor_on at r_wire = 0
+LUMPED_REGIMES = [regime for regime in REGIMES if regime[0] == 0.0]
+
+
+def lumped_reference(config, g_dev, V):
+    """Node voltages (m + n, k), rows then columns, and output currents
+    (n, k) of the lumped network for the inputs V (m, k), from the test's
+    own stamps summed by coo -> csc: each device between its row and column
+    node, r_in from each source into its row, r_out from each column to
+    ground. A zero r_in fixes the row at its input and a zero r_out grounds
+    the column; splu solves the remaining free nodes' block."""
+    m, n = g_dev.shape
+    g_in = 1.0 / config.r_in if config.r_in > 0.0 else 0.0
+    g_out = 1.0 / config.r_out if config.r_out > 0.0 else 0.0
+    entries = [(i, i, g_in) for i in range(m)] + [(m + j, m + j, g_out) for j in range(n)]
+    for i in range(m):
+        for j in range(n):
+            gc = g_dev[i, j]
+            entries.extend([(i, i, gc), (i, m + j, -gc), (m + j, m + j, gc), (m + j, i, -gc)])
+    rows, cols, vals = zip(*entries)
+    G = sp.coo_matrix((vals, (rows, cols)), shape=(m + n,) * 2).tocsc()
+    free = np.flatnonzero(np.r_[np.full(m, g_in > 0.0), np.full(n, g_out > 0.0)])
+    fixed = np.setdiff1d(np.arange(m + n), free)
+    u = np.r_[V, np.zeros((n, V.shape[1]))]
+    if len(free):
+        b = np.r_[g_in * V, np.zeros((n, V.shape[1]))][free] - G[free][:, fixed] @ u[fixed]
+        u[free] = spla.splu(G[free][:, free]).solve(b)
+    i_out = g_out * u[m:] if g_out > 0.0 else g_dev.T @ u[:m]
+    return u, i_out
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (3, 7), (8, 5), (576, 64)])
+def test_lumped_solver_matches_sparse_reference(rows, cols):
+    # the dense Cholesky solve against splu on the test's own assembly, up
+    # to 576x64, beyond the oracle's cells: T, and the node voltages and
+    # output currents of one solve
+    rng = np.random.default_rng(100 * rows + cols)
+    for r_wire, r_in, r_out, r_t in LUMPED_REGIMES:
+        config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out,
+                                r_transistor_on=r_t)
+        g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
+        v = rng.uniform(0.0, config.v_sense_max, size=rows)
+        solver = CrossbarSolver(config, g)
+        i_basis = lumped_reference(config, solver.g_dev, np.eye(rows))[1]
+        assert rel_diff(solver.transfer_matrix(), i_basis.T) <= 1e-13
+        u, i_out = lumped_reference(config, solver.g_dev, v[:, None])
+        sol = solver.solve(v)
+        assert rel_diff(sol.i_out, i_out[:, 0]) <= 1e-13
+        ref = np.r_[np.repeat(u[:rows], cols, axis=1).ravel(),
+                    np.repeat(u[None, rows:, 0], rows, axis=0).ravel()]
+        assert rel_diff(np.r_[sol.v_top.ravel(), sol.v_bot.ravel()], ref) <= 1e-13
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
