@@ -514,6 +514,9 @@ class CrossbarSolver:
         else:   # fixed rows hold their inputs, grounded columns sit at 0 V
             with np.errstate(invalid="ignore"):   # as for the grid
                 x, residual = self._solve_free(self._S @ v_in[:, None])
+            if not len(x) and not np.isfinite(v_in).all():
+                # nothing was solved, so no residual can reject the input
+                raise SolverError("non-finite input to a crossbar with no free node")
             x = x[:, 0]
             u = np.r_[v_in, np.zeros(n)]
             u[self._free] = x

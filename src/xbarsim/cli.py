@@ -11,7 +11,6 @@ import csv
 import datetime
 import functools
 import io
-import json
 import multiprocessing
 import os
 import sys
@@ -28,6 +27,7 @@ from .engine import (DEFAULT_CALI_SAMPLES, SIGNAL_AMPLITUDES, build_engine,
                      check_amplitudes, check_cali_sample_count, check_x_max,
                      evaluate_engine, optimize_conversion_signal, program)
 from .errors import SolverError, ValidationError
+from .files import read_json_object, write_json
 from .metrics import gen_input, gen_kernel
 from .netrunner import (TAP_DTYPE, load_model, load_tensor, quantization_sweep,
                         run_inference)
@@ -56,15 +56,7 @@ def _load_config(path, command):
     those `command` reads."""
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(path)
-    try:
-        cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad config JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ValidationError("config must be a JSON object")
+    cfg = read_json_object(_require_file(path), "config")
     unknown = set(cfg) - CONFIG_KEYS[command]
     if unknown:
         raise ValidationError(
@@ -117,10 +109,6 @@ def _resolve_threads(threads):
     if threads < 1:
         raise ValidationError(f"{source} must be >= 1, got {threads}")
     return threads
-
-
-def _write_json(path, obj):
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _csv_field(value):
@@ -207,7 +195,7 @@ def simulate_cmd(config_path, cond_path, input_path, out_path):
     near_range = (v >= -snap) & (v <= config.v_sense_max * (1.0 + snap))
     v = np.where(near_range, np.clip(v, 0.0, config.v_sense_max), v)
     sol = simulate(config, g, v)
-    _write_json(out_path, {
+    write_json(out_path, {
         "i_out": sol.i_out.tolist(),
         "v_top": sol.v_top.tolist(),
         "v_bot": sol.v_bot.tolist(),
@@ -316,7 +304,7 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
         _write_csv(out / "amplitude_sweep.csv", header,
                    [[entry[k] for entry in sweep] for k in header])
         summary["amplitude_sweep"] = sweep
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     _write_log(out / "summary.json", "layer-exp")
 
 
@@ -409,7 +397,7 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
             layer: {"mean": float(np.mean([a["mean"] for _, a in parts])),
                     "worst": float(max(a["worst"] for _, a in parts))}
             for layer, parts in per_layer.items()}
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     _write_log(out / "summary.json", "run-net")
 
 

@@ -20,20 +20,20 @@ read out any number of times and is never changed by it.
    bias.
 4. `VmmEngine.execute` runs the full signal chain: DAC, transfer-matrix
    product, ADC, baseline correction, calibrated readout, shift removal.
+
+`VmmEngine.save`/`load` keep an engine on disk through `files.py`.
 """
 
-import hashlib
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .circuit import INPUT_SLACK, CrossbarSolver
 from .config import CrossbarConfig
 from .errors import ValidationError
+from .files import load_with_blob, save_with_blob
 from .quantize import AdcSpec, DacSpec, adc_quantize, calibrate_adc_range, dac_quantize
 
 # flat conversion/calibration signal amplitudes swept by
@@ -432,43 +432,19 @@ class VmmEngine:
         }
 
     def save(self, json_path):
-        """Write the JSON descriptor plus a little-endian f64 conductance blob.
-
-        The blob sits next to the descriptor with a .bin suffix; its SHA-256
-        is recorded in the descriptor for integrity checking on load.
-        """
-        json_path = Path(json_path)
-        blob_path = json_path.with_suffix(".bin")
+        """Write the JSON descriptor plus a little-endian f64 conductance blob
+        with `files.save_with_blob`, which records the blob's name and SHA-256."""
         blob = b"".join(arr.astype("<f8").tobytes()
                         for arr in (self.weights, self.g_target, self.g_device))
-        desc = self.to_descriptor(blob_path.name)
-        desc["blob_sha256"] = hashlib.sha256(blob).hexdigest()
-        blob_path.write_bytes(blob)
-        json_path.write_text(json.dumps(desc, indent=2, sort_keys=True) + "\n")
-        return json_path, blob_path
+        return save_with_blob(json_path, self.to_descriptor(None), blob)
 
     @classmethod
     def load(cls, json_path):
-        """Rebuild an engine byte-identically from descriptor plus blob."""
-        json_path = Path(json_path)
-        try:
-            desc = json.loads(json_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad engine descriptor: {exc}") from exc
-        if not isinstance(desc, dict) or desc.get("format") != "xbar-engine":
+        """Rebuild an engine byte-identically from descriptor plus blob, both
+        checked by `files.load_with_blob`."""
+        desc, blob = load_with_blob(json_path, "engine descriptor", DESCRIPTOR_KEYS)
+        if desc.get("format") != "xbar-engine":
             raise ValidationError(f"{json_path} is not an engine descriptor")
-        missing = sorted(DESCRIPTOR_KEYS - set(desc))
-        if missing:
-            raise ValidationError(
-                f"engine descriptor {json_path} is missing keys: {missing}")
-        blob_path = json_path.parent / desc["blob_file"]
-        if not blob_path.exists():
-            raise ValidationError(f"missing conductance blob {blob_path}")
-        blob = blob_path.read_bytes()
-        digest = hashlib.sha256(blob).hexdigest()
-        if digest != desc["blob_sha256"]:
-            raise ValidationError(
-                f"conductance blob checksum mismatch for {blob_path}")
 
         def read_array(key):
             try:
@@ -483,26 +459,33 @@ class VmmEngine:
             if min(shape, default=0) < 0 or offset < 0 or offset + 8 * count > len(blob):
                 raise ValidationError(
                     f"array {key} of shape {list(shape)} at offset {offset} does "
-                    f"not fit the {len(blob)}-byte blob {blob_path}")
+                    f"not fit the {len(blob)}-byte blob {desc['blob_file']}")
             return np.frombuffer(blob, dtype="<f8", count=count,
                                  offset=offset).reshape(shape).copy()
 
         dac, adc, cali = desc["dac"], desc["adc"], desc["calibration"]
         try:
+            config = CrossbarConfig.from_dict(desc["config"])
             mapping = WeightMapping.from_dict(desc["mapping"])
+            col_scale = np.asarray(desc["col_scale"])
+            if col_scale.dtype.kind not in "iuf" or col_scale.shape != (config.cols,):
+                raise ValueError(f"col_scale must be {config.cols} numbers")
+            if not isinstance(desc["conversion"], dict):
+                raise TypeError("conversion must be an object")
             dac = None if dac is None else DacSpec(**dac)
             adc = None if adc is None else AdcSpec(**adc)
             cali = None if cali is None else CalibrationParams.from_dict(cali)
-        except (KeyError, TypeError) as exc:
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(
                 f"engine descriptor {json_path} has a malformed entry: {exc!r}") from exc
         return cls(
             weights=read_array("weights"),
-            solver=CrossbarSolver(CrossbarConfig.from_dict(desc["config"]),
-                                  read_array("g_device")),
+            solver=CrossbarSolver(config, read_array("g_device")),
             mapping=mapping,
             g_target=read_array("g_target"),
-            col_scale=np.asarray(desc["col_scale"], dtype=float),
+            col_scale=col_scale,
             conversion_info=desc["conversion"],
             dac=dac, adc=adc, cali=cali,
             name=desc.get("name", "engine"),

@@ -12,7 +12,7 @@ File formats:
   little-endian float32 payload, row-major, (H, W, C) order.
 - Model manifest: JSON listing layers (name, kind, params, predecessors,
   blob_offset, blob_len) next to one raw float32 weight blob whose SHA-256
-  is recorded in the manifest.
+  is recorded in the manifest; `files.py` writes and checks the pair.
 - Error taps: `ErrorReport.rows` is one numeric `TAP_DTYPE` structured
   array, a row per output element of each tapped conv/fc layer (tapping
   any other name is a ValidationError). Rows hold no layer name: each
@@ -22,8 +22,6 @@ File formats:
   numbering each image's windows after the previous image's largest.
 """
 
-import hashlib
-import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +32,7 @@ from .config import CrossbarConfig
 from .convmap import ConvSpec, FeatureMap, unroll_kernel, window_matrix
 from .engine import build_engine, program
 from .errors import ValidationError
+from .files import load_with_blob, save_with_blob
 from .metrics import gen_kernel, output_range, relative_error
 
 TENSOR_MAGIC = b"MTEN"
@@ -281,8 +280,6 @@ class NetworkModel:
 
 def save_model(model: NetworkModel, manifest_path):
     """Write the JSON manifest plus one float32 weight blob (.bin)."""
-    manifest_path = Path(manifest_path)
-    blob_path = manifest_path.with_suffix(".bin")
     chunks = []
     offset = 0
     layers = []
@@ -297,31 +294,13 @@ def save_model(model: NetworkModel, manifest_path):
             chunks.append(data)
             offset += len(data)
         layers.append(entry)
-    blob = b"".join(chunks)
-    manifest = {"name": model.name, "layers": layers,
-                "blob_file": blob_path.name,
-                "blob_sha256": hashlib.sha256(blob).hexdigest()}
-    blob_path.write_bytes(blob)
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest_path, blob_path
+    return save_with_blob(manifest_path, {"name": model.name, "layers": layers},
+                          b"".join(chunks))
 
 
 def load_model(manifest_path):
     """Load and validate a model manifest plus its weight blob."""
-    manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad model manifest: {exc}") from exc
-    for key in ("name", "layers", "blob_file", "blob_sha256"):
-        if key not in manifest:
-            raise ValidationError(f"model manifest missing key {key!r}")
-    blob_path = manifest_path.parent / manifest["blob_file"]
-    if not blob_path.exists():
-        raise ValidationError(f"missing weight blob {blob_path}")
-    blob = blob_path.read_bytes()
-    if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
-        raise ValidationError(f"weight blob checksum mismatch for {blob_path}")
+    manifest, blob = load_with_blob(manifest_path, "model manifest", ("name", "layers"))
     if not isinstance(manifest["layers"], list):
         raise ValidationError("model manifest 'layers' must be a list")
     layers = []
@@ -331,14 +310,16 @@ def load_model(manifest_path):
         for key in ("name", "kind", "params", "predecessors"):
             if key not in entry:
                 raise ValidationError(f"layer entry missing key {key!r}")
-        p = entry["params"]
-        if not (isinstance(p, dict) and isinstance(entry["predecessors"], list)) or any(
-                not (type(p[k]) is int and p[k] >= low)
-                for k, low in INT_PARAM_MIN.items() if k in p):
-            raise ValidationError(f"layer {entry['name']!r} needs object params with integer "
-                                  "sizes and stride >= 1, padding >= 0 and list predecessors")
+        p, preds = entry["params"], entry["predecessors"]
+        if not (isinstance(entry["name"], str) and isinstance(p, dict)
+                and isinstance(preds, list) and all(isinstance(q, str) for q in preds)
+                and all(type(p[k]) is int and p[k] >= low
+                        for k, low in INT_PARAM_MIN.items() if k in p)):
+            raise ValidationError(f"layer {entry['name']!r} needs a string name, object params "
+                                  "with integer sizes and stride >= 1, padding >= 0 and a "
+                                  "list of string predecessors")
         layer = LayerSpec(name=entry["name"], kind=entry["kind"], params=p,
-                          predecessors=list(entry["predecessors"]))
+                          predecessors=list(preds))
         shape = layer.weight_shape
         if shape is not None:
             offset, length = entry.get("blob_offset"), entry.get("blob_len")
@@ -417,9 +398,8 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
             out = fm
         elif layer.kind in ("conv", "fc"):
             X = window_matrix(preds[0], layer.conv_spec)
-            ideal = X @ layer.weights
             if mode == "software":
-                Y = ideal
+                Y = X @ layer.weights
             else:
                 engine = model.engine(layer, dac_bits=dac_bits,
                                       adc_bits=adc_bits, seed=seed,
@@ -429,9 +409,9 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
                     scale = peak / engine.mapping.x_max
                     Y = engine.execute_batch(X / scale) * scale
                 else:
-                    Y = np.zeros_like(ideal)
-                if layer.name in taps:
-                    tapped.append(_tap_layer(report, layer.name, ideal, Y))
+                    Y = np.zeros((len(X), layer.weights.shape[1]))
+                if layer.name in taps:   # the exact product only where it is reported
+                    tapped.append(_tap_layer(report, layer.name, X @ layer.weights, Y))
             out = FeatureMap(Y.reshape(model.shapes[layer.name]))
         elif layer.kind == "relu":
             out = FeatureMap(relu(preds[0].data))

@@ -278,8 +278,11 @@ def test_rejects_out_of_range_voltage():
 
 def test_rejects_non_finite_input():
     g = np.full((2, 2), G_MIN)
-    for r_wire in (1.0, 0.0):
-        config = CrossbarConfig(2, 2, r_wire=r_wire)
+    # the grid, the lumped model, and the lumped model with no free node,
+    # where no residual is computed
+    for xb in ({"r_wire": 1.0}, {"r_wire": 0.0},
+               {"r_wire": 0.0, "r_in": 0.0, "r_out": 0.0}):
+        config = CrossbarConfig(2, 2, **xb)
         solver = CrossbarSolver(config, g)
         for bad in ([np.nan, 0.1], [0.1, np.inf]):
             for check in (lambda v: simulate(config, g, v),

@@ -424,10 +424,18 @@ def test_engine_load_detects_corruption(tmp_path):
     (lambda d: d["arrays"]["weights"].update(shape=[-4, 2]), "does not fit"),
     (lambda d: d["mapping"].pop("alpha"), "malformed entry.*alpha"),
     (lambda d: d.update(calibration={}), "malformed entry.*gain"),
-    (lambda d: d.update(dac=[8, 1.0]), "malformed entry")],
+    (lambda d: d.update(dac=[8, 1.0]), "malformed entry"),
+    # parsed inside the same guard, so none of these escapes as a TypeError
+    # or ValueError
+    (lambda d: d.update(config=5), "malformed entry"),
+    (lambda d: d.update(conversion=[1]), "malformed entry.*conversion must be an object"),
+    (lambda d: d.update(col_scale=["1", "2"]), "malformed entry.*col_scale must be 2 numbers"),
+    (lambda d: d.update(col_scale=None), "malformed entry.*col_scale must be 2 numbers"),
+    (lambda d: d.update(blob_file=7), "blob_file is not a string")],
     ids=["no-blob_sha256", "no-mapping", "no-g_device", "no-offset", "past-blob-end",
          "negative-offset", "negative-dim", "no-mapping-alpha", "no-calibration-gain",
-         "dac-not-a-mapping"])
+         "dac-not-a-mapping", "config-not-an-object", "conversion-not-an-object",
+         "col_scale-not-numbers", "col_scale-null", "blob_file-not-a-string"])
 def test_engine_load_rejects_incomplete_descriptor(tmp_path, edit, match):
     engine = build_engine(gen_kernel(1, (4, 2), 15), seed=0)
     json_path, _ = engine.save(tmp_path / "engine.json")
@@ -436,6 +444,25 @@ def test_engine_load_rejects_incomplete_descriptor(tmp_path, edit, match):
     json_path.write_text(json.dumps(desc))
     with pytest.raises(ValidationError, match=match):
         VmmEngine.load(json_path)
+
+
+TOP_LEVEL_FIELDS = sorted(engine_mod.DESCRIPTOR_KEYS | {"format", "version", "name", "shape"})
+
+
+@pytest.mark.parametrize("field", TOP_LEVEL_FIELDS)
+def test_malformed_descriptor_loads_or_is_rejected(tmp_path, field):
+    """Any JSON value in any top-level field of a descriptor either loads
+    or is a ValidationError."""
+    engine = build_engine(gen_kernel(1, (4, 2), 15), adc_bits=8, seed=0)
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    desc = json.loads(json_path.read_text())
+    assert sorted(desc) == TOP_LEVEL_FIELDS
+    for value in (5, 1.5, "x", [1], {}, None, True):
+        json_path.write_text(json.dumps({**desc, field: value}))
+        try:
+            VmmEngine.load(json_path)
+        except ValidationError:
+            pass
 
 
 def test_engine_load_rejects_non_finite_adc_range(tmp_path):

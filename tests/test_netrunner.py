@@ -177,7 +177,10 @@ def test_model_manifest_bad_blob_slice(tmp_path, key, value):
 
 @pytest.mark.parametrize("field, value", [
     ("layers", 5), ("predecessors", 7), ("params", [1]), ("kernel_h", "3"),
-    ("entry", 5), ("stride", "2"), ("padding", "1"), ("padding", True)])
+    ("entry", 5), ("stride", "2"), ("padding", "1"), ("padding", True),
+    # names and predecessors are looked up in dicts, so each must be a string
+    ("name", ["conv0"]), ("name", 5), ("predecessors", [["image"]]),
+    ("predecessors", [{}]), ("predecessors", [5])])
 def test_model_manifest_bad_field_types(tmp_path, field, value):
     model = build_tiny_model(seed=3)
     manifest, _ = save_model(model, tmp_path / "tiny.json")
@@ -192,12 +195,56 @@ def test_model_manifest_bad_field_types(tmp_path, field, value):
     else:
         entry[field] = value
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError,
-                       match="'layers'" if field in ("layers", "entry") else "conv0"):
+    match = {"layers": "'layers'", "entry": "'layers'", "name": "string name"}
+    with pytest.raises(ValidationError, match=match.get(field, "conv0")):
         load_model(manifest)
     (tmp_path / "imgs").mkdir()
     assert cli.main(["run-net", "--model", str(manifest), "--images", str(tmp_path / "imgs"),
                      "--out", str(tmp_path / "net")]) == cli.EXIT_VALIDATION
+    assert not (tmp_path / "net").exists()
+
+
+# one value of each JSON type, put in place of one field at a time
+JSON_VALUES = (5, 1.5, "x", [1], {}, None, True)
+CONV1_PARAMS = ("kernel_h", "kernel_w", "in_channels", "out_channels", "stride", "padding")
+# a top-level field, a field of the conv1 entry, or a key or index in one
+MANIFEST_FIELDS = (("name",), ("layers",), ("blob_file",), ("blob_sha256",),
+                   *(("conv1", k) for k in ("name", "kind", "params", "predecessors",
+                                            "blob_offset", "blob_len")),
+                   *(("conv1", "params", k) for k in CONV1_PARAMS),
+                   ("conv1", "predecessors", 0))
+
+
+@pytest.mark.parametrize("path", MANIFEST_FIELDS, ids=lambda p: "-".join(map(str, p)))
+def test_malformed_manifest_loads_or_is_rejected(tmp_path, path):
+    """Any JSON value in any field of a manifest either loads or is a
+    ValidationError, and run-net exits 0 or 2, making no --out on exit 2."""
+    manifest, _ = save_model(build_tiny_model(seed=3), tmp_path / "tiny.json")
+    doc = json.loads(manifest.read_text())
+    conv1 = next(e for e in doc["layers"] if e["name"] == "conv1")
+    # the fields above are every field there is
+    assert {(k,) for k in doc} | {("conv1", k) for k in conv1} | {
+        ("conv1", "params", k) for k in conv1["params"]} == set(MANIFEST_FIELDS[:-1])
+    (tmp_path / "imgs").mkdir()
+    for i, value in enumerate(JSON_VALUES):
+        edited = json.loads(json.dumps(doc))
+        parent, keys = edited, path
+        if path[0] == "conv1":
+            parent = next(e for e in edited["layers"] if e["name"] == "conv1")
+            keys = path[1:]
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        manifest.write_text(json.dumps(edited))
+        try:
+            load_model(manifest)
+            expected = 0
+        except ValidationError:
+            expected = cli.EXIT_VALIDATION
+        out = tmp_path / f"net{i}"
+        assert cli.main(["run-net", "--model", str(manifest), "--images",
+                         str(tmp_path / "imgs"), "--out", str(out)]) == expected, value
+        assert out.exists() == (expected == 0)
 
 
 def test_software_mode_matches_plain_numpy_reference():
