@@ -31,17 +31,19 @@ The grid is factorized by exact block elimination over row slabs
 (`_SlabFactor`): each row touches the next only through the column wires, so
 the dense blocks, each built in closed form, are only n wide. Each slab's
 symmetric Sigma^-1 block is kept as its packed upper triangle, n(n+1)/2
-values (9.6 MB at 576x64 instead of 18.9 MB), built, inverted and packed a
-fixed-size block of slabs at a time and unpacked the same way. The lumped
-system, at most m+n nodes, is dense and gets a LAPACK Cholesky factor. The
-network is linear, so its output currents are `v_in @ T` for the transfer
-matrix T = S^T A^-1 C, which `transfer_matrix` computes once from one adjoint
-solve per column and caches; batch `currents` are that one product. A grid
-solve back-sweeps its rungs from the sinks up a fixed-size block of slabs at
-a time, and recovers each block's chains, rows of T and residual as soon as
-the block's rungs and the rung of the slab above it are known. A transfer
-keeps only that window of rungs, so its working set is a few such blocks,
-well under the factor's packed Sigma^-1 store. Node voltages come only from
+values (9.6 MB at 576x64 instead of 18.9 MB). The lumped system, at most
+m+n nodes, is dense and gets a LAPACK Cholesky factor. The network is
+linear, so its output currents are `v_in @ T` for the transfer matrix
+T = S^T A^-1 C, which `transfer_matrix` computes once from one adjoint solve
+per column and caches; batch `currents` are that one product. A grid solve
+back-sweeps its rungs from the sinks up a block of slabs at a time, and
+recovers each block's chains, rows of T and residual as soon as the block's
+rungs and the rung of the slab above it are known; a transfer keeps only
+that window of rungs. One byte budget, SLAB_BLOCK_BYTES, sizes every block
+(`_block_len`): the slabs the factor builds, inverts and packs at once, the
+Sigma^-1 a sweep unpacks at once, the slabs a back sweep takes at once, and
+the adjoint columns a transfer solves at once. Each solve and each transfer
+unpacks Sigma^-1 through one `_Sigmas`. Node voltages come only from
 `solve` (and `simulate`). Two references check the solver: `ideal_vmm`, the
 exact zero-parasitic product, and `oracle_solve`, a dense solve with
 independently derived assembly for small arrays.
@@ -56,13 +58,12 @@ from .config import CrossbarConfig
 from .errors import SolverError, ValidationError
 
 RESIDUAL_TOL = 1e-10
-# adjoint right-hand sides `transfer_matrix` solves and residual-checks at once
-TRANSFER_BLOCK_COLS = 64
-# bytes of one block of slabs the grid factor builds, inverts and packs into
-# its packed Sigma^-1 store (9.6 MB at 576x64), and the sweeps unpack, at once
-# (8 w^2 bytes a slab); and of one block of slabs' voltages a grid solve
-# back-sweeps, recovers and residual-checks at once, whose window of rungs,
-# chains, residual and wire currents take about four such blocks
+# bytes of every grid block (`_block_len`): of the slabs the factor builds,
+# inverts and packs, and a sweep unpacks, at once (8 w^2 bytes a slab); of
+# the slabs' voltages a back sweep takes at once, whose window of rungs,
+# chains, residual and wire currents take about four such blocks; and of one
+# slab's voltages in the adjoint columns a transfer solves at once (8 w
+# bytes a column)
 SLAB_BLOCK_BYTES = 1 << 20
 ORACLE_MAX_CELLS = 64
 # relative slack on the device range and on the input range [0, v_sense_max]
@@ -111,6 +112,11 @@ class NodeSolution:
     v_bot: np.ndarray    # (rows, cols) bottom-wire node voltages, V
     i_out: np.ndarray    # (cols,) column output currents, A
     residual: float      # relative residual of the linear solve
+
+
+def _block_len(count, item_bytes):
+    """How many items of item_bytes, 1 to count, a SLAB_BLOCK_BYTES block holds."""
+    return min(count, max(1, SLAB_BLOCK_BYTES // item_bytes))
 
 
 def _wire_neighbours(count):
@@ -175,20 +181,21 @@ def _packing(w):
 
 class _Sigmas:
     """The Sigma_k^-1 of a packed store (slabs, w(w+1)/2), unpacked through
-    sym a block of slabs at a time as a sweep asks for them, into one buffer
-    of about SLAB_BLOCK_BYTES; a miss below the block refills the slabs
-    below and up to k, any other miss the slabs from k on."""
+    sym as sweeps ask for them into one buffer of about SLAB_BLOCK_BYTES, a
+    block of slabs at a time: a miss fills the block that holds k, blocks
+    starting at multiples of the buffer's length, so a sweep either way
+    unpacks each slab once, and a store that fits the buffer is unpacked
+    once for all the sweeps that share it."""
 
     def __init__(self, inv, sym):
         self._inv, self._sym = inv, sym
-        step = max(1, SLAB_BLOCK_BYTES // (8 * sym.size))
-        self._buf = np.empty((min(step, len(inv)), *sym.shape))
+        self._buf = np.empty((_block_len(len(inv), 8 * sym.size), *sym.shape))
         self._lo = self._hi = 0
 
     def __getitem__(self, k):
         if not self._lo <= k < self._hi:
             step = len(self._buf)
-            self._lo = max(0, k + 1 - step) if k < self._lo else k
+            self._lo = k - k % step
             self._hi = min(self._lo + step, len(self._inv))
             np.take(self._inv[self._lo:self._hi], self._sym, axis=1, mode="clip",
                     out=self._buf[:self._hi - self._lo])
@@ -208,13 +215,12 @@ class _SlabFactor:
     as a block-tridiagonal system whose Schur complements Sigma_0 = K_0,
     Sigma_k = K_k - g_w^2 Sigma_{k-1}^-1 are inverted once here, a block of
     slabs at a time, upper triangles only (`_schur_inverses`). Each
-    Sigma_k^-1 is kept as its packed upper triangle, w(w+1)/2 values (9.6 MB
-    at 576x64 instead of 18.9 MB), and the sweeps unpack it, bit for bit
-    the symmetric block, a block of slabs at a time (`_Sigmas`). A solve
-    sweeps the rungs forward, then back from the sinks up, recovering the
-    chains and the residual block by block as it goes (`_back_sweep`). Every
-    right-hand side is terminal injections: sources at the chains' heads,
-    sinks at the last slab's rungs.
+    Sigma_k^-1 is kept as its packed upper triangle, w(w+1)/2 values, and
+    the sweeps unpack it, bit for bit the symmetric block (`_Sigmas`). A
+    solve sweeps the rungs forward, then back from the sinks up, recovering
+    the chains and the residual block by block as it goes (`_back_sweep`).
+    Every right-hand side is terminal injections: sources at the chains'
+    heads, sinks at the last slab's rungs.
 
     Slabs are rows: the chain is the top row with the source at its start,
     the rungs are the bottom nodes, sinking below the last row, and the
@@ -235,7 +241,7 @@ class _SlabFactor:
         self._inv = np.empty((slabs, len(upper)))
         # the rung blocks are made, inverted and packed a block of slabs at a
         # time; prev carries the last Sigma^-1 of a block to the next one
-        step, prev = max(1, SLAB_BLOCK_BYTES // (8 * w * w)), None
+        step, prev = _block_len(slabs, 8 * w * w), None
         for lo in range(0, slabs, step):
             hi = min(lo + step, slabs)
             K, piv = _rung_blocks(g_dev[lo:hi], chain[:, lo:hi], rung[lo:hi], g_wire)
@@ -259,12 +265,13 @@ class _SlabFactor:
             r[:, p] += np.multiply(mult[:, p], r[:, p + 1], out=tmp)
         return r
 
-    def _back_sweep(self, y, src=None, sink=None, top=None):
+    def _back_sweep(self, sig, y, src=None, sink=None, top=None):
         """Back-substitution of the forward-swept rung system from the sinks
-        up, and the chains and the residual from it, a block of slabs at a
-        time: a block is done as soon as its own rungs and the rung of the
-        slab above it are known, so only a window of step + 2 slabs of rungs
-        is kept, in buffers of about SLAB_BLOCK_BYTES each, made once.
+        up, with the Sigma^-1 of sig (a `_Sigmas`), and the chains and the
+        residual from it, a block of slabs at a time: a block is done as soon
+        as its own rungs and the rung of the slab above it are known, so only
+        a window of step + 2 slabs of rungs is kept, in buffers of about
+        SLAB_BLOCK_BYTES each, made once.
 
         The right-hand side is y (slabs, w, k), which takes the rungs in
         place, with top (slabs, w, k) taking the chains; or, with y None,
@@ -274,8 +281,7 @@ class _SlabFactor:
         sums of squares of the residual."""
         gw, slabs = self._g_wire, len(self._gd)
         last = sink if y is None else y[-1]
-        sig = _Sigmas(self._inv, self._sym)
-        step = min(slabs, max(1, SLAB_BLOCK_BYTES // last.nbytes))
+        step = _block_len(slabs, last.nbytes)
         # window slot s - lo + 1 holds the rungs of slab s, lo - 1 <= s <= hi
         win = np.empty((step + 2, *last.shape))
         work = np.empty((3, step + 1, *last.shape))
@@ -347,8 +353,7 @@ class _SlabFactor:
 
     def solve(self, v):
         """Node voltages for inputs v (slabs, k) at the sources: top and
-        bottom (slabs, w, k), and the columns' sums of squares of the residual
-        and of the right-hand side."""
+        bottom (slabs, w, k), and the worst relative residual, checked."""
         gw, sig = self._g_wire, _Sigmas(self._inv, self._sym)
         src = self.g_src * v
         rung = np.zeros((*self._gd.shape[:2], src.shape[1]))
@@ -358,22 +363,27 @@ class _SlabFactor:
         for k in range(1, len(rung)):
             rung[k] += gw * (sig[k - 1] @ rung[k - 1])
         top = np.empty_like(rung)
-        num2 = self._back_sweep(rung, src=src, top=top)[1]
-        return top, rung, num2, np.einsum("ik,ik->k", src, src)
+        num2 = self._back_sweep(sig, rung, src=src, top=top)[1]
+        return top, rung, _worst_residual(num2, np.einsum("ik,ik->k", src, src))
 
-    def transfer(self, start, stop):
-        """Columns start:stop of T = g_src x_top[:, 0], (slabs, stop - start),
-        from one adjoint solve per column with its sink as right-hand side,
-        and the columns' sums of squares of the residual and of the
-        right-hand side. No solution is stored whole: the back sweep keeps a
-        window of rungs, and the chains, T and the residual go slab block by
-        slab block."""
+    def transfer(self):
+        """T = g_src x_top[:, 0], (slabs, w), residual-checked on every node,
+        from one adjoint solve per column with its sink as right-hand side, a
+        block of columns at a time: as many as keep one slab's (w, k)
+        voltages inside SLAB_BLOCK_BYTES, all back-swept with one `_Sigmas`.
+        No solution is stored whole: the back sweep keeps a window of rungs,
+        and the chains, T and the residual go slab block by slab block."""
         w = self._gd.shape[1]
-        cols = np.arange(stop - start)
-        sink = np.zeros((w, len(cols)))
-        sink[start + cols, cols] = self.g_sink
-        heads, num2 = self._back_sweep(None, sink=sink)
-        return self.g_src * heads, num2, np.einsum("jk,jk->k", sink, sink)
+        sig, step = _Sigmas(self._inv, self._sym), _block_len(w, 8 * w)
+        T, num2 = np.empty(self._gd.shape[:2]), np.empty(w)
+        for start in range(0, w, step):
+            stop = min(start + step, w)
+            sink = np.zeros((w, stop - start))
+            sink[range(start, stop), range(stop - start)] = self.g_sink
+            heads, num2[start:stop] = self._back_sweep(sig, None, sink=sink)
+            T[:, start:stop] = self.g_src * heads
+        _worst_residual(num2, np.full(w, self.g_sink * self.g_sink))
+        return T
 
 
 def _worst_residual(num2, den2):
@@ -450,37 +460,26 @@ class CrossbarSolver:
         return x, _worst_residual(np.einsum("ij,ij->j", r, r),
                                   np.einsum("ij,ij->j", rhs, rhs))
 
-    def _transfer_block(self, start, stop):
-        """Columns start:stop of the transfer matrix, residual-checked."""
-        if self._grid:
-            T, num2, den2 = self._lu.transfer(start, stop)
-            _worst_residual(num2, den2)
-            return T
-        return self._S.T @ self._solve_free(self._C[:, start:stop])[0]
-
     def transfer_matrix(self):
         """Exact input-to-output linear map T = S^T A^-1 C, (rows, cols):
         i_out = v_in @ T.
 
         Computed on the first call from one adjoint back-substitution per
-        column on the existing factorization (A is symmetric), in blocks of
-        TRANSFER_BLOCK_COLS columns, each residual-checked on every node, and
-        cached read-only. A grid block is back-swept from the sinks up a
-        block of SLAB_BLOCK_BYTES of slabs at a time; each slab block's
-        chain voltages, rows of T and residual are made once its rungs and
-        the rung of the slab above are known, and only that window of rungs
-        is kept, so no full solution or residual is made and the working
-        set is a few slab blocks (6 MB at 576x64, against a packed Sigma^-1
-        store of 9.6 MB, 18.9 MB unpacked). With no free node T is g_dev
-        exactly.
+        column on the existing factorization (A is symmetric), residual-
+        checked on every node, and cached read-only. The lumped regime
+        solves every column in one `dpotrs` on the C it already holds; the
+        grid, in `_SlabFactor.transfer`, a block of columns at a time, as
+        many as keep one slab's voltages inside SLAB_BLOCK_BYTES (all of
+        them up to 362 wide), each back-swept a block of slabs at a time
+        with only a window of rungs kept, so its working set is a few slab
+        blocks (6 MB at 576x64, against a packed Sigma^-1 store of 9.6 MB,
+        18.9 MB unpacked). With no free node T is g_dev exactly.
         """
         if self._T is None:
-            m, n = self.g_dev.shape
-            if self._grid or self._A.shape[0]:
-                T = np.empty((m, n))
-                for start in range(0, n, TRANSFER_BLOCK_COLS):
-                    stop = min(start + TRANSFER_BLOCK_COLS, n)
-                    T[:, start:stop] = self._transfer_block(start, stop)
+            if self._grid:
+                T = self._lu.transfer()
+            elif len(self._A):
+                T = self._S.T @ self._solve_free(self._C)[0]
             else:
                 T = self.g_dev.copy()
             T.flags.writeable = False
@@ -505,10 +504,9 @@ class CrossbarSolver:
         m, n = self.config.rows, self.config.cols
         if self._grid:
             # an unchecked non-finite input leaves a non-finite residual,
-            # which the check below rejects
+            # which the residual check rejects
             with np.errstate(invalid="ignore"):
-                top, bot, num2, den2 = self._lu.solve(v_in[:, None])
-            residual = _worst_residual(num2, den2)
+                top, bot, residual = self._lu.solve(v_in[:, None])
             v_top, v_bot = top[..., 0], bot[..., 0]
             i_out = self._lu.g_sink * v_bot[-1]
         else:   # fixed rows hold their inputs, grounded columns sit at 0 V

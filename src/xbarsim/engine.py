@@ -65,6 +65,16 @@ class WeightMapping:
     beta: float
     x_max: float
 
+    def __post_init__(self):
+        # the shift may be 0; the scales and the input full scale may not
+        for name, value in self.to_dict().items():
+            least = ">= 0" if name == "c" else "> 0"
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0.0
+                    or (value == 0.0 and name != "c")):
+                raise ValidationError(
+                    f"mapping {name} must be a finite number {least}, got {value!r}")
+
     def to_dict(self):
         return {"c": self.c, "alpha": self.alpha, "beta": self.beta, "x_max": self.x_max}
 
@@ -259,11 +269,23 @@ class CalibrationParams:
                 "degenerate": list(self.degenerate)}
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(gain=np.asarray(d["gain"], dtype=float),
-                   offset=np.asarray(d["offset"], dtype=float),
+    def from_dict(cls, d, cols):
+        """The readout of a descriptor, with one gain and one offset for
+        each of its `cols` weight columns."""
+        return cls(gain=_numbers(d["gain"], cols, "calibration gain"),
+                   offset=_numbers(d["offset"], cols, "calibration offset"),
                    sample_count=int(d["sample_count"]),
                    degenerate=list(d["degenerate"]))
+
+
+def _numbers(value, count, what):
+    """A descriptor's list of `count` finite real numbers as a float array,
+    else a ValueError naming it `what`."""
+    if (not isinstance(value, list) or len(value) != count
+            or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                       and math.isfinite(v) for v in value)):
+        raise ValueError(f"{what} must be {count} numbers")
+    return np.array(value, dtype=float)
 
 
 def check_cali_sample_count(count):
@@ -406,7 +428,9 @@ class VmmEngine:
         """Run one input vector; returns a 1-D output vector."""
         return self.execute_batch(x)[0]
 
-    def to_descriptor(self, blob_file):
+    def to_descriptor(self):
+        """The engine's JSON descriptor, but for the blob's name and SHA-256,
+        which `save` adds."""
         arrays = {}
         offset = 0
         for key, arr in (("weights", self.weights), ("g_target", self.g_target),
@@ -427,7 +451,6 @@ class VmmEngine:
             "adc": None if self.adc is None else
                 {"bits": self.adc.bits, "i_max": self.adc.i_max, "i_min": self.adc.i_min},
             "calibration": None if self.cali is None else self.cali.to_dict(),
-            "blob_file": blob_file,
             "arrays": arrays,
         }
 
@@ -436,7 +459,7 @@ class VmmEngine:
         with `files.save_with_blob`, which records the blob's name and SHA-256."""
         blob = b"".join(arr.astype("<f8").tobytes()
                         for arr in (self.weights, self.g_target, self.g_device))
-        return save_with_blob(json_path, self.to_descriptor(None), blob)
+        return save_with_blob(json_path, self.to_descriptor(), blob)
 
     @classmethod
     def load(cls, json_path):
@@ -449,39 +472,45 @@ class VmmEngine:
         def read_array(key):
             try:
                 meta = desc["arrays"][key]
-                shape = tuple(int(n) for n in meta["shape"])
-                offset = int(meta["offset"])
-            except (KeyError, TypeError, ValueError) as exc:
+                shape, offset = meta["shape"], meta["offset"]
+                if (not isinstance(shape, list) or len(shape) != 2
+                        or not all(isinstance(n, int) and not isinstance(n, bool)
+                                   for n in (*shape, offset))):
+                    raise TypeError("shape must be 2 integers and offset an integer")
+            except (KeyError, TypeError) as exc:
                 raise ValidationError(
                     f"engine descriptor {json_path} has no valid arrays.{key}: "
                     f"{exc!r}") from exc
-            count = int(np.prod(shape))
-            if min(shape, default=0) < 0 or offset < 0 or offset + 8 * count > len(blob):
+            count = shape[0] * shape[1]
+            if min(shape) < 0 or offset < 0 or offset + 8 * count > len(blob):
                 raise ValidationError(
-                    f"array {key} of shape {list(shape)} at offset {offset} does "
+                    f"array {key} of shape {shape} at offset {offset} does "
                     f"not fit the {len(blob)}-byte blob {desc['blob_file']}")
             return np.frombuffer(blob, dtype="<f8", count=count,
                                  offset=offset).reshape(shape).copy()
 
+        weights = read_array("weights")
         dac, adc, cali = desc["dac"], desc["adc"], desc["calibration"]
         try:
             config = CrossbarConfig.from_dict(desc["config"])
             mapping = WeightMapping.from_dict(desc["mapping"])
-            col_scale = np.asarray(desc["col_scale"])
-            if col_scale.dtype.kind not in "iuf" or col_scale.shape != (config.cols,):
-                raise ValueError(f"col_scale must be {config.cols} numbers")
+            if weights.shape[0] > config.rows or weights.shape[1] > config.cols:
+                raise ValueError(f"weights {list(weights.shape)} do not fit the "
+                                 f"{config.rows}x{config.cols} crossbar")
+            col_scale = _numbers(desc["col_scale"], config.cols, "col_scale")
             if not isinstance(desc["conversion"], dict):
                 raise TypeError("conversion must be an object")
             dac = None if dac is None else DacSpec(**dac)
             adc = None if adc is None else AdcSpec(**adc)
-            cali = None if cali is None else CalibrationParams.from_dict(cali)
+            cali = (None if cali is None
+                    else CalibrationParams.from_dict(cali, weights.shape[1]))
         except ValidationError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"engine descriptor {json_path} has a malformed entry: {exc!r}") from exc
         return cls(
-            weights=read_array("weights"),
+            weights=weights,
             solver=CrossbarSolver(config, read_array("g_device")),
             mapping=mapping,
             g_target=read_array("g_target"),

@@ -144,26 +144,75 @@ def test_transfer_matrix_residual_checked_and_read_only(monkeypatch):
 
 @pytest.mark.parametrize("rows, cols", [(16, 160), (160, 160)])
 def test_transfer_matrix_column_blocks_match_one_block(monkeypatch, rows, cols):
+    # a grid transfer solves as many adjoint columns at once as keep one
+    # slab's (cols, k) voltages inside SLAB_BLOCK_BYTES: all 160 at the
+    # default, 64, 64 and 32 at 8 * 160 * 64 bytes, every column solved and
+    # residual-checked once, to the same T
     rng = np.random.default_rng(rows + cols)
-    for r_wire in (1.0, 0.0):
-        config = CrossbarConfig(rows, cols, r_wire=r_wire)
-        g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
-        solver = CrossbarSolver(config, g)
-        widths = []
-        transfer_block = solver._transfer_block
+    config = CrossbarConfig(rows, cols)
+    g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
+    widths, checked = [], []
+    back_sweep = xbarsim.circuit._SlabFactor._back_sweep
+    worst_residual = xbarsim.circuit._worst_residual
 
-        def recording_transfer_block(start, stop):
-            widths.append(stop - start)
-            return transfer_block(start, stop)
+    def recording_back_sweep(self, *args, sink=None, **kwargs):
+        widths.append(sink.shape[1])
+        return back_sweep(self, *args, sink=sink, **kwargs)
 
-        monkeypatch.setattr(solver, "_transfer_block", recording_transfer_block)
-        T = solver.transfer_matrix()
-        # every column solved and residual-checked once, at most 64 at a time
-        assert widths == [64, 64, 32]
+    def recording_worst_residual(num2, den2):
+        checked.append(len(num2))
+        return worst_residual(num2, den2)
+
+    monkeypatch.setattr(xbarsim.circuit._SlabFactor, "_back_sweep", recording_back_sweep)
+    monkeypatch.setattr(xbarsim.circuit, "_worst_residual", recording_worst_residual)
+    ref = CrossbarSolver(config, g).transfer_matrix()
+    assert widths == [cols] and checked == [cols]
+    widths.clear()
+    checked.clear()
+    monkeypatch.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", 8 * cols * 64)
+    T = CrossbarSolver(config, g).transfer_matrix()
+    assert widths == [64, 64, 32] and checked == [cols]
+    assert rel_diff(T, ref) <= 1e-12
+
+
+def test_transfer_and_solve_each_unpack_through_one_sigmas(monkeypatch):
+    # a transfer's column blocks share one _Sigmas, so a one-slab array
+    # unpacks its Sigma^-1 once however many blocks it takes, and a wider
+    # one once a block; a solve's back sweep starts on the block of slabs
+    # its forward sweep unpacked last
+    made, fills = [], []
+
+    class RecordingSigmas(_Sigmas):
+        def __init__(self, inv, sym):
+            super().__init__(inv, sym)
+            made.append(self)
+
+        def __getitem__(self, k):
+            if not self._lo <= k < self._hi:
+                fills.append(k)
+            return super().__getitem__(k)
+
+    monkeypatch.setattr(xbarsim.circuit, "_Sigmas", RecordingSigmas)
+    rng = np.random.default_rng(160)
+    # three blocks of 64, 64 and 32 columns with one slab's Sigma^-1 at a
+    # time, then one block of 160 columns with five slabs' at a time
+    three_blocks, one_block = 8 * 160 * 64, xbarsim.circuit.SLAB_BLOCK_BYTES
+    for rows, budget, want in ((1, three_blocks, [0]),
+                               (16, three_blocks, 3 * [*range(15, -1, -1)]),
+                               (17, one_block, [16, 14, 9, 4])):
         with monkeypatch.context() as m:
-            m.setattr(xbarsim.circuit, "TRANSFER_BLOCK_COLS", cols)
-            ref = CrossbarSolver(config, g).transfer_matrix()
-        assert rel_diff(T, ref) <= 1e-12
+            m.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", budget)
+            solver = CrossbarSolver(CrossbarConfig(rows, 160),
+                                    rng.uniform(G_MIN, G_MAX, size=(rows, 160)))
+            made.clear()
+            fills.clear()
+            solver.transfer_matrix()
+            assert len(made) == 1 and fills == want
+    made.clear()
+    fills.clear()
+    solver.solve(np.full(17, 0.1))
+    # Sigma^-1 blocks of 5 slabs: 0-4, 5-9, 10-14, 15-16
+    assert len(made) == 1 and fills == [0, 5, 10, 15, 14, 9, 4]
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 5), (9, 4), (27, 16), (40, 16)])
@@ -175,6 +224,14 @@ def test_transfer_slab_blocks_cover_every_node(monkeypatch, rows, cols):
     # drops or repeats a node or a Schur complement
     rng = np.random.default_rng(rows * cols)
     g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
+    # the residual sums the transfer checks, on one block of every column
+    checked, worst_residual = [], xbarsim.circuit._worst_residual
+
+    def recording_worst_residual(num2, den2):
+        checked.append((num2, den2))
+        return worst_residual(num2, den2)
+
+    monkeypatch.setattr(xbarsim.circuit, "_worst_residual", recording_worst_residual)
     for r_wire, r_in, r_out, r_t in GRID_REGIMES:
         config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out,
                                 r_transistor_on=r_t)
@@ -185,7 +242,9 @@ def test_transfer_slab_blocks_cover_every_node(monkeypatch, rows, cols):
             # of the transfer holds cols x cols values, of a solve cols
             monkeypatch.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", slabs * cols * cols * 8)
             solver = CrossbarSolver(config, g)
-            T, num2, den2 = solver._lu.transfer(0, cols)
+            checked.clear()
+            T = solver._lu.transfer()
+            (num2, den2), = checked
             monkeypatch.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", slabs * cols * 8)
             runs.append((solver._lu._inv, T, num2, den2, solver.solve(v)))
         inv_one, T_one, num2_one, den2_one, sol_one = runs.pop()
@@ -364,8 +423,7 @@ def check_against_sparse_reference(config, solver, v):
                                         (4, 256)])
 def test_slab_solver_matches_sparse_reference(rows, cols):
     # the row slabs against spsolve on A, tall and wide; 4x256 (64:1) builds
-    # 256-wide dense blocks, and 16x160 and 4x256 transfer in several
-    # blocks of columns
+    # 256-wide dense blocks
     rng = np.random.default_rng(100 * rows + cols)
     for r_wire, r_in, r_out, r_t in GRID_REGIMES:
         config = CrossbarConfig(rows, cols, r_wire=r_wire, r_in=r_in, r_out=r_out,

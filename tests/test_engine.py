@@ -431,11 +431,33 @@ def test_engine_load_detects_corruption(tmp_path):
     (lambda d: d.update(conversion=[1]), "malformed entry.*conversion must be an object"),
     (lambda d: d.update(col_scale=["1", "2"]), "malformed entry.*col_scale must be 2 numbers"),
     (lambda d: d.update(col_scale=None), "malformed entry.*col_scale must be 2 numbers"),
-    (lambda d: d.update(blob_file=7), "blob_file is not a string")],
+    (lambda d: d.update(blob_file=7), "blob_file is not a string"),
+    # checked at load, not coerced, nor left to fail in the first execute
+    (lambda d: d["mapping"].update(c="x"), "mapping c must be a finite number >= 0"),
+    (lambda d: d["mapping"].update(alpha=None), "mapping alpha must be a finite number > 0"),
+    (lambda d: d["mapping"].update(x_max=-1.0), "mapping x_max must be a finite number > 0"),
+    (lambda d: d["mapping"].update(beta=True), "mapping beta must be a finite number > 0"),
+    # an integer past the float range
+    (lambda d: d["mapping"].update(alpha=10 ** 400), "malformed entry.*OverflowError"),
+    (lambda d: d["arrays"]["weights"].update(shape=[4.7, 2]), "no valid arrays.weights"),
+    (lambda d: d["arrays"]["g_target"].update(offset=64.0), "no valid arrays.g_target"),
+    (lambda d: d["arrays"]["weights"].update(shape=[8]), "no valid arrays.weights"),
+    (lambda d: d["arrays"]["weights"].update(shape=[4, 3]),
+     r"malformed entry.*weights \[4, 3\] do not fit the 4x2 crossbar"),
+    (lambda d: d["calibration"].update(gain=["1", "2"]),
+     "malformed entry.*calibration gain must be 2 numbers"),
+    (lambda d: d["calibration"].update(gain=[1.0, 2.0, 3.0]),
+     "malformed entry.*calibration gain must be 2 numbers"),
+    (lambda d: d["calibration"].update(offset=[0.0, True]),
+     "malformed entry.*calibration offset must be 2 numbers")],
     ids=["no-blob_sha256", "no-mapping", "no-g_device", "no-offset", "past-blob-end",
          "negative-offset", "negative-dim", "no-mapping-alpha", "no-calibration-gain",
          "dac-not-a-mapping", "config-not-an-object", "conversion-not-an-object",
-         "col_scale-not-numbers", "col_scale-null", "blob_file-not-a-string"])
+         "col_scale-not-numbers", "col_scale-null", "blob_file-not-a-string",
+         "mapping-c-string", "mapping-alpha-null", "mapping-x_max-negative",
+         "mapping-beta-bool", "mapping-alpha-past-float-range", "shape-not-integers", "offset-not-an-integer",
+         "shape-1d", "weights-wider-than-crossbar", "calibration-gain-strings",
+         "calibration-gain-per-column", "calibration-offset-bool"])
 def test_engine_load_rejects_incomplete_descriptor(tmp_path, edit, match):
     engine = build_engine(gen_kernel(1, (4, 2), 15), seed=0)
     json_path, _ = engine.save(tmp_path / "engine.json")
