@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from itertools import repeat
 from pathlib import Path
 
@@ -137,24 +138,28 @@ def _csv_fields(column):
     return [string_field(v) if type(v) is str else _csv_field(v) for v in column]
 
 
-def _write_csv(path, header, columns):
+def _write_csv(path, header, columns, append=False):
     """The one CSV writer: a header line, then one row per element of the
-    equal-length `columns`, each column formatted at once. For rows of two
+    equal-length `columns`, each column formatted at once; with `append`,
+    only the rows, added to the end of an existing file. For rows of two
     or more fields, as every report has, the bytes equal those `csv.writer`
     writes for the same header and rows: floats with repr, other numbers
     with str, strings quoted as QUOTE_MINIMAL quotes them, and CRLF line
     endings."""
     lines = "\r\n".join(map(",".join, zip(*map(_csv_fields, columns), strict=True)))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(_csv_field, header)) + "\r\n")
+    with open(path, "a" if append else "w", newline="") as fh:
+        if not append:
+            fh.write(",".join(map(_csv_field, header)) + "\r\n")
         if lines:
             fh.write(lines + "\r\n")
 
 
-def _write_taps(path, layer, columns):
-    """One layer's tap report: `layer` on every row, then its numeric
-    columns (window, column, ideal, actual, rel_err), numpy arrays."""
-    _write_csv(path, TAP_HEADER, [repeat(layer, len(columns[0])), *columns])
+def _write_taps(path, layer, columns, append):
+    """Rows of one layer's tap report: `layer` on every row, then its
+    numeric columns (window, column, ideal, actual, rel_err), numpy arrays;
+    `append` adds them to the report `path` already holds."""
+    _write_csv(path, TAP_HEADER, [repeat(layer, len(columns[0])), *columns],
+               append)
 
 
 @click.group()
@@ -322,11 +327,15 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
 def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
     """Quantization sweep plus optional per-layer error taps over a model.
 
-    Engines, inference and the sweep run in this process. The tap reports,
-    one `layer_<name>.csv` per tapped layer, are written by a pool of
-    min(--threads, tap files) forked worker processes, each writing whole
-    files, so no report depends on --threads; with one worker they are
-    written in this process.
+    Engines, inference and the sweep run in this process; the sweep checks
+    every image before any tap report is written. The tap reports, one
+    `layer_<name>.csv` per tapped layer, are then written image by image:
+    each image's tap pass waits until the previous image's rows are
+    written, and each of its tapped layers' rows is one job for a pool of
+    min(--threads, tap files) forked worker processes, the first image's
+    job writing the header. So this process holds one image's tap rows at
+    a time and no report depends on --threads; with one worker the jobs
+    run in this process.
     """
     try:
         bit_list = [t if t == "none" else int(t)
@@ -363,40 +372,37 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
     if taps:
         first_bits = bit_list[0] if bit_list else "none"
         dac = adc = None if first_bits == "none" else first_bits
-        per_layer = {}   # layer -> [(rows, aggregates)], one entry per image
+        per_layer = {}   # layer -> its aggregates, one per image
         offset = 0
-        for img in images:
-            _, rep = run_inference(model, img, mode="analog", taps=tap_set,
-                                   dac_bits=dac, adc_bits=adc, seed=seed,
-                                   engine_kwargs=engine_kwargs or None)
-            # number this image's windows after the previous image's
-            if len(rep.rows):
-                rep.rows["window"] += offset
-                offset = 1 + int(rep.rows["window"].max())
-            # each tapped layer's rows are contiguous, in aggregates order
-            start = 0
-            for layer, agg in rep.aggregates.items():
-                per_layer.setdefault(layer, []).append(
-                    (rep.rows[start:start + agg["count"]], agg))
-                start += agg["count"]
-        # one job per layer, its numeric columns as contiguous arrays
-        jobs = [(out / f"layer_{layer}.csv", layer,
-                 [np.concatenate([r[f] for r, _ in parts]) for f in TAP_DTYPE.names])
-                for layer, parts in per_layer.items()]
-        workers = min(ctx.obj["threads"], len(jobs))
-        if workers > 1:
+        workers = min(ctx.obj["threads"], len(tap_set))
+        with ExitStack() as stack:
             # fork, so that no worker imports numpy and scipy afresh; the
             # workers only format floats and write files
-            with ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                list(pool.map(_write_taps, *zip(*jobs)))
-        else:
-            for job in jobs:
-                _write_taps(*job)
+            write = map if workers <= 1 else stack.enter_context(ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))).map
+            for k, img in enumerate(images):
+                _, rep = run_inference(model, img, mode="analog", taps=tap_set,
+                                       dac_bits=dac, adc_bits=adc, seed=seed,
+                                       engine_kwargs=engine_kwargs or None)
+                # number this image's windows after the previous image's
+                if len(rep.rows):
+                    rep.rows["window"] += offset
+                    offset = 1 + int(rep.rows["window"].max())
+                # one job per tapped layer, whose rows are contiguous, in
+                # aggregates order; the first image's jobs create the files,
+                # and every job ends before the next image's tap pass
+                ends = np.cumsum([0, *(a["count"] for a in rep.aggregates.values())])
+                columns = [[rep.rows[f][lo:hi] for f in TAP_DTYPE.names]
+                           for lo, hi in zip(ends, ends[1:])]
+                paths = [out / f"layer_{layer}.csv" for layer in rep.aggregates]
+                list(write(_write_taps, paths, rep.aggregates, columns, repeat(k > 0)))
+                for layer, agg in rep.aggregates.items():
+                    per_layer.setdefault(layer, []).append(agg)
+                del rep, columns   # the next tap pass starts without these rows
         summary["taps"] = {
-            layer: {"mean": float(np.mean([a["mean"] for _, a in parts])),
-                    "worst": float(max(a["worst"] for _, a in parts))}
-            for layer, parts in per_layer.items()}
+            layer: {"mean": float(np.mean([a["mean"] for a in aggs])),
+                    "worst": float(max(a["worst"] for a in aggs))}
+            for layer, aggs in per_layer.items()}
     write_json(out / "summary.json", summary)
     _write_log(out / "summary.json", "run-net")
 

@@ -274,8 +274,19 @@ class CalibrationParams:
         each of its `cols` weight columns."""
         return cls(gain=_numbers(d["gain"], cols, "calibration gain"),
                    offset=_numbers(d["offset"], cols, "calibration offset"),
-                   sample_count=int(d["sample_count"]),
-                   degenerate=list(d["degenerate"]))
+                   sample_count=check_cali_sample_count(d["sample_count"]),
+                   degenerate=_column_indices(d["degenerate"], cols))
+
+
+def _column_indices(value, cols):
+    """A descriptor's list of distinct column indices in [0, cols), else a
+    ValueError."""
+    if (not isinstance(value, list) or not all(type(c) is int and 0 <= c < cols
+                                               for c in value)
+            or len(set(value)) != len(value)):
+        raise ValueError(f"calibration degenerate must be distinct column "
+                         f"indices in [0, {cols}), got {value!r}")
+    return value
 
 
 def _numbers(value, count, what):
@@ -497,6 +508,10 @@ class VmmEngine:
             if weights.shape[0] > config.rows or weights.shape[1] > config.cols:
                 raise ValueError(f"weights {list(weights.shape)} do not fit the "
                                  f"{config.rows}x{config.cols} crossbar")
+            g_target = read_array("g_target")
+            if g_target.shape != (config.rows, config.cols):
+                raise ValueError(f"g_target {list(g_target.shape)} is not the "
+                                 f"{config.rows}x{config.cols} crossbar")
             col_scale = _numbers(desc["col_scale"], config.cols, "col_scale")
             if not isinstance(desc["conversion"], dict):
                 raise TypeError("conversion must be an object")
@@ -513,7 +528,7 @@ class VmmEngine:
             weights=weights,
             solver=CrossbarSolver(config, read_array("g_device")),
             mapping=mapping,
-            g_target=read_array("g_target"),
+            g_target=g_target,
             col_scale=col_scale,
             conversion_info=desc["conversion"],
             dac=dac, adc=adc, cali=cali,

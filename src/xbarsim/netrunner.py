@@ -18,8 +18,11 @@ File formats:
   any other name is a ValidationError). Rows hold no layer name: each
   layer's rows are contiguous, in model order, and `ErrorReport.aggregates`,
   in the same order, gives their number as `aggregates[name]["count"]`.
-  `run-net` splits the rows by those counts into one CSV per layer,
-  numbering each image's windows after the previous image's largest.
+  `run_inference` preallocates the array from the tapped layers' `shapes`
+  and fills it layer by layer. `run-net` splits each image's rows by those
+  counts and appends them to one CSV per layer, numbering each image's
+  windows after the previous image's largest, so it holds one image's rows
+  at a time.
 """
 
 import struct
@@ -351,11 +354,13 @@ class ErrorReport:
 
 
 def _tap_layer(report, name, ideal, actual):
-    """Record one layer's error aggregates, whose "count" is its number of
-    rows; return its TAP_DTYPE rows."""
+    """Fill the report's next `ideal.size` rows, after those of the layers
+    tapped before, and record the layer's error aggregates, whose "count"
+    is that number of rows."""
     rng = output_range(ideal) or 1.0
     rel = relative_error(actual, ideal, rng)
-    rows = np.empty(ideal.size, dtype=TAP_DTYPE)
+    start = sum(agg["count"] for agg in report.aggregates.values())
+    rows = report.rows[start:start + ideal.size]
     rows["window"], rows["column"] = (i.ravel() for i in np.indices(ideal.shape))
     rows["ideal"], rows["actual"] = ideal.ravel(), actual.ravel()
     rows["rel_err"] = rel.ravel()
@@ -363,7 +368,6 @@ def _tap_layer(report, name, ideal, actual):
                                "worst": float(rel.max()),
                                "output_range": rng,
                                "count": int(rel.size)}
-    return rows
 
 
 def run_inference(model: NetworkModel, image, mode="software", taps=(),
@@ -383,7 +387,9 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
     taps = model.tap_layers(taps)
     engine_kwargs = engine_kwargs or {}
     report = ErrorReport()
-    tapped = []
+    if mode == "analog":   # one row per output element of each tapped layer
+        report.rows = np.empty(sum(int(np.prod(model.shapes[name])) for name in taps),
+                               dtype=TAP_DTYPE)
     outputs = {}
     probs = None
     for layer in model.layers:
@@ -411,7 +417,7 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
                 else:
                     Y = np.zeros((len(X), layer.weights.shape[1]))
                 if layer.name in taps:   # the exact product only where it is reported
-                    tapped.append(_tap_layer(report, layer.name, X @ layer.weights, Y))
+                    _tap_layer(report, layer.name, X @ layer.weights, Y)
             out = FeatureMap(Y.reshape(model.shapes[layer.name]))
         elif layer.kind == "relu":
             out = FeatureMap(relu(preds[0].data))
@@ -427,8 +433,6 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
             probs = softmax(report.logits)
             out = FeatureMap(probs.reshape(1, 1, -1))
         outputs[layer.name] = out
-    if tapped:
-        report.rows = np.concatenate(tapped)
     report.prediction = int(np.argmax(probs))
     return probs, report
 

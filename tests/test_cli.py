@@ -5,6 +5,7 @@ import io
 import json
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -427,12 +428,20 @@ def test_write_csv_matches_csv_writer(tmp_path, layer, n):
     taps = [np.array([2**31 + 7 * k for k in range(n)]),
             np.array([2**62 - k for k in range(n)]),
             np.array(floats), np.array(floats[::-1]), -np.array(floats)]
-    cli._write_taps(tmp_path / "taps.csv", layer, taps)
+    cli._write_taps(tmp_path / "taps.csv", layer, taps, append=False)
     assert (tmp_path / "taps.csv").read_bytes() == csv_writer_bytes(
         cli.TAP_HEADER, zip([layer] * n, *(c.tolist() for c in taps)))
     if not n:
         assert (tmp_path / "taps.csv").read_bytes() == \
             b"layer,window,column,ideal,actual,rel_err\r\n"
+    # the rows written in two calls, the file created and then appended to,
+    # give the bytes of one call
+    cli._write_taps(tmp_path / "parts.csv", layer, [c[:n // 3] for c in taps],
+                    append=False)
+    cli._write_taps(tmp_path / "parts.csv", layer, [c[n // 3:] for c in taps],
+                    append=True)
+    assert (tmp_path / "parts.csv").read_bytes() == \
+        (tmp_path / "taps.csv").read_bytes()
     # the lists of the other reports: a bits column mixing "none" with ints,
     # as in accuracy.csv, strings, and numbers equal in value but written
     # apart (0.0 and -0.0, 1 and 1.0 and True)
@@ -441,9 +450,15 @@ def test_write_csv_matches_csv_writer(tmp_path, layer, n):
                [layer, "", " x", "cr\rlf", layer, "", "plain", "a,b", layer][:n],
                [0.0, -0.0, 1, 1.0, True, *floats[:4]][:n],
                [2**31 + k for k in range(n)]]
-    cli._write_csv(tmp_path / "mixed.csv", header, columns)
+    cli._write_csv(tmp_path / "mixed.csv", header, columns, append=False)
     assert (tmp_path / "mixed.csv").read_bytes() == csv_writer_bytes(
         header, zip(*columns))
+    cli._write_csv(tmp_path / "mixed_parts.csv", header,
+                   [c[:n // 3] for c in columns], append=False)
+    cli._write_csv(tmp_path / "mixed_parts.csv", header,
+                   [c[n // 3:] for c in columns], append=True)
+    assert (tmp_path / "mixed_parts.csv").read_bytes() == \
+        (tmp_path / "mixed.csv").read_bytes()
 
 
 def layer_rows(report, layer):
@@ -457,22 +472,27 @@ def layer_rows(report, layer):
 
 
 def test_run_net_tap_csvs(tmp_path):
-    args = tiny_run_net_inputs(tmp_path, 2)
+    args = tiny_run_net_inputs(tmp_path, 3)
     assert cli.main(args + ["--bits", "none", "--taps", "all"]) == 0
     model = load_model(tmp_path / "tiny.json")
     reports = [run_inference(model, load_tensor(p), mode="analog", taps="all")[1]
                for p in sorted((tmp_path / "imgs").iterdir())]
-    first_window = 1 + max(int(r["window"]) for r in reports[0].rows)
+    # image k+1's windows start after the largest window of image k
+    offsets = [0]
+    for rep in reports[:-1]:
+        offsets.append(offsets[-1] + 1 + int(rep.rows["window"].max()))
     for layer in ("conv0", "conv1", "fc"):
         with open(tmp_path / "net" / f"layer_{layer}.csv", newline="") as fh:
             lines = list(csv.reader(fh))
         assert lines[0] == ["layer", "window", "column", "ideal", "actual",
                             "rel_err"]
         expect = [(layer_rows(rep, layer), offset)
-                  for rep, offset in zip(reports, (0, first_window))]
+                  for rep, offset in zip(reports, offsets)]
         got = lines[1:]
         assert len(got) == sum(len(rows) for rows, _ in expect)
         for rows, offset in expect:
+            # each image's rows start at its offset, with no header between
+            assert int(got[0][1]) == offset
             for row, line in zip(rows, got[:len(rows)]):
                 assert line[0] == layer
                 assert int(line[1]) == row["window"] + offset
@@ -481,7 +501,8 @@ def test_run_net_tap_csvs(tmp_path):
                     assert float(line[3 + k]) == row[field]
             got = got[len(rows):]
         # image 2 starts after the largest window of any layer of image 1
-        assert int(lines[1 + len(expect[0][0])][1]) == first_window
+        assert int(lines[1 + len(expect[0][0])][1]) == offsets[1] > 0
+        assert offsets[2] > offsets[1]
 
 
 def test_outputs_deterministic_across_thread_settings(tmp_path, monkeypatch):
@@ -489,7 +510,7 @@ def test_outputs_deterministic_across_thread_settings(tmp_path, monkeypatch):
     save_model(model, tmp_path / "tiny.json")
     img_dir = tmp_path / "imgs"
     img_dir.mkdir()
-    for i in range(2):
+    for i in range(3):
         save_tensor(img_dir / f"img{i}.mten", gen_input((6, 6, 3), 0.3, 50 + i))
     outputs = {}
     for threads in ("1", "4"):
@@ -497,11 +518,12 @@ def test_outputs_deterministic_across_thread_settings(tmp_path, monkeypatch):
         out = tmp_path / f"net{threads}"
         rc = cli.main(["run-net", "--model", str(tmp_path / "tiny.json"),
                        "--images", str(img_dir), "--bits", "8",
-                       "--out", str(out)])
+                       "--taps", "all", "--out", str(out)])
         assert rc == 0
         outputs[threads] = {p.name: p.read_bytes()
                             for p in out.iterdir() if p.suffix != ".log"}
     assert outputs["1"] == outputs["4"]
+    assert len([name for name in outputs["1"] if name.startswith("layer_")]) == 3
 
 
 def test_run_net_writes_taps_in_a_pool(tmp_path, monkeypatch):
@@ -546,6 +568,32 @@ def test_run_net_tap_writer_error_reaches_parent(tmp_path, monkeypatch, threads)
     monkeypatch.setenv("XBAR_THREADS", threads)
     with pytest.raises(IsADirectoryError):
         cli.main(args + ["--bits", "none", "--taps", "all"])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_net_memory_does_not_grow_with_images(tmp_path, monkeypatch, threads):
+    # the parent holds one image's tap rows at a time, so six images peak
+    # no higher than one, up to less than two images' rows
+    model = build_tiny_model(seed=2, channels=(8, 8), hw=16)
+    save_model(model, tmp_path / "tiny.json")
+    image_rows = sum(int(np.prod(model.shapes[layer.name]))
+                     for layer in model.weight_layers()) * netrunner.TAP_DTYPE.itemsize
+    monkeypatch.setenv("XBAR_THREADS", threads)
+    peaks = {}
+    for images in (1, 6):
+        img_dir = tmp_path / f"imgs{images}"
+        img_dir.mkdir()
+        for i in range(images):
+            save_tensor(img_dir / f"img{i}.mten", gen_input((16, 16, 3), 0.3, 70 + i))
+        tracemalloc.start()
+        try:
+            assert cli.main(["run-net", "--model", str(tmp_path / "tiny.json"),
+                             "--images", str(img_dir), "--bits", "none",
+                             "--taps", "all", "--out", str(tmp_path / f"net{images}")]) == 0
+            peaks[images] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[6] - peaks[1] < 2 * image_rows, (peaks, image_rows)
 
 
 def test_threads_flag_validation(monkeypatch, capsys):

@@ -449,7 +449,23 @@ def test_engine_load_detects_corruption(tmp_path):
     (lambda d: d["calibration"].update(gain=[1.0, 2.0, 3.0]),
      "malformed entry.*calibration gain must be 2 numbers"),
     (lambda d: d["calibration"].update(offset=[0.0, True]),
-     "malformed entry.*calibration offset must be 2 numbers")],
+     "malformed entry.*calibration offset must be 2 numbers"),
+    (lambda d: d["calibration"].update(sample_count=2.7),
+     "calibration sample count must be an integer >= 2, got 2.7"),
+    (lambda d: d["calibration"].update(sample_count=True),
+     "calibration sample count must be an integer >= 2, got True"),
+    (lambda d: d["calibration"].update(sample_count=1),
+     "calibration sample count must be an integer >= 2, got 1"),
+    (lambda d: d["calibration"].update(degenerate="ab"),
+     r"malformed entry.*calibration degenerate must be distinct column indices in \[0, 2\)"),
+    (lambda d: d["calibration"].update(degenerate=[1, 1]),
+     "malformed entry.*calibration degenerate must be distinct column indices"),
+    (lambda d: d["calibration"].update(degenerate=[2]),
+     "malformed entry.*calibration degenerate must be distinct column indices"),
+    (lambda d: d["calibration"].update(degenerate=[0.0]),
+     "malformed entry.*calibration degenerate must be distinct column indices"),
+    (lambda d: d["arrays"]["g_target"].update(shape=[2, 4]),
+     r"malformed entry.*g_target \[2, 4\] is not the 4x2 crossbar")],
     ids=["no-blob_sha256", "no-mapping", "no-g_device", "no-offset", "past-blob-end",
          "negative-offset", "negative-dim", "no-mapping-alpha", "no-calibration-gain",
          "dac-not-a-mapping", "config-not-an-object", "conversion-not-an-object",
@@ -457,7 +473,11 @@ def test_engine_load_detects_corruption(tmp_path):
          "mapping-c-string", "mapping-alpha-null", "mapping-x_max-negative",
          "mapping-beta-bool", "mapping-alpha-past-float-range", "shape-not-integers", "offset-not-an-integer",
          "shape-1d", "weights-wider-than-crossbar", "calibration-gain-strings",
-         "calibration-gain-per-column", "calibration-offset-bool"])
+         "calibration-gain-per-column", "calibration-offset-bool",
+         "calibration-sample_count-float", "calibration-sample_count-bool",
+         "calibration-sample_count-one", "calibration-degenerate-string",
+         "calibration-degenerate-repeated", "calibration-degenerate-past-cols",
+         "calibration-degenerate-float", "g_target-transposed"])
 def test_engine_load_rejects_incomplete_descriptor(tmp_path, edit, match):
     engine = build_engine(gen_kernel(1, (4, 2), 15), seed=0)
     json_path, _ = engine.save(tmp_path / "engine.json")
