@@ -27,6 +27,10 @@ the column output currents. The regimes differ in how they hold (A, S, C):
 
 A is factorized once per conductance matrix, and every solve on it is
 residual-checked, ||A x - b|| / ||b|| per right-hand side over every node.
+Once `transfer_matrix` has cached T, the grid factor is released, since
+`currents` reads only T; a later `solve` factorizes A again, to the same
+bits. The solver keeps read-only copies of g and g_dev, so a factor made
+again describes the array that T does.
 The grid is factorized by exact block elimination over row slabs
 (`_SlabFactor`): each row touches the next only through the column wires, so
 the dense blocks, each built in closed form, are only n wide. Each slab's
@@ -400,23 +404,33 @@ def _worst_residual(num2, den2):
 class CrossbarSolver:
     """Factorized nodal solver for one (config, conductance matrix) pair.
 
-    Building the solver validates inputs and factorizes its regime's A
-    once: slab by slab for the grid, by a dense Cholesky factor for the
-    lumped model, which also keeps its dense (A, S, C). `solve`
-    back-substitutes for the node voltages of one input; `currents`
-    multiplies a batch of inputs by the cached transfer matrix, so many
-    input vectors against the same conductances cost one matrix product.
+    Building the solver validates inputs, copies g (and g_dev) read-only
+    and factorizes its regime's A: slab by slab for the grid, by a dense
+    Cholesky factor for the lumped model, which also keeps its dense
+    (A, S, C). `solve` back-substitutes for the node voltages of one input;
+    `currents` multiplies a batch of inputs by the cached transfer matrix,
+    so many input vectors against the same conductances cost one matrix
+    product. Caching T releases the grid factor, which `solve` makes again
+    on demand and then keeps.
     """
 
     def __init__(self, config: CrossbarConfig, g):
         self.config = config
-        self.g = check_conductances(config, g)
+        # read-only copies: a factor made again must describe the same array
+        self.g = check_conductances(config, np.array(g, dtype=float))
         if config.r_transistor_on > 0.0:
             self.g_dev = 1.0 / (1.0 / self.g + config.r_transistor_on)
         else:
             self.g_dev = self.g
+        self.g.flags.writeable = self.g_dev.flags.writeable = False
         self._grid = config.r_wire > 0.0
         self._T = None
+        self._factor()
+
+    def _factor(self):
+        """Factorize the regime's A into `_lu`, a singular system as a
+        SolverError."""
+        config = self.config
         try:
             if self._grid:
                 # each terminal edge includes one wire segment
@@ -473,11 +487,14 @@ class CrossbarSolver:
         them up to 362 wide), each back-swept a block of slabs at a time
         with only a window of rungs kept, so its working set is a few slab
         blocks (6 MB at 576x64, against a packed Sigma^-1 store of 9.6 MB,
-        18.9 MB unpacked). With no free node T is g_dev exactly.
+        18.9 MB unpacked). With no free node T is g_dev exactly. The grid
+        factor is released once T is cached.
         """
         if self._T is None:
             if self._grid:
-                T = self._lu.transfer()
+                # inference reads only T: the grid factor goes, and `solve`
+                # makes it again
+                T, self._lu = self._lu.transfer(), None
             elif len(self._A):
                 T = self._S.T @ self._solve_free(self._C)[0]
             else:
@@ -497,11 +514,14 @@ class CrossbarSolver:
         return V @ self.transfer_matrix()
 
     def solve(self, v_in, check_range=True) -> NodeSolution:
-        """Node voltages and output currents of one input vector."""
+        """Node voltages and output currents of one input vector, on a grid
+        factor made again if `transfer_matrix` released it."""
         v_in = np.asarray(v_in, dtype=float)
         if check_range:
             _check_inputs(self.config, v_in)
         m, n = self.config.rows, self.config.cols
+        if self._lu is None:
+            self._factor()
         if self._grid:
             # an unchecked non-finite input leaves a non-finite residual,
             # which the residual check rejects

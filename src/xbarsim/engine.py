@@ -85,9 +85,13 @@ class WeightMapping:
 
 @dataclass
 class ConversionResult:
-    """The solver of the programmed array plus convergence diagnostics."""
+    """The solver of the programmed array plus convergence diagnostics.
 
-    solver: CrossbarSolver    # factorized on the returned conductances
+    Under method "transfer" the solver has cached T and so released its
+    grid factor; under "branch" it keeps the factor its last solve used.
+    """
+
+    solver: CrossbarSolver    # on the returned conductances, read-only
     col_scale: np.ndarray     # per-column target scale s, in (0, 1]
     iterations: int           # updates applied to the mapped targets
     converged: bool
@@ -107,7 +111,9 @@ class ProgrammedArray:
 
     Every engine `build_engine` reads out from it shares its arrays and its
     `solver`, with the solver's cached transfer matrix; a readout changes
-    none of them.
+    none of them. Once T is cached, by a transfer conversion or the first
+    readout, the solver keeps T and not its grid factor, which inference
+    never reads; a `solve` on it factorizes again.
     """
 
     weights: np.ndarray
@@ -214,11 +220,12 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
 
     i_unit = v_conv @ g_target     # ideal column currents at unit scale
     norm = max(float(np.abs(i_unit).max()), 1e-300)
-    gp = g_target.copy()
+    gp = g_target
     s = np.ones(config.cols)
     iterations = 0
     while True:
         solver = CrossbarSolver(config, gp)
+        gp = solver.g   # the solver's read-only copy, so a pass holds one
         if method == "transfer":
             transfer = solver.transfer_matrix()
             eff = transfer / gp
@@ -235,16 +242,21 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
         if iterations >= max_iter:
             stop = "max_iter"
             break
-        desired_unit = g_target / eff
-        s_new = (np.minimum(config.g_max / desired_unit.max(axis=0), 1.0)
+        # the devices each column wants at unit scale, scaled and clipped in
+        # place into the next ones, which the next solver copies
+        g_new = g_target / eff
+        s_new = (np.minimum(config.g_max / g_new.max(axis=0), 1.0)
                  if target_scale == "auto" else np.full(config.cols, float(target_scale)))
-        g_new = np.clip(s_new * desired_unit, config.g_min, config.g_max)
+        g_new *= s_new
+        np.clip(g_new, config.g_min, config.g_max, out=g_new)
         if np.max(np.abs(g_new - gp) / gp) < G_TOL:
             stop = "stalled"
             break
         s, gp = s_new, g_new
         iterations += 1
-        del solver   # free this factorization before the next one is built
+        # free this solver before the next one is built, and leave gp the one
+        # name of the next targets, so that only the next solver's copy stays
+        del solver, g_new
     return ConversionResult(
         solver=solver, col_scale=s, iterations=iterations,
         converged=stop == "converged", stop=stop, col_error=col_error,
@@ -425,7 +437,7 @@ class VmmEngine:
     def _raw_currents(self, X):
         m, n = self.weights.shape
         V = np.zeros((X.shape[0], self.config.rows))
-        V[:, :m] = self.mapping.alpha * X
+        np.multiply(self.mapping.alpha, X, out=V[:, :m])
         V = dac_quantize(V, self.dac)
         I = self.solver.currents(V, check_range=False)[:, :n]
         return adc_quantize(I, self.adc)

@@ -233,6 +233,13 @@ class NetworkModel:
                 (path[pred] for pred in layer.predecessors), default=0)
         self.sequential_windows = max(path.values())
         self._by_name = {l.name: l for l in self.layers}
+        # the outputs each layer reads last, or makes and nobody reads:
+        # `run_inference` drops them once that layer has run
+        last = {l.name: l.name for l in self.layers}
+        last.update((p, l.name) for l in self.layers for p in l.predecessors)
+        self._last_read = {l.name: [] for l in self.layers}
+        for name, reader in last.items():
+            self._last_read[reader].append(name)
 
     def layer(self, name):
         try:
@@ -370,6 +377,27 @@ def _tap_layer(report, name, ideal, actual):
                                "count": int(rel.size)}
 
 
+def _weight_layer(model, layer, fm, mode, tap, report, readout):
+    """The (windows, out_channels) output of one conv/fc layer on fm. In
+    analog mode the windows are scaled in place to the engine's full input
+    range, and a tapped layer's exact product is taken before that."""
+    X = window_matrix(fm, layer.conv_spec)
+    if mode == "software":
+        return X @ layer.weights
+    engine = model.engine(layer, **readout)
+    exact = X @ layer.weights if tap else None
+    peak = float(X.max())
+    if peak > 0.0:
+        scale = peak / engine.mapping.x_max
+        X /= scale
+        Y = engine.execute_batch(X) * scale
+    else:
+        Y = np.zeros((len(X), layer.weights.shape[1]))
+    if tap:
+        _tap_layer(report, layer.name, exact, Y)
+    return Y
+
+
 def run_inference(model: NetworkModel, image, mode="software", taps=(),
                   dac_bits=None, adc_bits=None, seed=0, engine_kwargs=None):
     """Run one image through the network; returns (distribution, ErrorReport).
@@ -379,13 +407,16 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
     input range, outputs scaled back) while digital ops stay exact. Tapped
     conv/fc layers are also evaluated exactly from the same upstream input,
     so their reported error isolates the crossbar error of that layer plus
-    whatever error already accumulated upstream.
+    whatever error already accumulated upstream. Each layer's output is
+    dropped once the last layer that reads it has run, so the feature maps
+    held at once do not grow with depth.
     """
     if mode not in ("software", "analog"):
         raise ValidationError(f"unknown inference mode {mode!r}")
     fm = image if isinstance(image, FeatureMap) else FeatureMap(image)
     taps = model.tap_layers(taps)
-    engine_kwargs = engine_kwargs or {}
+    readout = dict(dac_bits=dac_bits, adc_bits=adc_bits, seed=seed,
+                   **(engine_kwargs or {}))
     report = ErrorReport()
     if mode == "analog":   # one row per output element of each tapped layer
         report.rows = np.empty(sum(int(np.prod(model.shapes[name])) for name in taps),
@@ -403,22 +434,9 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
                 raise ValidationError("input image must be normalized to [0, 1]")
             out = fm
         elif layer.kind in ("conv", "fc"):
-            X = window_matrix(preds[0], layer.conv_spec)
-            if mode == "software":
-                Y = X @ layer.weights
-            else:
-                engine = model.engine(layer, dac_bits=dac_bits,
-                                      adc_bits=adc_bits, seed=seed,
-                                      **engine_kwargs)
-                peak = float(X.max())
-                if peak > 0.0:
-                    scale = peak / engine.mapping.x_max
-                    Y = engine.execute_batch(X / scale) * scale
-                else:
-                    Y = np.zeros((len(X), layer.weights.shape[1]))
-                if layer.name in taps:   # the exact product only where it is reported
-                    _tap_layer(report, layer.name, X @ layer.weights, Y)
-            out = FeatureMap(Y.reshape(model.shapes[layer.name]))
+            out = FeatureMap(_weight_layer(model, layer, preds[0], mode,
+                                           layer.name in taps, report,
+                                           readout).reshape(model.shapes[layer.name]))
         elif layer.kind == "relu":
             out = FeatureMap(relu(preds[0].data))
         elif layer.kind == "batchnorm":
@@ -433,6 +451,8 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
             probs = softmax(report.logits)
             out = FeatureMap(probs.reshape(1, 1, -1))
         outputs[layer.name] = out
+        for name in model._last_read[layer.name]:
+            del outputs[name]
     report.prediction = int(np.argmax(probs))
     return probs, report
 

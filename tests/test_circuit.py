@@ -91,6 +91,30 @@ def test_linear_superposition():
     assert rel_diff(i12, i1 + i2) <= 1e-12
 
 
+@pytest.mark.parametrize("r_wire", [1.0, 0.0], ids=["grid", "lumped"])
+@pytest.mark.parametrize("r_t", [0.0, 500.0])
+def test_solver_owns_read_only_conductances(r_wire, r_t):
+    # writing to the caller's array after construction changes neither g nor
+    # a later solve, on the grid factor made again after T released it; the
+    # solver's own g and g_dev cannot be written
+    config = CrossbarConfig(6, 5, r_wire=r_wire, r_transistor_on=r_t)
+    rng = np.random.default_rng(12)
+    g = rng.uniform(G_MIN, G_MAX, size=(6, 5))
+    v = rng.uniform(0.0, config.v_sense_max, size=6)
+    want = CrossbarSolver(config, g.copy()).solve(v)
+    solver, before = CrossbarSolver(config, g), g.copy()
+    T = solver.transfer_matrix().copy()
+    g[:] = G_MIN
+    assert np.array_equal(solver.g, before)
+    got = solver.solve(v)
+    for field in ("v_top", "v_bot", "i_out"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert np.array_equal(solver.transfer_matrix(), T)
+    for array in (solver.g, solver.g_dev):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = G_MAX
+
+
 @settings(max_examples=25, deadline=None)
 @given(scale=st.floats(min_value=0.01, max_value=1.0), seed=st.integers(0, 50))
 def test_output_scales_linearly_with_input(scale, seed):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from xbarsim.circuit import CrossbarSolver, oracle_solve
 from xbarsim.config import CrossbarConfig
-from xbarsim import engine as engine_mod
+from xbarsim import circuit as circuit_mod, engine as engine_mod
+from xbarsim.convmap import ConvSpec, unroll_kernel
 from xbarsim.engine import (CONVERGED_TOL, G_TOL, VmmEngine, build_engine,
                             convert, default_sample_inputs, evaluate_engine,
                             get_cali_para, map_weights,
@@ -566,6 +567,35 @@ def test_readout_of_a_program_equals_a_full_build(method):
         assert shared.conversion_info == full.conversion_info
         assert np.array_equal(shared.execute_batch(X), full.execute_batch(X))
     assert np.array_equal(programmed.solver.g, g)
+
+
+def test_programmed_array_keeps_t_and_drops_its_grid_factor(monkeypatch):
+    # inference reads only T, so the criterion-6 576x64 array holds no grid
+    # factor once programmed; `solve` makes it again, to the bits a fresh
+    # solver on the same g gives, and keeps it for the next solve
+    A = unroll_kernel(ConvSpec(3, 3, 64, 64, padding=1,
+                               weights=gen_kernel(1, (3, 3, 64, 64), 7)))
+    solver = program(A).solver
+    T = solver.transfer_matrix()
+    assert solver._lu is None
+    made, slab_factor = [], circuit_mod._SlabFactor
+
+    def counting_slab_factor(*args):
+        made.append(args)
+        return slab_factor(*args)
+
+    monkeypatch.setattr(circuit_mod, "_SlabFactor", counting_slab_factor)
+    v = np.random.default_rng(8).uniform(0.0, solver.config.v_sense_max, size=576)
+    fresh = CrossbarSolver(solver.config, solver.g)
+    want = fresh.solve(v)
+    assert len(made) == 1
+    for _ in range(2):   # the second solve reuses the factor the first made
+        got = solver.solve(v)
+        assert len(made) == 2 and solver._lu is not None
+        for field in ("v_top", "v_bot", "i_out"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert solver.transfer_matrix() is T
+    assert np.array_equal(T, fresh.transfer_matrix())
 
 
 def test_program_takes_no_conversion_arguments_again():

@@ -1,6 +1,7 @@
 """Network graph, file format, and inference pipeline tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,3 +364,23 @@ def test_resnet20_software_forward_pass():
     assert probs.shape == (10,)
     assert np.isfinite(probs).all()
     assert probs.sum() == pytest.approx(1.0)
+
+
+def test_analog_inference_memory_does_not_grow_with_depth():
+    # each layer's output is dropped once its last reader has run, so six
+    # conv blocks hold no more maps at once than two; the preallocated tap
+    # rows, which grow with the tapped layers by design, are not counted
+    hw, width = 16, 8
+    img = gen_input((hw, hw, 3), 0.3, seed=60)
+    peaks = {}
+    for blocks in (2, 6):
+        model = build_tiny_model(seed=3, channels=(width,) * blocks, hw=hw)
+        run_inference(model, img, mode="analog", taps="all")   # builds the engines
+        tracemalloc.start()
+        try:
+            _, report = run_inference(model, img, mode="analog", taps="all")
+            peaks[blocks] = tracemalloc.get_traced_memory()[1] - report.rows.nbytes
+        finally:
+            tracemalloc.stop()
+    feature_map = hw * hw * width * 8
+    assert peaks[6] - peaks[2] < feature_map, (peaks, feature_map)
