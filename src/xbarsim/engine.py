@@ -14,19 +14,19 @@ read out any number of times and is never changed by it.
    is absorbed by the digital readout. It stops when the array converged,
    stalled or reached `max_iter`, and returns the solver of the last array
    it evaluated; every engine read out from the array runs on it.
-3. The readout fits the ADC reference range to sample currents, and
-   `get_cali_para` fits a per-column linear readout (gain, offset) from a
-   few random sample inputs, absorbing residual distortion and quantizer
-   bias.
+3. The readout fits the ADC reference range to sample currents and gives
+   the engine its one `ReadoutMap` (per-column gain, offset and baseline,
+   and the shift): the nominal map, or the one `get_cali_para` fits on a few
+   random sample inputs, absorbing residual distortion and quantizer bias.
 4. `VmmEngine.execute` runs the full signal chain: DAC, transfer-matrix
-   product, ADC, baseline correction, calibrated readout, shift removal.
+   product, ADC, then the readout map: baseline, gain and offset, shift.
 
 `VmmEngine.save`/`load` keep an engine on disk through `files.py`.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ DEFAULT_SIGNAL_FRACTION = 0.1
 
 # the keys `VmmEngine.load` reads from a descriptor besides format and name
 DESCRIPTOR_KEYS = {"blob_file", "blob_sha256", "arrays", "config", "mapping",
-                   "col_scale", "conversion", "dac", "adc", "calibration"}
+                   "col_scale", "conversion", "dac", "adc", "readout"}
 
 DEFAULT_CALI_SAMPLES = 10
 CONVERGED_TOL = 1e-6   # col_error at or below which a conversion converged
@@ -69,9 +69,7 @@ class WeightMapping:
         # the shift may be 0; the scales and the input full scale may not
         for name, value in self.to_dict().items():
             least = ">= 0" if name == "c" else "> 0"
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value < 0.0
-                    or (value == 0.0 and name != "c")):
+            if not _is_number(value) or value < 0.0 or (value == 0.0 and name != "c"):
                 raise ValidationError(
                     f"mapping {name} must be a finite number {least}, got {value!r}")
 
@@ -226,15 +224,7 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
     while True:
         solver = CrossbarSolver(config, gp)
         gp = solver.g   # the solver's read-only copy, so a pass holds one
-        if method == "transfer":
-            transfer = solver.transfer_matrix()
-            eff = transfer / gp
-            i_out = v_conv @ transfer
-        else:
-            sol = solver.solve(v_conv, check_range=False)
-            v_drop = np.maximum(sol.v_top - sol.v_bot, 1e-300)
-            eff = solver.g_dev * v_drop / (v_conv[:, None] * gp)
-            i_out = sol.i_out
+        i_out, eff = _response(solver, method, v_conv)
         col_error = float(np.abs(i_out - s * i_unit).max()) / norm
         if col_error <= CONVERGED_TOL:
             stop = "converged"
@@ -254,9 +244,9 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
             break
         s, gp = s_new, g_new
         iterations += 1
-        # free this solver before the next one is built, and leave gp the one
-        # name of the next targets, so that only the next solver's copy stays
-        del solver, g_new
+        # free this pass's solver and eff before the next solver is built, and leave
+        # gp the one name of the next targets, so only the next solver's copy stays
+        del solver, g_new, eff
     return ConversionResult(
         solver=solver, col_scale=s, iterations=iterations,
         converged=stop == "converged", stop=stop, col_error=col_error,
@@ -266,54 +256,81 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
                                 - np.count_nonzero(g_target >= config.g_max))))
 
 
+def _response(solver, method, v_conv):
+    """One pass's output currents and each device's realized fraction `eff`."""
+    if method == "transfer":
+        transfer = solver.transfer_matrix()
+        return v_conv @ transfer, transfer / solver.g
+    sol = solver.solve(v_conv, check_range=False)
+    v_drop = np.maximum(sol.v_top - sol.v_bot, 1e-300)
+    return sol.i_out, solver.g_dev * v_drop / (v_conv[:, None] * solver.g)
+
+
 @dataclass
-class CalibrationParams:
-    """Per-column linear readout fitted from sample inputs."""
+class ReadoutMap:
+    """An engine's per-column affine map of its ADC currents I, in this order:
+    y = gain * (I - outer(alpha * g_min * sum(x), baseline)) + offset - c * sum(x).
+
+    `baseline` scales each column's g_min floor current (it is the column's
+    target scale s) and `c` undoes the mapping's shift. The nominal map has
+    gain 1 / (alpha beta s) and offset -0.0, which adding leaves bit for bit.
+    """
 
     gain: np.ndarray
     offset: np.ndarray
-    sample_count: int
-    degenerate: list = field(default_factory=list)   # columns with no fit spread
+    baseline: np.ndarray
+    c: float
+    sample_count: int = 0     # samples fitted on: 0 for the nominal map, else >= 2
+    degenerate: list = field(default_factory=list)   # fitted columns with no spread
+
+    @classmethod
+    def nominal(cls, mapping, col_scale):
+        """The map with no fit, for weight columns of target scale `col_scale`."""
+        return cls(gain=1.0 / (mapping.alpha * mapping.beta * col_scale),
+                   offset=np.full(len(col_scale), -0.0), baseline=col_scale,
+                   c=mapping.c)
 
     def to_dict(self):
         return {"gain": self.gain.tolist(), "offset": self.offset.tolist(),
-                "sample_count": self.sample_count,
-                "degenerate": list(self.degenerate)}
+                "baseline": self.baseline.tolist(), "c": self.c,
+                "sample_count": self.sample_count, "degenerate": list(self.degenerate)}
 
     @classmethod
     def from_dict(cls, d, cols):
-        """The readout of a descriptor, with one gain and one offset for
-        each of its `cols` weight columns."""
-        return cls(gain=_numbers(d["gain"], cols, "calibration gain"),
-                   offset=_numbers(d["offset"], cols, "calibration offset"),
-                   sample_count=check_cali_sample_count(d["sample_count"]),
-                   degenerate=_column_indices(d["degenerate"], cols))
+        """The readout of a descriptor, with one gain, offset and baseline
+        for each of its `cols` weight columns."""
+        gain, offset, baseline = (_numbers(d[key], cols, f"readout {key}")
+                                  for key in ("gain", "offset", "baseline"))
+        c, count, degenerate = d["c"], d["sample_count"], d["degenerate"]
+        if not _is_number(c):
+            raise ValueError(f"readout c must be a finite number, got {c!r}")
+        if type(count) is not int or count != 0:   # 0: the nominal map
+            check_cali_sample_count(count)
+        if not (isinstance(degenerate, list)
+                and all(type(j) is int and 0 <= j < cols for j in degenerate)
+                and len(set(degenerate)) == len(degenerate) and (count or not degenerate)):
+            raise ValueError(f"readout degenerate must be distinct column indices in "
+                             f"[0, {cols}), none at sample_count 0, got {degenerate!r}")
+        return cls(gain, offset, baseline, c, count, degenerate)
 
 
-def _column_indices(value, cols):
-    """A descriptor's list of distinct column indices in [0, cols), else a
-    ValueError."""
-    if (not isinstance(value, list) or not all(type(c) is int and 0 <= c < cols
-                                               for c in value)
-            or len(set(value)) != len(value)):
-        raise ValueError(f"calibration degenerate must be distinct column "
-                         f"indices in [0, {cols}), got {value!r}")
-    return value
+def _is_number(v):
+    """Whether `v` is a finite real number; bools are not numbers here."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _numbers(value, count, what):
     """A descriptor's list of `count` finite real numbers as a float array,
     else a ValueError naming it `what`."""
-    if (not isinstance(value, list) or len(value) != count
-            or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                       and math.isfinite(v) for v in value)):
+    if not (isinstance(value, list) and len(value) == count
+            and all(map(_is_number, value))):
         raise ValueError(f"{what} must be {count} numbers")
     return np.array(value, dtype=float)
 
 
 def check_cali_sample_count(count):
-    """Reject a calibration sample count that is not an integer >= 2; a
-    per-column gain/offset fit needs two samples."""
+    """Reject a calibration sample count that is not an integer >= 2, which a
+    gain/offset fit needs."""
     if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
             or count < 2):
         raise ValidationError(
@@ -333,13 +350,15 @@ def check_amplitudes(amplitudes):
 
 
 def get_cali_para(engine, sample_inputs, sample_count=DEFAULT_CALI_SAMPLES, seed=0):
-    """Fit per-column readout gain/offset from a few random sample inputs.
+    """The readout map with per-column gain and offset fitted on a few random
+    sample inputs.
 
-    Runs the samples through the full analog chain (DAC, solver, ADC,
-    baseline correction) and regresses the known shifted products
-    x (A + c) on the corrected currents, column by column. Columns whose
-    corrected currents show no spread fall back to the nominal gain
-    1 / (alpha * beta * s) and are listed in `degenerate`.
+    Runs the samples through the analog chain (DAC, solver, ADC, baseline
+    correction) and regresses the shifted products y = x (A + c) on the
+    corrected currents I, all columns at once, in centred closed form:
+    gain = sum(dI dy) / sum(dI^2), offset = mean(y) - gain mean(I). Columns
+    whose currents show no spread keep the nominal gain, take that offset
+    and are listed in `degenerate`.
     """
     check_cali_sample_count(sample_count)
     X = np.asarray(sample_inputs, dtype=float)
@@ -350,21 +369,15 @@ def get_cali_para(engine, sample_inputs, sample_count=DEFAULT_CALI_SAMPLES, seed
         X = X[rng.choice(X.shape[0], size=sample_count, replace=False)]
     i_corr = engine.corrected_currents(X)
     y_shift = X @ (engine.weights + engine.mapping.c)
-    n = engine.weights.shape[1]
-    gain = np.zeros(n)
-    offset = np.zeros(n)
-    degenerate = []
-    nominal = 1.0 / (engine.mapping.alpha * engine.mapping.beta
-                     * engine.col_scale[:n])
-    for j in range(n):
-        if np.ptp(i_corr[:, j]) < _DEGENERATE_SPREAD:
-            gain[j] = nominal[j]
-            offset[j] = float(np.mean(y_shift[:, j] - gain[j] * i_corr[:, j]))
-            degenerate.append(j)
-        else:
-            gain[j], offset[j] = np.polyfit(i_corr[:, j], y_shift[:, j], 1)
-    return CalibrationParams(gain=gain, offset=offset,
-                             sample_count=X.shape[0], degenerate=degenerate)
+    nominal = ReadoutMap.nominal(engine.mapping, engine.col_scale[:engine.shape[1]])
+    i_mean, y_mean = i_corr.mean(axis=0), y_shift.mean(axis=0)
+    di = i_corr - i_mean
+    flat = np.ptp(i_corr, axis=0) < _DEGENERATE_SPREAD
+    gain = nominal.gain
+    np.divide(np.sum(di * (y_shift - y_mean), axis=0), np.sum(di * di, axis=0),
+              out=gain, where=~flat)
+    return replace(nominal, gain=gain, offset=y_mean - gain * i_mean,
+                   sample_count=X.shape[0], degenerate=np.flatnonzero(flat).tolist())
 
 
 class VmmEngine:
@@ -372,11 +385,12 @@ class VmmEngine:
     digital wrapper; `config` and `g_device` are the solver's.
 
     `execute` maps a non-negative input vector x in [0, x_max] to an
-    approximation of x @ weights through the analog signal chain.
+    approximation of x @ weights through the analog signal chain and the
+    engine's one `readout` map, the nominal one unless another is given.
     """
 
     def __init__(self, weights, solver, mapping, g_target, col_scale,
-                 conversion_info, dac=None, adc=None, cali=None, name="engine"):
+                 conversion_info, dac=None, adc=None, readout=None, name="engine"):
         self.weights = np.asarray(weights, dtype=float)
         self.solver = solver
         self.config = solver.config
@@ -387,7 +401,7 @@ class VmmEngine:
         self.conversion_info = dict(conversion_info)
         self.dac = dac
         self.adc = adc
-        self.cali = cali
+        self.readout = readout or ReadoutMap.nominal(mapping, self.col_scale[:self.shape[1]])
         self.name = name
 
     @property
@@ -415,23 +429,16 @@ class VmmEngine:
         """Post-ADC currents with the conductance baseline removed.
 
         The dense mapping rides every device on g_min (scaled by the column
-        target scale); its known contribution alpha * g_min * s * sum(x) is
-        subtracted before readout.
+        target scale, the readout's `baseline`); its known contribution
+        alpha * g_min * s * sum(x) is subtracted before gain and offset.
         """
         return self._corrected_currents(self._validate_inputs(X))
 
     def execute_batch(self, X):
         """Run a batch of input vectors; returns (batch, cols) outputs."""
         X = self._validate_inputs(X)
-        n = self.weights.shape[1]
-        i_corr = self._corrected_currents(X)
-        if self.cali is not None:
-            y_shift = self.cali.gain * i_corr + self.cali.offset
-        else:
-            nominal = 1.0 / (self.mapping.alpha * self.mapping.beta
-                             * self.col_scale[:n])
-            y_shift = i_corr * nominal
-        return y_shift - self.mapping.c * X.sum(axis=1)[:, None]
+        r = self.readout
+        return r.gain * self._corrected_currents(X) + r.offset - r.c * X.sum(axis=1)[:, None]
 
     # the private helpers take a batch `_validate_inputs` already returned
     def _raw_currents(self, X):
@@ -443,9 +450,8 @@ class VmmEngine:
         return adc_quantize(I, self.adc)
 
     def _corrected_currents(self, X):
-        n = self.weights.shape[1]
-        baseline = self.mapping.alpha * self.config.g_min * X.sum(axis=1)
-        return self._raw_currents(X) - np.outer(baseline, self.col_scale[:n])
+        floor = self.mapping.alpha * self.config.g_min * X.sum(axis=1)
+        return self._raw_currents(X) - np.outer(floor, self.readout.baseline)
 
     def execute(self, x):
         """Run one input vector; returns a 1-D output vector."""
@@ -462,7 +468,7 @@ class VmmEngine:
             offset += arr.size * 8
         return {
             "format": "xbar-engine",
-            "version": 1,
+            "version": 2,
             "name": self.name,
             "config": self.config.to_dict(),
             "mapping": self.mapping.to_dict(),
@@ -473,7 +479,7 @@ class VmmEngine:
                 {"bits": self.dac.bits, "v_max": self.dac.v_max, "v_min": self.dac.v_min},
             "adc": None if self.adc is None else
                 {"bits": self.adc.bits, "i_max": self.adc.i_max, "i_min": self.adc.i_min},
-            "calibration": None if self.cali is None else self.cali.to_dict(),
+            "readout": self.readout.to_dict(),
             "arrays": arrays,
         }
 
@@ -510,17 +516,18 @@ class VmmEngine:
                     f"array {key} of shape {shape} at offset {offset} does "
                     f"not fit the {len(blob)}-byte blob {desc['blob_file']}")
             return np.frombuffer(blob, dtype="<f8", count=count,
-                                 offset=offset).reshape(shape).copy()
+                                 offset=offset).reshape(shape)
 
-        weights = read_array("weights")
-        dac, adc, cali = desc["dac"], desc["adc"], desc["calibration"]
+        # copies, so that they do not hold the blob; the solver copies g_device
+        weights = read_array("weights").copy()
+        dac, adc, readout = desc["dac"], desc["adc"], desc["readout"]
         try:
             config = CrossbarConfig.from_dict(desc["config"])
             mapping = WeightMapping.from_dict(desc["mapping"])
             if weights.shape[0] > config.rows or weights.shape[1] > config.cols:
                 raise ValueError(f"weights {list(weights.shape)} do not fit the "
                                  f"{config.rows}x{config.cols} crossbar")
-            g_target = read_array("g_target")
+            g_target = read_array("g_target").copy()
             if g_target.shape != (config.rows, config.cols):
                 raise ValueError(f"g_target {list(g_target.shape)} is not the "
                                  f"{config.rows}x{config.cols} crossbar")
@@ -529,23 +536,15 @@ class VmmEngine:
                 raise TypeError("conversion must be an object")
             dac = None if dac is None else DacSpec(**dac)
             adc = None if adc is None else AdcSpec(**adc)
-            cali = (None if cali is None
-                    else CalibrationParams.from_dict(cali, weights.shape[1]))
+            readout = ReadoutMap.from_dict(readout, weights.shape[1])
         except ValidationError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"engine descriptor {json_path} has a malformed entry: {exc!r}") from exc
-        return cls(
-            weights=weights,
-            solver=CrossbarSolver(config, read_array("g_device")),
-            mapping=mapping,
-            g_target=g_target,
-            col_scale=col_scale,
-            conversion_info=desc["conversion"],
-            dac=dac, adc=adc, cali=cali,
-            name=desc.get("name", "engine"),
-        )
+        return cls(weights, CrossbarSolver(config, read_array("g_device")), mapping,
+                   g_target, col_scale, desc["conversion"], dac=dac, adc=adc,
+                   readout=readout, name=desc.get("name", "engine"))
 
 
 def default_sample_inputs(rows, x_max=1.0, count=32, seed=0):
@@ -592,8 +591,9 @@ def build_engine(programmed, *, dac_bits=None, adc_bits=None, sample_inputs=None
     conversion arguments go to `program` only. Engines read out from one
     array share its solver and convert nothing. The readout attaches the
     DAC, fits the ADC reference range to observed sample currents, then
-    fits the per-column calibrated readout. When no sample inputs are
-    given, uniform random ones are generated from `seed`.
+    fits the readout map (`get_cali_para`), or keeps the nominal one if
+    not `calibrate`. When no sample inputs are given, uniform random ones
+    are generated from `seed`.
     """
     check_cali_sample_count(cali_sample_count)
     if not isinstance(programmed, ProgrammedArray):
@@ -603,15 +603,14 @@ def build_engine(programmed, *, dac_bits=None, adc_bits=None, sample_inputs=None
                        programmed.conversion_info, name=name)
     if dac_bits is not None:
         engine.dac = DacSpec(bits=dac_bits, v_max=engine.config.v_sense_max)
-    needs_samples = calibrate or adc_bits is not None
-    if needs_samples and sample_inputs is None:
+    if (calibrate or adc_bits is not None) and sample_inputs is None:
         sample_inputs = default_sample_inputs(engine.shape[0],
                                               engine.mapping.x_max, seed=seed)
     if adc_bits is not None:
         engine.adc = calibrate_adc_range(adc_bits, engine.raw_currents(sample_inputs))
     if calibrate:
-        engine.cali = get_cali_para(engine, sample_inputs,
-                                    sample_count=cali_sample_count, seed=seed)
+        engine.readout = get_cali_para(engine, sample_inputs,
+                                       sample_count=cali_sample_count, seed=seed)
     return engine
 
 

@@ -234,9 +234,9 @@ def test_calibration_ideal_engine_nominal_gain_zero_offset():
     A = gen_kernel(1, (12, 5), 6)
     engine = build_engine(program(A, config=ideal_config(12, 5)), seed=0)
     nominal = 1.0 / (engine.mapping.alpha * engine.mapping.beta)
-    assert np.allclose(engine.cali.gain, nominal, rtol=1e-9)
-    assert np.abs(engine.cali.offset).max() <= 1e-9 * nominal
-    assert engine.cali.sample_count == 10
+    assert np.allclose(engine.readout.gain, nominal, rtol=1e-9)
+    assert np.abs(engine.readout.offset).max() <= 1e-9 * nominal
+    assert engine.readout.sample_count == 10
 
 
 def test_calibration_two_point_line_single_cell():
@@ -274,6 +274,65 @@ def test_calibration_degenerate_column_flagged():
     assert np.isfinite(cali.gain).all()
     assert cali.gain[1] != 0.0
     assert cali.offset[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fit_matches_per_column_polyfit():
+    # a parasitic 144x16 array with non-negative weights (c = 0) and one
+    # all-zero column; the 30 windows permute one window, so the zero
+    # column's 8-bit currents and its baseline do not change between them
+    A = np.abs(gen_kernel(1, (3, 3, 16, 16), 7).reshape(144, 16))
+    A[:, 5] = 0.0
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0.0, 1.0, size=144)
+    X = np.array([rng.permutation(x) for _ in range(30)])
+    engine = build_engine(A, adc_bits=8, sample_inputs=X, calibrate=False, seed=0)
+    fit = get_cali_para(engine, X, sample_count=30)
+    # the per-column fit the closed form replaces
+    i = engine.corrected_currents(X)
+    y = X @ (engine.weights + engine.mapping.c)
+    nominal = 1.0 / (engine.mapping.alpha * engine.mapping.beta * engine.col_scale[:16])
+    gain, offset, degenerate = np.zeros(16), np.zeros(16), []
+    for j in range(16):
+        if np.ptp(i[:, j]) < 1e-18:
+            gain[j] = nominal[j]
+            offset[j] = np.mean(y[:, j] - gain[j] * i[:, j])
+            degenerate.append(j)
+        else:
+            gain[j], offset[j] = np.polyfit(i[:, j], y[:, j], 1)
+    assert degenerate == [5]
+    assert fit.degenerate == [5]
+    assert fit.sample_count == 30
+    assert np.abs(fit.gain - gain).max() <= 1e-12 * np.abs(gain).min()
+    assert np.abs(fit.offset - offset).max() <= 1e-12 * np.abs(y).max()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, dict(dac_bits=8), dict(dac_bits=6, adc_bits=6),
+    dict(config=CrossbarConfig(8, 4, r_wire=0.0, r_in=0.0, r_out=0.0))])
+def test_nominal_readout_keeps_the_bits_of_the_nominal_formula(kwargs, monkeypatch):
+    config = kwargs.pop("config", None)
+    A = gen_kernel(1, (8, 3), 23)    # negative weights, so c > 0
+    engine = build_engine(program(A, config=config), calibrate=False, seed=0, **kwargs)
+    m = engine.mapping
+    s = engine.col_scale[:3]
+
+    def nominal_formula(raw, X):
+        return ((raw - np.outer(m.alpha * engine.config.g_min * X.sum(axis=1), s))
+                * (1.0 / (m.alpha * m.beta * s)) - m.c * X.sum(axis=1)[:, None])
+
+    X = np.vstack([np.zeros(8), np.full(8, -0.0), np.full(8, -1e-13),
+                   default_sample_inputs(8, count=12, seed=7)])
+    want = nominal_formula(engine.raw_currents(X), X)
+    assert m.c > 0.0
+    assert engine.readout.sample_count == 0 and engine.readout.degenerate == []
+    assert engine.execute_batch(X).tobytes() == want.tobytes()
+    # a current of -0.0 keeps its sign bit through the readout, as through
+    # the formula, for no input makes the nominal offset add a +0.0
+    raw = np.full((2, 3), -0.0)
+    monkeypatch.setattr(engine, "_raw_currents", lambda X: raw)
+    assert np.signbit(nominal_formula(raw, np.zeros((2, 8)))).all()
+    assert engine.execute_batch(np.zeros((2, 8))).tobytes() == \
+        nominal_formula(raw, np.zeros((2, 8))).tobytes()
 
 
 def test_execute_ideal_engine_matches_double_loop_oracle():
@@ -356,7 +415,7 @@ def test_engine_deterministic_across_rebuilds():
     X = default_sample_inputs(16, count=20, seed=2)
     e1 = build_engine(A, sample_inputs=X, dac_bits=8, adc_bits=8, seed=5)
     e2 = build_engine(A, sample_inputs=X, dac_bits=8, adc_bits=8, seed=5)
-    assert np.array_equal(e1.cali.gain, e2.cali.gain)
+    assert np.array_equal(e1.readout.gain, e2.readout.gain)
     assert np.array_equal(e1.execute_batch(X), e2.execute_batch(X))
 
 
@@ -403,6 +462,63 @@ def test_engine_serialization_round_trip(tmp_path):
     assert (tmp_path / "engine.bin").read_bytes() == (tmp_path / "clone.bin").read_bytes()
 
 
+def test_loaded_engine_holds_one_read_only_copy_of_g_device(tmp_path):
+    engine = build_engine(gen_kernel(1, (12, 4), 14), seed=0)
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    clone = VmmEngine.load(json_path)
+    assert np.array_equal(clone.g_device, engine.g_device)
+    assert clone.g_device is clone.solver.g
+    assert not clone.g_device.flags.writeable
+    with pytest.raises(ValueError):
+        clone.g_device[0, 0] = 1e-5
+
+
+def test_nominal_readout_is_saved_and_loaded(tmp_path):
+    engine = build_engine(gen_kernel(1, (12, 4), 14), calibrate=False, seed=0)
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    desc = json.loads(json_path.read_text())
+    assert desc["version"] == 2 and "calibration" not in desc
+    readout = desc["readout"]
+    assert readout["sample_count"] == 0 and readout["degenerate"] == []
+    assert readout["offset"] == [0.0] * 4 and readout["c"] == engine.mapping.c
+    assert readout["baseline"] == engine.col_scale[:4].tolist()
+    clone = VmmEngine.load(json_path)
+    X = default_sample_inputs(12, count=8, seed=3)
+    assert clone.execute_batch(X).tobytes() == engine.execute_batch(X).tobytes()
+
+
+def test_version_1_descriptor_is_rejected(tmp_path):
+    engine = build_engine(gen_kernel(1, (4, 2), 15), seed=0)
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    desc = json.loads(json_path.read_text())
+    readout = desc.pop("readout")
+    desc.update(version=1, calibration={k: readout[k] for k in
+                                        ("gain", "offset", "sample_count", "degenerate")})
+    json_path.write_text(json.dumps(desc))
+    with pytest.raises(ValidationError, match=r"missing keys: \['readout'\]"):
+        VmmEngine.load(json_path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda r: r.update(baseline=[1.0]), "readout baseline must be 2 numbers"),
+    (lambda r: r.pop("baseline"), "KeyError.*baseline"),
+    (lambda r: r.update(c="0"), "readout c must be a finite number, got '0'"),
+    (lambda r: r.update(c=None), "readout c must be a finite number, got None"),
+    (lambda r: r.update(c=True), "readout c must be a finite number, got True"),
+    (lambda r: r.update(sample_count=-1), "sample count must be an integer >= 2, got -1"),
+    (lambda r: r.update(sample_count=0, degenerate=[1]), "none at sample_count 0")],
+    ids=["baseline-per-column", "no-baseline", "c-string", "c-null", "c-bool",
+         "sample_count-negative", "degenerate-at-nominal"])
+def test_engine_load_rejects_malformed_readout(tmp_path, edit, match):
+    engine = build_engine(gen_kernel(1, (4, 2), 15), seed=0)
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    desc = json.loads(json_path.read_text())
+    edit(desc["readout"])
+    json_path.write_text(json.dumps(desc))
+    with pytest.raises(ValidationError, match=match):
+        VmmEngine.load(json_path)
+
+
 def test_engine_load_detects_corruption(tmp_path):
     engine = build_engine(gen_kernel(1, (4, 2), 15), seed=0)
     json_path, blob_path = engine.save(tmp_path / "engine.json")
@@ -424,7 +540,7 @@ def test_engine_load_detects_corruption(tmp_path):
     (lambda d: d["arrays"]["weights"].update(offset=-8), "does not fit"),
     (lambda d: d["arrays"]["weights"].update(shape=[-4, 2]), "does not fit"),
     (lambda d: d["mapping"].pop("alpha"), "malformed entry.*alpha"),
-    (lambda d: d.update(calibration={}), "malformed entry.*gain"),
+    (lambda d: d.update(readout={}), "malformed entry.*gain"),
     (lambda d: d.update(dac=[8, 1.0]), "malformed entry"),
     # parsed inside the same guard, so none of these escapes as a TypeError
     # or ValueError
@@ -445,26 +561,26 @@ def test_engine_load_detects_corruption(tmp_path):
     (lambda d: d["arrays"]["weights"].update(shape=[8]), "no valid arrays.weights"),
     (lambda d: d["arrays"]["weights"].update(shape=[4, 3]),
      r"malformed entry.*weights \[4, 3\] do not fit the 4x2 crossbar"),
-    (lambda d: d["calibration"].update(gain=["1", "2"]),
-     "malformed entry.*calibration gain must be 2 numbers"),
-    (lambda d: d["calibration"].update(gain=[1.0, 2.0, 3.0]),
-     "malformed entry.*calibration gain must be 2 numbers"),
-    (lambda d: d["calibration"].update(offset=[0.0, True]),
-     "malformed entry.*calibration offset must be 2 numbers"),
-    (lambda d: d["calibration"].update(sample_count=2.7),
+    (lambda d: d["readout"].update(gain=["1", "2"]),
+     "malformed entry.*readout gain must be 2 numbers"),
+    (lambda d: d["readout"].update(gain=[1.0, 2.0, 3.0]),
+     "malformed entry.*readout gain must be 2 numbers"),
+    (lambda d: d["readout"].update(offset=[0.0, True]),
+     "malformed entry.*readout offset must be 2 numbers"),
+    (lambda d: d["readout"].update(sample_count=2.7),
      "calibration sample count must be an integer >= 2, got 2.7"),
-    (lambda d: d["calibration"].update(sample_count=True),
+    (lambda d: d["readout"].update(sample_count=True),
      "calibration sample count must be an integer >= 2, got True"),
-    (lambda d: d["calibration"].update(sample_count=1),
+    (lambda d: d["readout"].update(sample_count=1),
      "calibration sample count must be an integer >= 2, got 1"),
-    (lambda d: d["calibration"].update(degenerate="ab"),
-     r"malformed entry.*calibration degenerate must be distinct column indices in \[0, 2\)"),
-    (lambda d: d["calibration"].update(degenerate=[1, 1]),
-     "malformed entry.*calibration degenerate must be distinct column indices"),
-    (lambda d: d["calibration"].update(degenerate=[2]),
-     "malformed entry.*calibration degenerate must be distinct column indices"),
-    (lambda d: d["calibration"].update(degenerate=[0.0]),
-     "malformed entry.*calibration degenerate must be distinct column indices"),
+    (lambda d: d["readout"].update(degenerate="ab"),
+     r"malformed entry.*readout degenerate must be distinct column indices in \[0, 2\)"),
+    (lambda d: d["readout"].update(degenerate=[1, 1]),
+     "malformed entry.*readout degenerate must be distinct column indices"),
+    (lambda d: d["readout"].update(degenerate=[2]),
+     "malformed entry.*readout degenerate must be distinct column indices"),
+    (lambda d: d["readout"].update(degenerate=[0.0]),
+     "malformed entry.*readout degenerate must be distinct column indices"),
     (lambda d: d["arrays"]["g_target"].update(shape=[2, 4]),
      r"malformed entry.*g_target \[2, 4\] is not the 4x2 crossbar")],
     ids=["no-blob_sha256", "no-mapping", "no-g_device", "no-offset", "past-blob-end",
