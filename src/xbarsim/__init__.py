@@ -10,13 +10,12 @@ __version__ = "0.1.0"
 
 from .config import CrossbarConfig
 from .circuit import CrossbarSolver, simulate, ideal_vmm, oracle_solve
-from .engine import (ProgrammedArray, VmmEngine, build_engine, convert,
-                     map_weights, program)
+from .engine import VmmEngine, build_engine, convert, map_weights, program
 from .errors import SolverError, ValidationError
 
 __all__ = [
     "CrossbarConfig", "CrossbarSolver", "simulate", "ideal_vmm",
-    "oracle_solve", "ProgrammedArray", "VmmEngine", "build_engine", "program",
+    "oracle_solve", "VmmEngine", "build_engine", "program",
     "convert", "map_weights",
     "SolverError", "ValidationError", "__version__",
 ]

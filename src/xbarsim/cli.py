@@ -24,9 +24,8 @@ import numpy as np
 
 from .circuit import simulate
 from .config import CrossbarConfig
-from .engine import (DEFAULT_CALI_SAMPLES, SIGNAL_AMPLITUDES, build_engine,
-                     check_amplitudes, check_cali_sample_count, check_x_max,
-                     evaluate_engine, optimize_conversion_signal, program)
+from .engine import (DEFAULT_CALI_SAMPLES, build_engine, check_cali_sample_count,
+                     check_x_max, evaluate_engine, optimize_conversion_signal, program)
 from .errors import SolverError, ValidationError
 from .files import read_json_object, write_json
 from .metrics import gen_input, gen_kernel
@@ -47,7 +46,7 @@ CONFIG_KEYS = {
     "simulate": {"crossbar"},
     "build-engine": {"crossbar", "dac_bits", "adc_bits", "cali_samples", "seed",
                      "x_max"},
-    "layer-exp": {"dac_bits", "adc_bits", "amplitudes", "cali_samples", "seed"},
+    "layer-exp": {"dac_bits", "adc_bits", "cali_samples", "seed"},
     "run-net": {"cali_samples", "seed"},
 }
 
@@ -265,7 +264,6 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
         cfg.get("cali_samples", DEFAULT_CALI_SAMPLES))
     dac, adc = (check_bits(cfg.get(k)) for k in ("dac_bits", "adc_bits"))
     build_seed = _check_seed(cfg.get("seed", seed))
-    amplitudes = check_amplitudes(cfg.get("amplitudes", SIGNAL_AMPLITUDES))
     try:
         dims = [int(x) for x in kernel_shape.lower().split("x")]
     except ValueError:
@@ -303,8 +301,7 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
     _write_csv(out / "variants.csv",
                ("variant", "mean", "worst", "samples", "output_range"), zip(*rows))
     if conv_amp_sweep:
-        _, sweep = optimize_conversion_signal(improved, amplitudes=amplitudes,
-                                              **common)
+        _, sweep = optimize_conversion_signal(improved, **common)
         header = ("fraction", "mean", "worst")
         _write_csv(out / "amplitude_sweep.csv", header,
                    [[entry[k] for entry in sweep] for k in header])

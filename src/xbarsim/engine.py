@@ -1,10 +1,11 @@
 """Weight-to-conductance mapping, conversion, calibration, and VMM execution.
 
-Pipeline for one crossbar engine, in two steps. `program` (steps 1-2) turns
-a weight matrix into a `ProgrammedArray`, and it is the only entry point
-that takes conversion arguments; `build_engine` reads one out (steps 3-4)
-for its DAC/ADC bits, sample inputs and seed. A programmed array can be
-read out any number of times and is never changed by it.
+One crossbar is one `VmmEngine` record, made in two steps. `program`
+(steps 1-2) maps and converts a weight matrix into one, with no quantizers
+and the nominal readout, and it is the only entry point that takes
+conversion arguments; `build_engine` reads one out (steps 3-4) into a new
+record for its DAC/ADC bits, sample inputs and seed. A programmed engine
+can be read out any number of times and is never changed by it.
 
 1. `map_weights` shifts and scales a real weight matrix onto the device
    conductance window (non-negative dense mapping with a shift constant c).
@@ -101,25 +102,6 @@ class ConversionResult:
     @property
     def g_device(self):
         return self.solver.g
-
-
-@dataclass
-class ProgrammedArray:
-    """A weight matrix mapped and converted onto one crossbar (steps 1-2).
-
-    Every engine `build_engine` reads out from it shares its arrays and its
-    `solver`, with the solver's cached transfer matrix; a readout changes
-    none of them. Once T is cached, by a transfer conversion or the first
-    readout, the solver keeps T and not its grid factor, which inference
-    never reads; a `solve` on it factorizes again.
-    """
-
-    weights: np.ndarray
-    mapping: WeightMapping
-    g_target: np.ndarray
-    solver: CrossbarSolver    # of the last array `convert` evaluated
-    col_scale: np.ndarray
-    conversion_info: dict     # method, signal, iterations, col_error, clipping
 
 
 def check_x_max(x_max):
@@ -338,17 +320,6 @@ def check_cali_sample_count(count):
     return count
 
 
-def check_amplitudes(amplitudes):
-    """Reject conversion-signal amplitudes that are not a non-empty sequence
-    of numbers in (0, 1], fractions of v_sense_max; return them as a tuple."""
-    values = (tuple(amplitudes)
-              if isinstance(amplitudes, (list, tuple, np.ndarray)) else ())
-    if not values or not all(map(_is_fraction, values)):
-        raise ValidationError(
-            f"amplitudes must be a non-empty list of numbers in (0, 1], got {amplitudes!r}")
-    return values
-
-
 def get_cali_para(engine, sample_inputs, sample_count=DEFAULT_CALI_SAMPLES, seed=0):
     """The readout map with per-column gain and offset fitted on a few random
     sample inputs.
@@ -380,29 +351,39 @@ def get_cali_para(engine, sample_inputs, sample_count=DEFAULT_CALI_SAMPLES, seed
                    sample_count=X.shape[0], degenerate=np.flatnonzero(flat).tolist())
 
 
+@dataclass(eq=False)
 class VmmEngine:
-    """One built crossbar engine: the solver of its programmed array plus the
-    digital wrapper; `config` and `g_device` are the solver's.
-
-    `execute` maps a non-negative input vector x in [0, x_max] to an
-    approximation of x @ weights through the analog signal chain and the
-    engine's one `readout` map, the nominal one unless another is given.
+    """One crossbar: a weight matrix mapped and converted onto it (steps 1-2)
+    and the DAC, ADC and readout map that read it out (steps 3-4). `config`
+    and `g_device` are its solver's; once the solver has cached T, it keeps
+    T and not its grid factor, which inference never reads, and a `solve`
+    factorizes again. `execute` maps a non-negative input vector x in
+    [0, x_max] to an approximation of x @ weights through the analog signal
+    chain and the one `readout` map, the nominal one unless another is given.
     """
 
-    def __init__(self, weights, solver, mapping, g_target, col_scale,
-                 conversion_info, dac=None, adc=None, readout=None, name="engine"):
-        self.weights = np.asarray(weights, dtype=float)
-        self.solver = solver
-        self.config = solver.config
-        self.g_device = solver.g
-        self.mapping = mapping
-        self.g_target = np.asarray(g_target, dtype=float)
-        self.col_scale = np.asarray(col_scale, dtype=float)
-        self.conversion_info = dict(conversion_info)
-        self.dac = dac
-        self.adc = adc
-        self.readout = readout or ReadoutMap.nominal(mapping, self.col_scale[:self.shape[1]])
-        self.name = name
+    weights: np.ndarray
+    mapping: WeightMapping
+    g_target: np.ndarray
+    solver: CrossbarSolver    # of the last array `convert` evaluated
+    col_scale: np.ndarray
+    conversion_info: dict     # method, signal, iterations, col_error, clipping
+    dac: DacSpec | None = None
+    adc: AdcSpec | None = None
+    readout: ReadoutMap | None = None
+    name: str = "engine"
+
+    def __post_init__(self):
+        if self.readout is None:
+            self.readout = ReadoutMap.nominal(self.mapping, self.col_scale[:self.shape[1]])
+
+    @property
+    def config(self):
+        return self.solver.config
+
+    @property
+    def g_device(self):
+        return self.solver.g
 
     @property
     def shape(self):
@@ -542,9 +523,9 @@ class VmmEngine:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"engine descriptor {json_path} has a malformed entry: {exc!r}") from exc
-        return cls(weights, CrossbarSolver(config, read_array("g_device")), mapping,
-                   g_target, col_scale, desc["conversion"], dac=dac, adc=adc,
-                   readout=readout, name=desc.get("name", "engine"))
+        solver = CrossbarSolver(config, read_array("g_device"))
+        return cls(weights, mapping, g_target, solver, col_scale, desc["conversion"],
+                   dac, adc, readout, desc.get("name", "engine"))
 
 
 def default_sample_inputs(rows, x_max=1.0, count=32, seed=0):
@@ -560,7 +541,8 @@ def program(weights, config=None, x_max=1.0, method="transfer",
 
     Converts with a flat signal at signal_fraction * v_sense_max; under
     method "transfer" the conductances do not depend on it. The crossbar
-    defaults to one sized to the weights. Returns a ProgrammedArray.
+    defaults to one sized to the weights. Returns the crossbar's VmmEngine,
+    with no DAC or ADC and the nominal readout.
     """
     A = np.asarray(weights, dtype=float)
     if config is None:
@@ -577,32 +559,29 @@ def program(weights, config=None, x_max=1.0, method="transfer",
             "col_error": result.col_error,
             "clipped_low": result.clipped_low,
             "clipped_high": result.clipped_high}
-    return ProgrammedArray(weights=A, mapping=mapping, g_target=g_target,
-                           solver=result.solver, col_scale=result.col_scale,
-                           conversion_info=info)
+    return VmmEngine(A, mapping, g_target, result.solver, result.col_scale, info)
 
 
 def build_engine(programmed, *, dac_bits=None, adc_bits=None, sample_inputs=None,
                  calibrate=True, cali_sample_count=DEFAULT_CALI_SAMPLES, seed=0,
                  name="engine"):
-    """Read out a ProgrammedArray as a ready-to-run VmmEngine (steps 3-4).
+    """Read out a programmed VmmEngine as a new ready-to-run one (steps 3-4).
 
     A bare weight matrix is first programmed with `program`'s defaults;
-    conversion arguments go to `program` only. Engines read out from one
-    array share its solver and convert nothing. The readout attaches the
-    DAC, fits the ADC reference range to observed sample currents, then
-    fits the readout map (`get_cali_para`), or keeps the nominal one if
-    not `calibrate`. When no sample inputs are given, uniform random ones
-    are generated from `seed`.
+    conversion arguments go to `program` only. The new engine is `programmed`
+    with its own DAC, ADC, readout and name: it shares the arrays and the
+    solver, converts nothing and leaves `programmed` as it was. The readout
+    attaches the DAC, fits the ADC reference range to observed sample
+    currents, then fits the readout map (`get_cali_para`), or keeps the
+    nominal one if not `calibrate`. When no sample inputs are given, uniform
+    random ones are generated from `seed`.
     """
     check_cali_sample_count(cali_sample_count)
-    if not isinstance(programmed, ProgrammedArray):
+    if not isinstance(programmed, VmmEngine):
         programmed = program(programmed)
-    engine = VmmEngine(programmed.weights, programmed.solver, programmed.mapping,
-                       programmed.g_target, programmed.col_scale,
-                       programmed.conversion_info, name=name)
-    if dac_bits is not None:
-        engine.dac = DacSpec(bits=dac_bits, v_max=engine.config.v_sense_max)
+    dac = (None if dac_bits is None else
+           DacSpec(bits=dac_bits, v_max=programmed.config.v_sense_max))
+    engine = replace(programmed, dac=dac, adc=None, readout=None, name=name)
     if (calibrate or adc_bits is not None) and sample_inputs is None:
         sample_inputs = default_sample_inputs(engine.shape[0],
                                               engine.mapping.x_max, seed=seed)
@@ -623,11 +602,11 @@ def evaluate_engine(engine, inputs):
     return RelErrorStats.from_outputs(actual, ideal)
 
 
-def optimize_conversion_signal(programmed, *, amplitudes=SIGNAL_AMPLITUDES,
-                               sample_inputs=None, seed=0, **readout):
-    """Sweep flat conversion-signal amplitudes and pick the most accurate.
+def optimize_conversion_signal(programmed, *, sample_inputs=None, seed=0, **readout):
+    """Sweep the flat conversion-signal amplitudes SIGNAL_AMPLITUDES and pick
+    the most accurate.
 
-    `programmed` is a ProgrammedArray from a "transfer" conversion, whose
+    `programmed` is a VmmEngine from a "transfer" conversion, whose
     conductances do not depend on the signal amplitude. Each amplitude
     (a fraction of v_sense_max) reads it out once with the `readout`
     arguments of `build_engine` and evaluates the mean relative error over
@@ -636,14 +615,13 @@ def optimize_conversion_signal(programmed, *, amplitudes=SIGNAL_AMPLITUDES,
     largest amplitude, which has the best analog signal-to-noise ratio in
     hardware.
     """
-    amplitudes = check_amplitudes(amplitudes)
-    if not (isinstance(programmed, ProgrammedArray)
+    if not (isinstance(programmed, VmmEngine)
             and programmed.conversion_info["method"] == "transfer"):
         raise ValidationError(
-            "the sweep reads out one transfer ProgrammedArray; a branch "
-            "conversion depends on the signal amplitude")
+            "the sweep reads out one engine from a transfer conversion; a "
+            "branch conversion depends on the signal amplitude")
     report = []
-    for frac in amplitudes:
+    for frac in SIGNAL_AMPLITUDES:
         engine = build_engine(programmed, sample_inputs=sample_inputs, seed=seed,
                               **readout)
         X = sample_inputs if sample_inputs is not None else default_sample_inputs(

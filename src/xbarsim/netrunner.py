@@ -251,17 +251,19 @@ class NetworkModel:
         return [l for l in self.layers if l.kind in ("conv", "fc")]
 
     def tap_layers(self, taps):
-        """The set of conv/fc layer names to tap, from names or "all"."""
+        """The set of conv/fc layer names to tap, from "all", one layer's name
+        or an iterable of names."""
         names = {l.name for l in self.weight_layers()}
-        taps = names if taps == "all" else set(taps)
+        taps = names if taps == "all" else {taps} if isinstance(taps, str) else set(taps)
         if taps - names:
             raise ValidationError(
                 f"no conv/fc layers named {sorted(taps - names)} to tap")
         return taps
 
     def programmed(self, layer, ideal=False):
-        """Program (or fetch from cache) one layer's array with `program`'s
-        defaults; `ideal` programs a parasitic-free crossbar."""
+        """Program (or fetch from cache) one layer's crossbar with `program`'s
+        defaults: a VmmEngine with no DAC or ADC and the nominal readout,
+        which `engine` reads out; `ideal` programs a parasitic-free crossbar."""
         key = (layer.name, ideal)
         if key not in self._programs:
             config = (CrossbarConfig(*layer.weights.shape, r_wire=0.0, r_in=0.0,

@@ -10,9 +10,9 @@ from xbarsim.circuit import CrossbarSolver, oracle_solve
 from xbarsim.config import CrossbarConfig
 from xbarsim import circuit as circuit_mod, engine as engine_mod
 from xbarsim.convmap import ConvSpec, unroll_kernel
-from xbarsim.engine import (CONVERGED_TOL, G_TOL, VmmEngine, build_engine,
-                            convert, default_sample_inputs, evaluate_engine,
-                            get_cali_para, map_weights,
+from xbarsim.engine import (CONVERGED_TOL, G_TOL, SIGNAL_AMPLITUDES, VmmEngine,
+                            build_engine, convert, default_sample_inputs,
+                            evaluate_engine, get_cali_para, map_weights,
                             optimize_conversion_signal, program)
 from xbarsim.errors import ValidationError
 from xbarsim.metrics import gen_kernel
@@ -462,6 +462,19 @@ def test_engine_serialization_round_trip(tmp_path):
     assert (tmp_path / "engine.bin").read_bytes() == (tmp_path / "clone.bin").read_bytes()
 
 
+def test_saved_engine_loads_back_as_the_same_record(tmp_path):
+    engine = build_engine(gen_kernel(1, (12, 4), 14), dac_bits=8, adc_bits=6, seed=2,
+                          name="conv3")
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    clone = VmmEngine.load(json_path)
+    for field in ("weights", "g_target", "g_device", "col_scale"):
+        assert np.array_equal(getattr(clone, field), getattr(engine, field))
+    assert (clone.config, clone.mapping) == (engine.config, engine.mapping)
+    assert clone.conversion_info == engine.conversion_info
+    assert clone.readout.to_dict() == engine.readout.to_dict()
+    assert (clone.dac, clone.adc, clone.name) == (engine.dac, engine.adc, "conv3")
+
+
 def test_loaded_engine_holds_one_read_only_copy_of_g_device(tmp_path):
     engine = build_engine(gen_kernel(1, (12, 4), 14), seed=0)
     json_path, _ = engine.save(tmp_path / "engine.json")
@@ -663,10 +676,9 @@ def test_bad_calibration_sample_count_rejected_before_conversion(monkeypatch,
 def test_optimize_signal_zero_parasitics_tie_breaks_to_largest():
     A = gen_kernel(1, (16, 4), 16)
     frac, report = optimize_conversion_signal(
-        program(A, config=ideal_config(16, 4)), seed=0,
-        amplitudes=(1.0, 0.1, 0.001))
+        program(A, config=ideal_config(16, 4)), seed=0)
     assert frac == 1.0
-    assert len(report) == 3
+    assert len(report) == len(SIGNAL_AMPLITUDES)
 
 
 @pytest.mark.parametrize("method", ["transfer", "branch"])
@@ -683,6 +695,30 @@ def test_readout_of_a_program_equals_a_full_build(method):
         assert shared.conversion_info == full.conversion_info
         assert np.array_equal(shared.execute_batch(X), full.execute_batch(X))
     assert np.array_equal(programmed.solver.g, g)
+
+
+def test_a_programmed_engine_reads_out_as_a_nominal_build():
+    # `program` returns the crossbar's one record: no quantizers, nominal readout
+    A = gen_kernel(1, (16, 4), 23)
+    X = default_sample_inputs(16, count=8, seed=7)
+    programmed = program(A)
+    assert isinstance(programmed, VmmEngine)
+    assert (programmed.dac, programmed.adc, programmed.name) == (None, None, "engine")
+    assert programmed.readout.sample_count == 0
+    built = build_engine(program(A), calibrate=False)
+    assert programmed.execute_batch(X).tobytes() == built.execute_batch(X).tobytes()
+
+
+def test_a_readout_shares_the_array_and_leaves_the_programmed_engine():
+    programmed = program(gen_kernel(1, (16, 4), 24))
+    before = (programmed.dac, programmed.adc, programmed.readout, programmed.name)
+    engine = build_engine(programmed, dac_bits=8, adc_bits=8, seed=1, name="conv9")
+    after = (programmed.dac, programmed.adc, programmed.readout, programmed.name)
+    assert all(a is b for a, b in zip(before, after))
+    for field in ("weights", "g_target", "col_scale", "solver"):
+        assert getattr(engine, field) is getattr(programmed, field)
+    assert (engine.dac.bits, engine.adc.bits, engine.name) == (8, 8, "conv9")
+    assert engine.readout is not programmed.readout and engine.readout.sample_count > 0
 
 
 def test_programmed_array_keeps_t_and_drops_its_grid_factor(monkeypatch):
@@ -728,11 +764,9 @@ def test_program_takes_no_conversion_arguments_again():
 def test_optimize_signal_shares_only_a_transfer_program(monkeypatch):
     A = gen_kernel(1, (16, 4), 21)
     X = default_sample_inputs(16, count=8, seed=2)
-    amplitudes = (1.0, 0.1, 0.001)
     for not_transfer in (program(A, method="branch"), A):
-        with pytest.raises(ValidationError, match="transfer ProgrammedArray"):
-            optimize_conversion_signal(not_transfer, amplitudes=amplitudes,
-                                       sample_inputs=X)
+        with pytest.raises(ValidationError, match="engine from a transfer conversion"):
+            optimize_conversion_signal(not_transfer, sample_inputs=X)
     calls = []
     counted = engine_mod.convert
 
@@ -741,11 +775,10 @@ def test_optimize_signal_shares_only_a_transfer_program(monkeypatch):
         return counted(*args, **kwargs)
 
     monkeypatch.setattr(engine_mod, "convert", counting_convert)
-    _, report = optimize_conversion_signal(program(A), amplitudes=amplitudes,
-                                           sample_inputs=X, adc_bits=8)
+    _, report = optimize_conversion_signal(program(A), sample_inputs=X, adc_bits=8)
     assert calls == ["transfer"]
     # one array programmed per amplitude gives the same report, bit for bit
-    for entry, frac in zip(report, amplitudes):
+    for entry, frac in zip(report, SIGNAL_AMPLITUDES):
         stats = evaluate_engine(build_engine(program(A, signal_fraction=frac),
                                              sample_inputs=X, adc_bits=8), X)
         assert (entry["mean"], entry["worst"]) == (stats.mean, stats.worst)

@@ -1,12 +1,16 @@
-"""Golden reports: three fixed CLI runs compared with the files in tests/golden.
+"""Golden reports: six fixed CLI runs compared with the files in tests/golden.
 
 `produce` runs them into a directory, one subdirectory each:
 
 - `layer-exp`: `layer-exp --kernel-shape 2x2x3x3 --input-hw 4`;
+- `layer-exp-sweep`: `layer-exp --kernel-shape 3x3x8x8 --conv-amp-sweep`;
 - `build-engine`: `build-engine` at 8 DAC/ADC bits, the engine loaded back
   and its `execute_batch` outputs on fixed inputs in `outputs.json`;
 - `run-net`: `run-net --taps all --bits none,8` on
-  `build_tiny_model(seed=2, channels=(3, 4), hw=6)` over 2 images.
+  `build_tiny_model(seed=2, channels=(3, 4), hw=6)` over 2 images;
+- `simulate-grid`, `simulate-lumped`: `simulate` on a 6x5 grid crossbar
+  (`r_wire` > 0, `r_in` = 0, a 500-ohm select transistor) and on a 6x5
+  lumped one (`r_wire` = 0, `r_in` and `r_out` > 0).
 
 `*.log` files, which hold a time stamp, are not kept. The comparison takes
 structure, strings and integers exactly and floats within GOLDEN_RTOL of
@@ -14,7 +18,11 @@ each field's scale. A field is a CSV column, or a JSON key path with list
 positions left out. Its scale is the largest magnitude the golden file
 holds in it, and at least 1: every float in these reports is an output,
 of order 1, or an error or a fraction of an output range, whose unit is 1,
-so that an error near 0 is held to 1e-12 of the output range.
+so that an error near 0 is held to 1e-12 of the output range. The
+`simulate` runs are the exception. Their `i_out`, `v_top` and `v_bot` are
+held to GOLDEN_RTOL of the field's own largest golden magnitude, with no
+floor, since a floor of 1 would hide any change to currents of about
+1e-5 A. Their `residual` is not compared: it must lie below RESIDUAL_TOL.
 `python tests/golden/regenerate.py` rewrites the files.
 """
 
@@ -27,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from xbarsim import cli
+from xbarsim.circuit import RESIDUAL_TOL
 from xbarsim.engine import VmmEngine
 from xbarsim.files import write_json
 from xbarsim.metrics import gen_input, gen_kernel
@@ -34,6 +43,12 @@ from xbarsim.netrunner import build_tiny_model, save_model, save_tensor
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_RTOL = 1e-12
+# the simulate runs and their crossbars, all 6x5; `compare` holds their
+# fields to their own scale and their residual below RESIDUAL_TOL
+SIMULATE_RUNS = {
+    "simulate-grid": {"r_in": 0.0, "r_transistor_on": 500.0},
+    "simulate-lumped": {"r_wire": 0.0, "r_in": 2.0, "r_out": 3.0},
+}
 
 
 def produce(out):
@@ -41,6 +56,8 @@ def produce(out):
     out = Path(out)
     assert cli.main(["layer-exp", "--kernel-shape", "2x2x3x3", "--input-hw", "4",
                      "--out", str(out / "layer-exp")]) == 0
+    assert cli.main(["layer-exp", "--kernel-shape", "3x3x8x8", "--conv-amp-sweep",
+                     "--out", str(out / "layer-exp-sweep")]) == 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         save_tensor(work / "w.mten", gen_kernel(1, (3, 3, 3, 4), 0).reshape(27, 4))
@@ -60,6 +77,17 @@ def produce(out):
         assert cli.main(["run-net", "--model", str(work / "tiny.json"),
                          "--images", str(work / "imgs"), "--taps", "all",
                          "--bits", "none,8", "--out", str(out / "run-net")]) == 0
+
+        rng = np.random.default_rng(11)
+        save_tensor(work / "g.mten", rng.uniform(1.0 / 300e3, 1.0 / 15e3, size=(6, 5)))
+        save_tensor(work / "v.mten", rng.uniform(0.0, 0.2, size=6))
+        for run, crossbar in SIMULATE_RUNS.items():
+            write_json(work / f"{run}.json", {"crossbar": crossbar})
+            (out / run).mkdir()
+            assert cli.main(["simulate", "--config", str(work / f"{run}.json"),
+                             "--conductance", str(work / "g.mten"),
+                             "--input", str(work / "v.mten"),
+                             "--out", str(out / run / "solution.json")]) == 0
     for log in out.rglob("*.log"):
         log.unlink()
 
@@ -121,14 +149,19 @@ def compare(golden_dir, out_dir, rtol=GOLDEN_RTOL):
         if len(want) != len(have):
             problems.append(f"{name}: {len(have)} values, golden {len(want)}")
             continue
+        simulated = name.parts[0] in SIMULATE_RUNS
         scale, worst = {}, {}
         for field, _, value in want:
             if isinstance(value, float) and math.isfinite(value):
-                scale[field] = max(scale.get(field, 1.0), abs(value))
+                scale[field] = max(scale.get(field, 0.0 if simulated else 1.0), abs(value))
         for (field, where, a), (other, _, b) in zip(want, have):
             if other != field:
                 problems.append(f"{name}{where}: field {other}, golden {field}")
                 break
+            if simulated and field == ".residual":
+                if not (isinstance(b, float) and b < RESIDUAL_TOL):
+                    problems.append(f"{name}.residual: {b!r}, not below {RESIDUAL_TOL}")
+                continue
             if isinstance(a, float) and isinstance(b, float):
                 change = 0.0 if a == b or (math.isnan(a) and math.isnan(b)) else abs(b - a)
                 if change > worst.get(field, (0.0,))[0]:
@@ -168,3 +201,21 @@ def test_compare_names_each_fields_largest_change(tmp_path):
     assert len(problems) == 5
     # every float change lies within 0.2 of its field's scale
     assert compare(tmp_path / "a", tmp_path / "b", rtol=0.2) == [problems[0], problems[2]]
+
+
+def test_compare_holds_simulate_fields_to_their_own_scale(tmp_path):
+    golden = {"i_out": [2e-5, -1e-5], "v_top": [0.2], "v_bot": [0.01], "residual": 1e-16}
+    for root, doc in (("a", golden),
+                      ("b", {**golden, "i_out": [2e-5 * (1 + 1e-9), -1e-5]}),
+                      ("c", {**golden, "residual": 1e-13}),
+                      ("d", {**golden, "residual": 2 * RESIDUAL_TOL})):
+        (tmp_path / root / "simulate-grid").mkdir(parents=True)
+        write_json(tmp_path / root / "simulate-grid" / "solution.json", doc)
+    # a change of 1e-9 relative to currents of 2e-5 A is caught: no floor of 1
+    problems = compare(tmp_path / "a", tmp_path / "b")
+    assert len(problems) == 1
+    assert problems[0].startswith("simulate-grid/solution.json.i_out[]: largest change")
+    # the residual is held below RESIDUAL_TOL, not compared
+    assert compare(tmp_path / "a", tmp_path / "c") == []
+    assert compare(tmp_path / "a", tmp_path / "d") == [
+        f"simulate-grid/solution.json.residual: {2 * RESIDUAL_TOL!r}, not below {RESIDUAL_TOL}"]

@@ -285,6 +285,15 @@ def test_default_parasitics_analog_is_close_and_tapped():
     assert start == len(report.rows)
 
 
+def test_tap_layers_takes_a_string_as_one_layer_name():
+    model = build_tiny_model(seed=6, channels=(3, 4), hw=6)
+    assert model.tap_layers("conv0") == {"conv0"}
+    assert model.tap_layers(["conv0", "fc"]) == {"conv0", "fc"}
+    assert model.tap_layers("all") == {"conv0", "conv1", "fc"}
+    with pytest.raises(ValidationError, match=r"no conv/fc layers named \['conv9'\]"):
+        model.tap_layers("conv9")
+
+
 def test_input_validation():
     model = build_tiny_model(seed=7)
     with pytest.raises(ValidationError):
