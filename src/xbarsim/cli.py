@@ -25,7 +25,8 @@ import numpy as np
 from .circuit import simulate
 from .config import CrossbarConfig
 from .engine import (DEFAULT_CALI_SAMPLES, build_engine, check_cali_sample_count,
-                     check_x_max, evaluate_engine, optimize_conversion_signal, program)
+                     check_sample_inputs, check_x_max, evaluate_engine,
+                     optimize_conversion_signal, program)
 from .errors import SolverError, ValidationError
 from .files import read_json_object, write_json
 from .metrics import gen_input, gen_kernel
@@ -227,8 +228,9 @@ def build_engine_cmd(config_path, weights_path, samples_path, out_path):
     if weights.ndim != 2:
         raise ValidationError(f"weights tensor must be 2-D, got {weights.shape}")
     samples = None
-    if samples_path is not None:
-        samples = load_tensor(_require_file(samples_path))
+    if samples_path is not None:   # checked before any conversion
+        samples = check_sample_inputs(load_tensor(_require_file(samples_path)),
+                                      weights.shape[0], x_max)
     programmed = program(weights, config=_crossbar_config(cfg, weights.shape),
                          x_max=x_max)
     engine = build_engine(programmed, dac_bits=dac_bits, adc_bits=adc_bits,
@@ -272,12 +274,13 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
         raise ValidationError(f"kernel shape must be KHxKWxICxOC, four integers "
                               f">= 1, got {kernel_shape!r}")
     kh, kw, ic, oc = dims
+    # gen_input checks --sparsity, so the map is made before --out
+    fm = FeatureMap(gen_input((input_hw, input_hw, ic), sparsity, seed + 1))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = ConvSpec(kh, kw, ic, oc, stride=1, padding=1,
                     weights=gen_kernel(kernel_type, (kh, kw, ic, oc), seed))
     A = unroll_kernel(spec)
-    fm = FeatureMap(gen_input((input_hw, input_hw, ic), sparsity, seed + 1))
     X = window_matrix(fm, spec)
     common = dict(sample_inputs=X, dac_bits=dac, adc_bits=adc, seed=build_seed,
                   cali_sample_count=cali_samples)
@@ -373,8 +376,8 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
         offset = 0
         workers = min(ctx.obj["threads"], len(tap_set))
         with ExitStack() as stack:
-            # fork, so that no worker imports numpy and scipy afresh; the
-            # workers only format floats and write files
+            # fork, so that no worker imports numpy or the LAPACK wrappers
+            # afresh; the workers only format floats and write files
             write = map if workers <= 1 else stack.enter_context(ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"))).map
             for k, img in enumerate(images):

@@ -320,6 +320,29 @@ def check_cali_sample_count(count):
     return count
 
 
+def check_inputs(X, rows, x_max):
+    """A batch of input vectors as a 2-D float array, one vector being a
+    batch of one; each must have `rows` finite entries in [0, x_max]."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != rows:
+        raise ValidationError(f"inputs must have {rows} entries, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValidationError("inputs contain non-finite values")
+    if X.size and (X.min() < -1e-12 or X.max() > x_max * (1.0 + 1e-9)):
+        raise ValidationError(f"inputs must lie in [0, {x_max}]")
+    return X
+
+
+def check_sample_inputs(X, rows, x_max):
+    """Calibration sample inputs: a 2-D batch of at least 2 input vectors,
+    each as `check_inputs` accepts it."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 2:
+        raise ValidationError(f"calibration needs a 2-D batch of at least 2 "
+                              f"sample inputs, got shape {X.shape}")
+    return check_inputs(X, rows, x_max)
+
+
 def get_cali_para(engine, sample_inputs, sample_count=DEFAULT_CALI_SAMPLES, seed=0):
     """The readout map with per-column gain and offset fitted on a few random
     sample inputs.
@@ -332,13 +355,11 @@ def get_cali_para(engine, sample_inputs, sample_count=DEFAULT_CALI_SAMPLES, seed
     and are listed in `degenerate`.
     """
     check_cali_sample_count(sample_count)
-    X = np.asarray(sample_inputs, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValidationError("calibration needs at least 2 sample inputs")
+    X = check_sample_inputs(sample_inputs, engine.shape[0], engine.mapping.x_max)
     if X.shape[0] > sample_count:
         rng = np.random.default_rng(seed)
         X = X[rng.choice(X.shape[0], size=sample_count, replace=False)]
-    i_corr = engine.corrected_currents(X)
+    i_corr = engine._corrected_currents(X)
     y_shift = X @ (engine.weights + engine.mapping.c)
     nominal = ReadoutMap.nominal(engine.mapping, engine.col_scale[:engine.shape[1]])
     i_mean, y_mean = i_corr.mean(axis=0), y_shift.mean(axis=0)
@@ -390,17 +411,7 @@ class VmmEngine:
         return self.weights.shape
 
     def _validate_inputs(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.ndim != 2 or X.shape[1] != self.weights.shape[0]:
-            raise ValidationError(
-                f"inputs must have {self.weights.shape[0]} entries, got shape {X.shape}")
-        if not np.isfinite(X).all():
-            raise ValidationError("inputs contain non-finite values")
-        lim = self.mapping.x_max * (1.0 + 1e-9)
-        if X.size and (X.min() < -1e-12 or X.max() > lim):
-            raise ValidationError(
-                f"inputs must lie in [0, {self.mapping.x_max}]")
-        return X
+        return check_inputs(X, self.weights.shape[0], self.mapping.x_max)
 
     def raw_currents(self, X):
         """Post-ADC column currents for a batch of validated inputs."""

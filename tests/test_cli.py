@@ -238,6 +238,29 @@ def test_bad_config_value_rejected_before_conversion(tmp_path, monkeypatch,
     assert not converted
 
 
+@pytest.mark.parametrize("samples", [
+    np.full((5, 7), 0.5),              # 7 columns for 144-row weights
+    np.full(144, 0.5),                 # one vector, not a batch
+    np.full((1, 144), 0.5),            # a batch of one
+    np.full((4, 144), 1.5),            # above x_max
+    np.where(np.eye(4, 144) > 0, np.nan, 0.5),
+], ids=["5x7", "1-D", "one-row", "above-x_max", "nan"])
+def test_build_engine_rejects_bad_samples_before_conversion(tmp_path, monkeypatch,
+                                                            capsys, samples):
+    monkeypatch.chdir(tmp_path)
+    save_tensor("w.mten", gen_kernel(1, (144, 4), 0))
+    save_tensor("s.mten", samples)
+    converted = []
+    monkeypatch.setattr(engine, "convert",
+                        lambda *args, **kwargs: converted.append(args))
+    rc = cli.main(["build-engine", "--weights", "w.mten", "--samples", "s.mten",
+                   "--out", "out.json"])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert not Path("out.json").exists()
+    assert not converted
+
+
 def test_layer_exp_rejects_negative_seed_option(tmp_path):
     rc = cli.main(["layer-exp", "--kernel-shape", "2x2x3x3", "--input-hw", "4",
                    "--seed", "-1", "--out", str(tmp_path / "exp")])
@@ -250,6 +273,14 @@ def test_layer_exp_rejects_non_positive_input_hw_option(tmp_path, input_hw):
     rc = cli.main(["layer-exp", "--kernel-shape", "2x2x3x3", "--input-hw", input_hw,
                    "--out", str(tmp_path / "exp")])
     assert rc == cli.EXIT_USAGE
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("sparsity", ["1.5", "-0.5", "nan"])
+def test_layer_exp_rejects_bad_sparsity_before_out(tmp_path, sparsity):
+    rc = cli.main(["layer-exp", "--kernel-shape", "2x2x3x3", "--input-hw", "4",
+                   "--sparsity", sparsity, "--out", str(tmp_path / "exp")])
+    assert rc == cli.EXIT_VALIDATION
     assert not (tmp_path / "exp").exists()
 
 
