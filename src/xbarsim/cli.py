@@ -24,10 +24,9 @@ import numpy as np
 
 from .circuit import simulate
 from .config import CrossbarConfig
-from .engine import (DEFAULT_CALI_SAMPLES, build_engine, check_cali_sample_count,
-                     check_sample_inputs, check_x_max, evaluate_engine,
-                     optimize_conversion_signal, program)
-from .errors import SolverError, ValidationError
+from .engine import (DEFAULT_CALI_SAMPLES, build_engine, check_sample_inputs,
+                     evaluate_engine, optimize_conversion_signal, program)
+from .errors import SolverError, ValidationError, check_int, check_number
 from .files import read_json_object, write_json
 from .metrics import gen_input, gen_kernel
 from .netrunner import (TAP_DTYPE, load_model, load_tensor, quantization_sweep,
@@ -42,6 +41,23 @@ EXIT_NUMERIC = 3
 # a tap report's columns: the layer name, then the numeric TAP_DTYPE fields
 TAP_HEADER = ("layer", *TAP_DTYPE.names)
 
+
+def _check_crossbar(xb):
+    if not isinstance(xb, dict):
+        raise ValidationError(f"crossbar must be a JSON object, got {xb!r}")
+    return xb
+
+
+# every config key: its default and the check its value must pass
+CONFIG_VALUES = {
+    "crossbar": ({}, _check_crossbar),
+    "dac_bits": (None, check_bits),
+    "adc_bits": (None, check_bits),
+    "cali_samples": (DEFAULT_CALI_SAMPLES,
+                     lambda n: check_int(n, "calibration sample count", 2)),
+    "seed": (0, lambda seed: check_int(seed, "seed")),
+    "x_max": (1.0, lambda x: check_number(x, "x_max", 0, strict=True)),
+}
 # the config keys each command reads; any other key is rejected
 CONFIG_KEYS = {
     "simulate": {"crossbar"},
@@ -66,19 +82,18 @@ def _load_config(path, command):
     return cfg
 
 
-def _check_seed(seed):
-    """Reject a config seed numpy cannot take: anything but an integer >= 0."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
-    return seed
+def _read_config(path, command, **defaults):
+    """Every key `command` reads, checked: its value in the config file at
+    `path`, else its default in `defaults`, else the one in CONFIG_VALUES."""
+    cfg = _load_config(path, command)
+    return {key: check(cfg.get(key, defaults.get(key, default)))
+            for key, (default, check) in CONFIG_VALUES.items()
+            if key in CONFIG_KEYS[command]}
 
 
-def _crossbar_config(cfg, shape):
-    """The config's `crossbar` object as a CrossbarConfig, sized to `shape`
+def _crossbar_config(xb, shape):
+    """A config's `crossbar` object as a CrossbarConfig, sized to `shape`
     (rows, cols) unless the object sets its own."""
-    xb = cfg.get("crossbar", {})
-    if not isinstance(xb, dict):
-        raise ValidationError(f"crossbar must be a JSON object, got {xb!r}")
     return CrossbarConfig.from_dict({"rows": shape[0], "cols": shape[1], **xb})
 
 
@@ -184,12 +199,12 @@ def cli(ctx, threads):
 @click.option("--out", "out_path", type=str, required=True)
 def simulate_cmd(config_path, cond_path, input_path, out_path):
     """One-shot crossbar solve; writes output currents and node voltages."""
-    cfg = _load_config(config_path, "simulate")
+    cfg = _read_config(config_path, "simulate")
     g = load_tensor(_require_file(cond_path))
     v = load_tensor(_require_file(input_path))
     if g.ndim != 2:
         raise ValidationError(f"conductance tensor must be 2-D, got {g.shape}")
-    config = _crossbar_config(cfg, g.shape)
+    config = _crossbar_config(cfg["crossbar"], g.shape)
     # tensor files are float32; snap boundary values back onto the range
     snap = 1e-6
     g = np.where(np.abs(g - config.g_max) <= snap * config.g_max,
@@ -218,24 +233,19 @@ def simulate_cmd(config_path, cond_path, input_path, out_path):
 @click.option("--out", "out_path", type=str, required=True)
 def build_engine_cmd(config_path, weights_path, samples_path, out_path):
     """Map, convert, and calibrate one crossbar engine; serialize it."""
-    cfg = _load_config(config_path, "build-engine")
-    x_max = check_x_max(cfg.get("x_max", 1.0))
-    dac_bits, adc_bits = (check_bits(cfg.get(k)) for k in ("dac_bits", "adc_bits"))
-    seed = _check_seed(cfg.get("seed", 0))
-    cali_samples = check_cali_sample_count(
-        cfg.get("cali_samples", DEFAULT_CALI_SAMPLES))
+    cfg = _read_config(config_path, "build-engine")
     weights = load_tensor(_require_file(weights_path))
     if weights.ndim != 2:
         raise ValidationError(f"weights tensor must be 2-D, got {weights.shape}")
     samples = None
     if samples_path is not None:   # checked before any conversion
         samples = check_sample_inputs(load_tensor(_require_file(samples_path)),
-                                      weights.shape[0], x_max)
-    programmed = program(weights, config=_crossbar_config(cfg, weights.shape),
-                         x_max=x_max)
-    engine = build_engine(programmed, dac_bits=dac_bits, adc_bits=adc_bits,
-                          sample_inputs=samples, cali_sample_count=cali_samples,
-                          seed=seed)
+                                      weights.shape[0], cfg["x_max"])
+    programmed = program(weights, x_max=cfg["x_max"],
+                         config=_crossbar_config(cfg["crossbar"], weights.shape))
+    engine = build_engine(programmed, dac_bits=cfg["dac_bits"],
+                          adc_bits=cfg["adc_bits"], sample_inputs=samples,
+                          cali_sample_count=cfg["cali_samples"], seed=cfg["seed"])
     engine.save(out_path)
     _write_log(out_path, "build-engine")
 
@@ -261,11 +271,7 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
     the full auto-scaled conversion plus calibration. The last two, and
     every amplitude of the sweep, read out one programmed array.
     """
-    cfg = _load_config(config_path, "layer-exp")
-    cali_samples = check_cali_sample_count(
-        cfg.get("cali_samples", DEFAULT_CALI_SAMPLES))
-    dac, adc = (check_bits(cfg.get(k)) for k in ("dac_bits", "adc_bits"))
-    build_seed = _check_seed(cfg.get("seed", seed))
+    cfg = _read_config(config_path, "layer-exp", seed=seed)
     try:
         dims = [int(x) for x in kernel_shape.lower().split("x")]
     except ValueError:
@@ -282,8 +288,8 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
                     weights=gen_kernel(kernel_type, (kh, kw, ic, oc), seed))
     A = unroll_kernel(spec)
     X = window_matrix(fm, spec)
-    common = dict(sample_inputs=X, dac_bits=dac, adc_bits=adc, seed=build_seed,
-                  cali_sample_count=cali_samples)
+    common = dict(sample_inputs=X, dac_bits=cfg["dac_bits"], adc_bits=cfg["adc_bits"],
+                  seed=cfg["seed"], cali_sample_count=cfg["cali_samples"])
     improved = program(A)
     variants = {
         "direct": build_engine(program(A, max_iter=0), calibrate=False, **common),
@@ -348,23 +354,22 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
     images_dir = _require_file(images_dir)
     if not images_dir.is_dir():
         raise NotADirectoryError(images_dir)
-    cfg = _load_config(config_path, "run-net")
-    seed = _check_seed(cfg.get("seed", 0))
-    engine_kwargs = {}
-    if "cali_samples" in cfg:
-        engine_kwargs["cali_sample_count"] = check_cali_sample_count(
-            cfg["cali_samples"])
+    cfg = _read_config(config_path, "run-net")
+    engine_kwargs = {"cali_sample_count": cfg["cali_samples"]}
     model = load_model(_require_file(model_path))
     if taps:   # checked before any engine is built
         tap_set = model.tap_layers("all" if taps.strip() == "all" else
                                    [t for t in map(str.strip, taps.split(",")) if t])
     image_files = sorted(p for p in images_dir.iterdir()
                          if p.is_file() and p.suffix != ".log")
-    images = [load_tensor(p) for p in image_files]
+    # every image is checked, and one at least required, before --out is made
+    images = [model.check_image(load_tensor(p)) for p in image_files]
+    if not images:
+        raise ValidationError(f"no image files in {images_dir}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table = quantization_sweep(model, images, bit_list, seed=seed,
-                               engine_kwargs=engine_kwargs or None)
+    table = quantization_sweep(model, images, bit_list, seed=cfg["seed"],
+                               engine_kwargs=engine_kwargs)
     header = ("bits", "mean_rel_err", "worst_rel_err", "agreement", "images")
     _write_csv(out / "accuracy.csv", header,
                [[row[k] for row in table] for k in header])
@@ -382,8 +387,8 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
                 workers, mp_context=multiprocessing.get_context("fork"))).map
             for k, img in enumerate(images):
                 _, rep = run_inference(model, img, mode="analog", taps=tap_set,
-                                       dac_bits=dac, adc_bits=adc, seed=seed,
-                                       engine_kwargs=engine_kwargs or None)
+                                       dac_bits=dac, adc_bits=adc, seed=cfg["seed"],
+                                       engine_kwargs=engine_kwargs)
                 # number this image's windows after the previous image's
                 if len(rep.rows):
                     rep.rows["window"] += offset

@@ -1,10 +1,8 @@
 """Crossbar physical configuration."""
 
-import math
-import numbers
 from dataclasses import dataclass, asdict
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number, is_int
 
 # Default device/array parameters: R_on = 15 kOhm, R_off = 300 kOhm,
 # 1 Ohm wire segments and terminal resistances, 0.2 V sensing range.
@@ -40,11 +38,9 @@ class CrossbarConfig:
 
     def __post_init__(self):
         for name, value in self.to_dict().items():
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
+            check_number(value, name)
         for name in ("rows", "cols"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not is_int(getattr(self, name)):
                 raise ValidationError(
                     f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.rows < 1 or self.cols < 1:

@@ -25,15 +25,13 @@ can be read out any number of times and is never changed by it.
 `VmmEngine.save`/`load` keep an engine on disk through `files.py`.
 """
 
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .circuit import INPUT_SLACK, CrossbarSolver
 from .config import CrossbarConfig
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_number, is_int, is_number
 from .files import load_with_blob, save_with_blob
 from .quantize import AdcSpec, DacSpec, adc_quantize, calibrate_adc_range, dac_quantize
 
@@ -69,10 +67,7 @@ class WeightMapping:
     def __post_init__(self):
         # the shift may be 0; the scales and the input full scale may not
         for name, value in self.to_dict().items():
-            least = ">= 0" if name == "c" else "> 0"
-            if not _is_number(value) or value < 0.0 or (value == 0.0 and name != "c"):
-                raise ValidationError(
-                    f"mapping {name} must be a finite number {least}, got {value!r}")
+            check_number(value, f"mapping {name}", 0, strict=name != "c")
 
     def to_dict(self):
         return {"c": self.c, "alpha": self.alpha, "beta": self.beta, "x_max": self.x_max}
@@ -104,14 +99,6 @@ class ConversionResult:
         return self.solver.g
 
 
-def check_x_max(x_max):
-    """Reject an input full scale that is not a finite number > 0; return it."""
-    if (isinstance(x_max, bool) or not isinstance(x_max, numbers.Real)
-            or not 0.0 < x_max < math.inf):
-        raise ValidationError(f"x_max must be a finite number > 0, got {x_max!r}")
-    return x_max
-
-
 def map_weights(weights, config: CrossbarConfig, x_max=1.0):
     """Map a real weight matrix onto [g_min, g_max] conductance targets.
 
@@ -129,7 +116,7 @@ def map_weights(weights, config: CrossbarConfig, x_max=1.0):
     if m > config.rows or n > config.cols:
         raise ValidationError(
             f"weights {m}x{n} do not fit {config.rows}x{config.cols} array")
-    check_x_max(x_max)
+    check_number(x_max, "x_max", 0, strict=True)
     c = max(0.0, -float(A.min()))
     top = float(A.max()) + c
     beta = (config.g_max - config.g_min) / top if top > 0.0 else 1.0
@@ -137,11 +124,6 @@ def map_weights(weights, config: CrossbarConfig, x_max=1.0):
     g_target[:m, :n] = config.g_min + beta * (A + c)
     return g_target, WeightMapping(c=c, alpha=config.v_sense_max / x_max,
                                    beta=beta, x_max=float(x_max))
-
-
-def _is_fraction(a):
-    """Whether `a` is a number in (0, 1]; bools are not numbers here."""
-    return not isinstance(a, bool) and isinstance(a, numbers.Real) and 0.0 < a <= 1.0
 
 
 def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
@@ -190,13 +172,11 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
     if not ((v_conv > 0.0) & (v_conv <= config.v_sense_max * (1.0 + INPUT_SLACK))).all():
         raise ValidationError(
             f"conversion signal must lie in (0, {config.v_sense_max}] V")
-    if not (_is_fraction(target_scale)
+    if not (is_number(target_scale) and 0.0 < target_scale <= 1.0
             or isinstance(target_scale, str) and target_scale == "auto"):
         raise ValidationError(
             f"target_scale must be 'auto' or a number in (0, 1], got {target_scale!r}")
-    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
-            or max_iter < 0):
-        raise ValidationError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    check_int(max_iter, "max_iter")
 
     i_unit = v_conv @ g_target     # ideal column currents at unit scale
     norm = max(float(np.abs(i_unit).max()), 1e-300)
@@ -284,40 +264,25 @@ class ReadoutMap:
         gain, offset, baseline = (_numbers(d[key], cols, f"readout {key}")
                                   for key in ("gain", "offset", "baseline"))
         c, count, degenerate = d["c"], d["sample_count"], d["degenerate"]
-        if not _is_number(c):
+        if not is_number(c):
             raise ValueError(f"readout c must be a finite number, got {c!r}")
-        if type(count) is not int or count != 0:   # 0: the nominal map
-            check_cali_sample_count(count)
+        if count != 0 or not is_int(count):   # 0: the nominal map
+            check_int(count, "calibration sample count", 2)
         if not (isinstance(degenerate, list)
-                and all(type(j) is int and 0 <= j < cols for j in degenerate)
+                and all(is_int(j) and 0 <= j < cols for j in degenerate)
                 and len(set(degenerate)) == len(degenerate) and (count or not degenerate)):
             raise ValueError(f"readout degenerate must be distinct column indices in "
                              f"[0, {cols}), none at sample_count 0, got {degenerate!r}")
         return cls(gain, offset, baseline, c, count, degenerate)
 
 
-def _is_number(v):
-    """Whether `v` is a finite real number; bools are not numbers here."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _numbers(value, count, what):
     """A descriptor's list of `count` finite real numbers as a float array,
     else a ValueError naming it `what`."""
     if not (isinstance(value, list) and len(value) == count
-            and all(map(_is_number, value))):
+            and all(map(is_number, value))):
         raise ValueError(f"{what} must be {count} numbers")
     return np.array(value, dtype=float)
-
-
-def check_cali_sample_count(count):
-    """Reject a calibration sample count that is not an integer >= 2, which a
-    gain/offset fit needs."""
-    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
-            or count < 2):
-        raise ValidationError(
-            f"calibration sample count must be an integer >= 2, got {count!r}")
-    return count
 
 
 def check_inputs(X, rows, x_max):
@@ -354,7 +319,7 @@ def get_cali_para(engine, sample_inputs, sample_count=DEFAULT_CALI_SAMPLES, seed
     whose currents show no spread keep the nominal gain, take that offset
     and are listed in `degenerate`.
     """
-    check_cali_sample_count(sample_count)
+    check_int(sample_count, "calibration sample count", 2)   # a gain/offset fit needs 2
     X = check_sample_inputs(sample_inputs, engine.shape[0], engine.mapping.x_max)
     if X.shape[0] > sample_count:
         rng = np.random.default_rng(seed)
@@ -495,8 +460,7 @@ class VmmEngine:
                 meta = desc["arrays"][key]
                 shape, offset = meta["shape"], meta["offset"]
                 if (not isinstance(shape, list) or len(shape) != 2
-                        or not all(isinstance(n, int) and not isinstance(n, bool)
-                                   for n in (*shape, offset))):
+                        or not all(map(is_int, (*shape, offset)))):
                     raise TypeError("shape must be 2 integers and offset an integer")
             except (KeyError, TypeError) as exc:
                 raise ValidationError(
@@ -587,7 +551,7 @@ def build_engine(programmed, *, dac_bits=None, adc_bits=None, sample_inputs=None
     nominal one if not `calibrate`. When no sample inputs are given, uniform
     random ones are generated from `seed`.
     """
-    check_cali_sample_count(cali_sample_count)
+    check_int(cali_sample_count, "calibration sample count", 2)
     if not isinstance(programmed, VmmEngine):
         programmed = program(programmed)
     dac = (None if dac_bits is None else

@@ -1,4 +1,4 @@
-"""Error metrics, sparsity statistics, and synthetic kernel/input generators."""
+"""Error metrics and synthetic kernel/input generators."""
 
 from dataclasses import dataclass
 
@@ -32,12 +32,6 @@ def bit_accuracy(rel_err):
     if rel_err <= 0.0:
         raise ValidationError(f"bit_accuracy needs rel_err > 0, got {rel_err}")
     return float(np.log2(1.0 / rel_err + 1.0))
-
-
-def sparsity(tensor):
-    """Fraction of exact zeros."""
-    t = np.asarray(tensor)
-    return float(np.count_nonzero(t == 0) / t.size) if t.size else 0.0
 
 
 @dataclass

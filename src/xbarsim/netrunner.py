@@ -34,7 +34,7 @@ import numpy as np
 from .config import CrossbarConfig
 from .convmap import ConvSpec, FeatureMap, unroll_kernel, window_matrix
 from .engine import build_engine, program
-from .errors import ValidationError
+from .errors import ValidationError, is_int
 from .files import load_with_blob, save_with_blob
 from .metrics import gen_kernel, output_range, relative_error
 
@@ -247,6 +247,16 @@ class NetworkModel:
         except KeyError:
             raise ValidationError(f"no layer named {name!r}") from None
 
+    def check_image(self, image):
+        """`image` as a FeatureMap, if it has the input's shape and values in [0, 1]."""
+        fm = image if isinstance(image, FeatureMap) else FeatureMap(image)
+        expect = self.shapes[self.layers[0].name]   # the input layer comes first
+        if fm.data.shape != expect:
+            raise ValidationError(f"input image shape {fm.data.shape} != {expect}")
+        if not (fm.data.min() >= 0.0 and fm.data.max() <= 1.0 + 1e-9):
+            raise ValidationError("input image must be normalized to [0, 1]")
+        return fm
+
     def weight_layers(self):
         return [l for l in self.layers if l.kind in ("conv", "fc")]
 
@@ -325,7 +335,7 @@ def load_model(manifest_path):
         p, preds = entry["params"], entry["predecessors"]
         if not (isinstance(entry["name"], str) and isinstance(p, dict)
                 and isinstance(preds, list) and all(isinstance(q, str) for q in preds)
-                and all(type(p[k]) is int and p[k] >= low
+                and all(is_int(p[k]) and p[k] >= low
                         for k, low in INT_PARAM_MIN.items() if k in p)):
             raise ValidationError(f"layer {entry['name']!r} needs a string name, object params "
                                   "with integer sizes and stride >= 1, padding >= 0 and a "
@@ -335,7 +345,7 @@ def load_model(manifest_path):
         shape = layer.weight_shape
         if shape is not None:
             offset, length = entry.get("blob_offset"), entry.get("blob_len")
-            if not all(type(v) is int and v >= 0 for v in (offset, length)):
+            if not all(is_int(v) and v >= 0 for v in (offset, length)):
                 raise ValidationError(f"layer {entry['name']!r} blob_offset and "
                                       "blob_len must be integers >= 0")
             count = int(np.prod(shape))
@@ -415,7 +425,7 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
     """
     if mode not in ("software", "analog"):
         raise ValidationError(f"unknown inference mode {mode!r}")
-    fm = image if isinstance(image, FeatureMap) else FeatureMap(image)
+    fm = model.check_image(image)
     taps = model.tap_layers(taps)
     readout = dict(dac_bits=dac_bits, adc_bits=adc_bits, seed=seed,
                    **(engine_kwargs or {}))
@@ -428,12 +438,6 @@ def run_inference(model: NetworkModel, image, mode="software", taps=(),
     for layer in model.layers:
         preds = [outputs[p] for p in layer.predecessors]
         if layer.kind == "input":
-            expect = model.shapes[layer.name]
-            if fm.data.shape != expect:
-                raise ValidationError(
-                    f"input image shape {fm.data.shape} != {expect}")
-            if fm.data.min() < 0.0 or fm.data.max() > 1.0 + 1e-9:
-                raise ValidationError("input image must be normalized to [0, 1]")
             out = fm
         elif layer.kind in ("conv", "fc"):
             out = FeatureMap(_weight_layer(model, layer, preds[0], mode,

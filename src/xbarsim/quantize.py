@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int, is_int, is_number
 
 MIN_BITS, MAX_BITS = 2, 16
 # calibrated ADC full scale over the largest sample current
@@ -14,9 +14,7 @@ ADC_HEADROOM = 1.05
 def check_bits(bits):
     """Reject a quantizer width that is not None (no quantizer) or an integer
     in [MIN_BITS, MAX_BITS]; return it."""
-    if bits is not None and (isinstance(bits, bool)
-                             or not isinstance(bits, (int, np.integer))
-                             or not MIN_BITS <= bits <= MAX_BITS):
+    if bits is not None and not (is_int(bits) and MIN_BITS <= bits <= MAX_BITS):
         raise ValidationError(
             f"bits must be an integer in [{MIN_BITS}, {MAX_BITS}] or None, got {bits!r}")
     return bits
@@ -33,9 +31,10 @@ class DacSpec:
 
     def __post_init__(self):
         check_bits(self.bits)
-        if self.v_min != 0.0:
+        check_int(self.clip_count, "DAC clip_count")
+        if not is_number(self.v_min) or self.v_min != 0.0:
             raise ValidationError("DAC range must start at 0 V")
-        if not np.isfinite(self.v_max):
+        if not is_number(self.v_max):
             raise ValidationError(f"DAC range must be finite, got v_max={self.v_max}")
         if self.v_max <= self.v_min:
             raise ValidationError(f"need v_max > v_min, got [{self.v_min}, {self.v_max}]")
@@ -56,7 +55,8 @@ class AdcSpec:
 
     def __post_init__(self):
         check_bits(self.bits)
-        if not (np.isfinite(self.i_min) and np.isfinite(self.i_max)):
+        check_int(self.clip_count, "ADC clip_count")
+        if not (is_number(self.i_min) and is_number(self.i_max)):
             raise ValidationError(
                 f"ADC range must be finite, got [{self.i_min}, {self.i_max}]")
         if self.i_min < 0.0 or self.i_max <= self.i_min:

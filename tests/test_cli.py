@@ -284,6 +284,28 @@ def test_layer_exp_rejects_bad_sparsity_before_out(tmp_path, sparsity):
     assert not (tmp_path / "exp").exists()
 
 
+@pytest.mark.parametrize("image", ["wrong-shape", "above-1", "nan", "none"])
+def test_run_net_rejects_bad_or_no_images_before_out(tmp_path, monkeypatch, capsys,
+                                                     image):
+    save_model(build_tiny_model(seed=2, channels=(3, 4), hw=6), tmp_path / "tiny.json")
+    (tmp_path / "imgs").mkdir()
+    good = gen_input((6, 6, 3), 0.3, 50)
+    bad = {"wrong-shape": gen_input((5, 5, 3), 0.3, 50),
+           "above-1": np.where(good == good.max(), 1.5, good),
+           "nan": np.where(good == good.max(), np.nan, good)}
+    if image != "none":   # a good image sorts first, so every image is checked
+        save_tensor(tmp_path / "imgs" / "img0.mten", good)
+        save_tensor(tmp_path / "imgs" / "img1.mten", bad[image])
+    converted = []
+    monkeypatch.setattr(engine, "convert",
+                        lambda *args, **kwargs: converted.append(args))
+    rc = cli.main(["run-net", "--model", str(tmp_path / "tiny.json"), "--images",
+                   str(tmp_path / "imgs"), "--out", str(tmp_path / "net")])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error:")
+    assert not converted and not (tmp_path / "net").exists()
+
+
 @pytest.mark.parametrize("shape", ["3x3x-2x4", "3x3x0x4", "0x3x2x4", "3x3x4", "3x3xax4"])
 def test_layer_exp_rejects_bad_kernel_shape_before_out(tmp_path, shape):
     rc = cli.main(["layer-exp", "--kernel-shape", shape, "--input-hw", "4",

@@ -647,6 +647,23 @@ def test_engine_load_rejects_non_finite_adc_range(tmp_path):
         VmmEngine.load(json_path)
 
 
+@pytest.mark.parametrize("spec, key, value", [
+    ("adc", "i_max", True), ("dac", "v_max", True), ("adc", "i_min", False),
+    ("dac", "v_min", False), ("dac", "clip_count", "x"), ("adc", "clip_count", -1),
+    ("adc", "clip_count", 1.0)])
+def test_engine_load_rejects_quantizer_values_that_are_not_numbers(tmp_path, spec,
+                                                                   key, value):
+    # a bool is no range end and a clip count is an integer >= 0: neither
+    # loads to fail, or count wrongly, in the first execute
+    engine = build_engine(gen_kernel(1, (4, 2), 15), dac_bits=8, adc_bits=8, seed=0)
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    desc = json.loads(json_path.read_text())
+    desc[spec][key] = value
+    json_path.write_text(json.dumps(desc))
+    with pytest.raises(ValidationError, match=spec.upper()):
+        VmmEngine.load(json_path)
+
+
 def test_engine_load_rejects_non_finite_config(tmp_path):
     engine = build_engine(gen_kernel(1, (4, 2), 15), seed=0)
     json_path, _ = engine.save(tmp_path / "engine.json")

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from xbarsim.errors import ValidationError
 from xbarsim.metrics import (RelErrorStats, bit_accuracy, gen_input,
-                             gen_kernel, output_range, relative_error,
-                             sparsity)
+                             gen_kernel, output_range, relative_error)
 
 
 def test_relative_error_trivials():
@@ -45,17 +44,6 @@ def test_bit_accuracy_decreasing_and_near_b_for_powers_of_two():
 def test_bit_accuracy_rejects_zero():
     with pytest.raises(ValidationError):
         bit_accuracy(0.0)
-
-
-def test_sparsity_trivials():
-    assert sparsity(np.zeros(10)) == 1.0
-    assert sparsity(np.ones(10)) == 0.0
-
-
-def test_sparsity_of_relu_on_symmetric_data():
-    rng = np.random.default_rng(0)
-    x = np.maximum(rng.normal(size=100_000), 0.0)
-    assert sparsity(x) == pytest.approx(0.5, abs=0.01)
 
 
 def test_gen_kernel_type3_no_zero_fraction():

@@ -226,7 +226,8 @@ def test_malformed_manifest_loads_or_is_rejected(tmp_path, path):
     # the fields above are every field there is
     assert {(k,) for k in doc} | {("conv1", k) for k in conv1} | {
         ("conv1", "params", k) for k in conv1["params"]} == set(MANIFEST_FIELDS[:-1])
-    (tmp_path / "imgs").mkdir()
+    (tmp_path / "imgs").mkdir()   # run-net refuses a directory with no image
+    save_tensor(tmp_path / "imgs" / "img0.mten", gen_input((8, 8, 3), 0.3, 1))
     for i, value in enumerate(JSON_VALUES):
         edited = json.loads(json.dumps(doc))
         parent, keys = edited, path
