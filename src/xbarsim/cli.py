@@ -9,14 +9,10 @@ config and seed; timestamps go to a sidecar .log file only. Exit codes:
 
 import csv
 import datetime
-import functools
 import io
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from itertools import repeat
 from pathlib import Path
 
 import click
@@ -37,9 +33,6 @@ from .quantize import check_bits
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
-
-# a tap report's columns: the layer name, then the numeric TAP_DTYPE fields
-TAP_HEADER = ("layer", *TAP_DTYPE.names)
 
 
 def _check_crossbar(xb):
@@ -137,51 +130,26 @@ def _csv_field(value):
     return buf.getvalue()[:-3]   # drop ",\r\n"
 
 
-def _csv_fields(column):
-    """One column's fields as csv.writer writes them. A float numpy array
-    is written as its `tolist()` with `float.__repr__`, an int array with
-    `int.__repr__`, each distinct int once; other values go through
-    `_csv_field`, each distinct string once."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return map(float.__repr__, column.tolist())
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-        values, index = np.unique(column, return_inverse=True)
-        return map(list(map(int.__repr__, values.tolist())).__getitem__,
-                   index.tolist())
-    # only strings share a field when equal (0.0 and -0.0 are equal numbers)
-    string_field = functools.cache(_csv_field)
-    return [string_field(v) if type(v) is str else _csv_field(v) for v in column]
-
-
 def _write_csv(path, header, columns, append=False):
     """The one CSV writer: a header line, then one row per element of the
-    equal-length `columns`, each column formatted at once; with `append`,
-    only the rows, added to the end of an existing file. For rows of two
-    or more fields, as every report has, the bytes equal those `csv.writer`
-    writes for the same header and rows: floats with repr, other numbers
-    with str, strings quoted as QUOTE_MINIMAL quotes them, and CRLF line
-    endings."""
-    lines = "\r\n".join(map(",".join, zip(*map(_csv_fields, columns), strict=True)))
+    equal-length `columns`; with `append`, only the rows, added to the end
+    of an existing file. For rows of two or more fields, as every report
+    has, the bytes equal those `csv.writer` writes for the same header and
+    rows: floats with repr, other numbers with str, strings quoted as
+    QUOTE_MINIMAL quotes them, and CRLF line endings."""
     with open(path, "a" if append else "w", newline="") as fh:
         if not append:
             fh.write(",".join(map(_csv_field, header)) + "\r\n")
-        if lines:
-            fh.write(lines + "\r\n")
-
-
-def _write_taps(path, layer, columns, append):
-    """Rows of one layer's tap report: `layer` on every row, then its
-    numeric columns (window, column, ideal, actual, rel_err), numpy arrays;
-    `append` adds them to the report `path` already holds."""
-    _write_csv(path, TAP_HEADER, [repeat(layer, len(columns[0])), *columns],
-               append)
+        fh.writelines(",".join(map(_csv_field, row)) + "\r\n"
+                      for row in zip(*columns, strict=True))
 
 
 @click.group()
 @click.option("--threads", type=int, default=None,
               help="Worker processes (>= 1; env XBAR_THREADS as fallback). "
-                   "run-net writes its per-layer tap reports with up to N "
-                   "workers; no report depends on N.")
+                   "run-net programs its conv/fc layers in up to N forked "
+                   "workers, which inherit this process's BLAS thread "
+                   "setting; no report depends on N.")
 @click.pass_context
 def cli(ctx, threads):
     """Memristor-crossbar CNN inference simulator."""
@@ -333,15 +301,14 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
 def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
     """Quantization sweep plus optional per-layer error taps over a model.
 
-    Engines, inference and the sweep run in this process; the sweep checks
-    every image before any tap report is written. The tap reports, one
-    `layer_<name>.csv` per tapped layer, are then written image by image:
-    each image's tap pass waits until the previous image's rows are
-    written, and each of its tapped layers' rows is one job for a pool of
-    min(--threads, tap files) forked worker processes, the first image's
-    job writing the header. So this process holds one image's tap rows at
-    a time and no report depends on --threads; with one worker the jobs
-    run in this process.
+    Every conv/fc layer is first programmed by up to --threads forked worker
+    processes (`NetworkModel.program_layers`). Engine readouts, inference
+    and the sweep run in this process, so no report depends on --threads;
+    the sweep checks every image before any tap report is written. Each
+    tapped layer's report is one `layer_<name>.npy` array of `TAP_DTYPE`:
+    its header, sized for every image's rows, is written first, and each
+    image's tap pass then appends the layer's rows. So this process holds
+    one image's tap rows at a time.
     """
     try:
         bit_list = [t if t == "none" else int(t)
@@ -368,6 +335,8 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
         raise ValidationError(f"no image files in {images_dir}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if bit_list or taps:   # every analog run reads each conv/fc layer's array
+        model.program_layers(ctx.obj["threads"])
     table = quantization_sweep(model, images, bit_list, seed=cfg["seed"],
                                engine_kwargs=engine_kwargs)
     header = ("bits", "mean_rel_err", "worst_rel_err", "agreement", "images")
@@ -379,13 +348,15 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
         dac = adc = None if first_bits == "none" else first_bits
         per_layer = {}   # layer -> its aggregates, one per image
         offset = 0
-        workers = min(ctx.obj["threads"], len(tap_set))
+        descr = np.lib.format.dtype_to_descr(TAP_DTYPE)
         with ExitStack() as stack:
-            # fork, so that no worker imports numpy or the LAPACK wrappers
-            # afresh; the workers only format floats and write files
-            write = map if workers <= 1 else stack.enter_context(ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))).map
-            for k, img in enumerate(images):
+            files = {}   # each tapped layer's report, its header sized for all images
+            for name in (l.name for l in model.weight_layers() if l.name in tap_set):
+                files[name] = stack.enter_context(open(out / f"layer_{name}.npy", "wb"))
+                np.lib.format.write_array_header_1_0(files[name], {
+                    "descr": descr, "fortran_order": False,
+                    "shape": (int(np.prod(model.shapes[name])) * len(images),)})
+            for img in images:
                 _, rep = run_inference(model, img, mode="analog", taps=tap_set,
                                        dac_bits=dac, adc_bits=adc, seed=cfg["seed"],
                                        engine_kwargs=engine_kwargs)
@@ -393,17 +364,12 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
                 if len(rep.rows):
                     rep.rows["window"] += offset
                     offset = 1 + int(rep.rows["window"].max())
-                # one job per tapped layer, whose rows are contiguous, in
-                # aggregates order; the first image's jobs create the files,
-                # and every job ends before the next image's tap pass
+                # each tapped layer's rows are contiguous, in aggregates order
                 ends = np.cumsum([0, *(a["count"] for a in rep.aggregates.values())])
-                columns = [[rep.rows[f][lo:hi] for f in TAP_DTYPE.names]
-                           for lo, hi in zip(ends, ends[1:])]
-                paths = [out / f"layer_{layer}.csv" for layer in rep.aggregates]
-                list(write(_write_taps, paths, rep.aggregates, columns, repeat(k > 0)))
-                for layer, agg in rep.aggregates.items():
+                for (layer, agg), lo, hi in zip(rep.aggregates.items(), ends, ends[1:]):
+                    rep.rows[lo:hi].tofile(files[layer])
                     per_layer.setdefault(layer, []).append(agg)
-                del rep, columns   # the next tap pass starts without these rows
+                del rep   # the next tap pass starts without these rows
         summary["taps"] = {
             layer: {"mean": float(np.mean([a["mean"] for a in aggs])),
                     "worst": float(max(a["worst"] for a in aggs))}

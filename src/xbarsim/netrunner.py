@@ -20,12 +20,19 @@ File formats:
   in the same order, gives their number as `aggregates[name]["count"]`.
   `run_inference` preallocates the array from the tapped layers' `shapes`
   and fills it layer by layer. `run-net` splits each image's rows by those
-  counts and appends them to one CSV per layer, numbering each image's
-  windows after the previous image's largest, so it holds one image's rows
-  at a time.
+  counts and appends them to one `layer_<name>.npy` of `TAP_DTYPE` per
+  layer, whose header it wrote first for all images' rows, numbering each
+  image's windows after the previous image's largest, so it holds one
+  image's rows at a time.
+
+`NetworkModel.program_layers` programs every conv/fc layer before a run, in
+a pool of forked worker processes, the package's only one.
 """
 
+import multiprocessing
 import struct
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -281,6 +288,19 @@ class NetworkModel:
             self._programs[key] = program(layer.weights, config=config)
         return self._programs[key]
 
+    def program_layers(self, workers=1):
+        """Program every conv/fc layer not yet programmed, as `programmed`
+        does, the largest arrays first: in up to `workers` forked processes,
+        which inherit this one's BLAS thread setting, or here with one."""
+        todo = sorted((l for l in self.weight_layers() if (l.name, False) not in self._programs),
+                      key=lambda l: -l.weights.size)
+        workers = min(workers, len(todo))
+        with ExitStack() as stack:   # fork: workers start with these imports
+            run = map if workers <= 1 else stack.enter_context(ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))).map
+            for layer, programmed in zip(todo, run(program, [l.weights for l in todo])):
+                self._programs[layer.name, False] = programmed
+
     def engine(self, layer, dac_bits=None, adc_bits=None, seed=0, ideal=False,
                **readout):
         """Read out (or fetch from cache) the crossbar engine for one layer.
@@ -325,7 +345,7 @@ def load_model(manifest_path):
     manifest, blob = load_with_blob(manifest_path, "model manifest", ("name", "layers"))
     if not isinstance(manifest["layers"], list):
         raise ValidationError("model manifest 'layers' must be a list")
-    layers = []
+    layers, slices = [], []   # slices: (start, end, layer) in the blob
     for entry in manifest["layers"]:
         if not isinstance(entry, dict):
             raise ValidationError("model manifest 'layers' must hold objects")
@@ -349,12 +369,17 @@ def load_model(manifest_path):
                 raise ValidationError(f"layer {entry['name']!r} blob_offset and "
                                       "blob_len must be integers >= 0")
             count = int(np.prod(shape))
-            if length != 4 * count or offset + length > len(blob):
-                raise ValidationError(
-                    f"layer {entry['name']!r} blob slice does not match shape {shape}")
+            if length != 4 * count or offset % 4 or offset + length > len(blob):
+                raise ValidationError(f"layer {entry['name']!r} blob slice must start at "
+                                      f"a multiple of 4 and match shape {shape}")
             layer.weights = np.frombuffer(blob, dtype="<f4", count=count,
                                           offset=offset).astype(float).reshape(shape)
+            slices.append((offset, offset + length, entry["name"]))
         layers.append(layer)
+    slices.sort()
+    for (_, end, a), (start, _, b) in zip(slices, slices[1:]):
+        if start < end:
+            raise ValidationError(f"layers {a!r} and {b!r} have overlapping blob slices")
     return NetworkModel(manifest["name"], layers)
 
 

@@ -406,9 +406,12 @@ def test_run_net_outputs(tmp_path):
     lines = (tmp_path / "net" / "accuracy.csv").read_text().strip().splitlines()
     assert lines[0] == "bits,mean_rel_err,worst_rel_err,agreement,images"
     assert len(lines) == 3
-    tap = (tmp_path / "net" / "layer_fc.csv").read_text().strip().splitlines()
-    assert tap[0] == "layer,window,column,ideal,actual,rel_err"
-    assert len(tap) == 1 + 3 * 10   # 3 images x 10 output columns
+    tap = np.load(tmp_path / "net" / "layer_fc.npy", allow_pickle=False)
+    assert tap.dtype == netrunner.TAP_DTYPE
+    assert len(tap) == 3 * 10   # 3 images x 10 output columns
+    # each image's one window starts after the previous image's
+    assert tap["window"].tolist() == [k for k in range(3) for _ in range(10)]
+    assert [p.name for p in (tmp_path / "net").glob("*.csv")] == ["accuracy.csv"]
     summary = read_json(tmp_path / "net" / "summary.json")
     assert {row["bits"] for row in summary["accuracy"]} == {"none", 8}
 
@@ -476,36 +479,20 @@ def csv_writer_bytes(header, rows):
 def test_write_csv_matches_csv_writer(tmp_path, layer, n):
     floats = [-0.0, 5e-324, 1e-05, 0.0001, 1e16, 123456789012345.6,
               float("nan"), float("inf"), float("-inf")][:n]
-    # a tap report: numpy columns, the layer name repeated; zero rows gives
-    # the header only
-    taps = [np.array([2**31 + 7 * k for k in range(n)]),
-            np.array([2**62 - k for k in range(n)]),
-            np.array(floats), np.array(floats[::-1]), -np.array(floats)]
-    cli._write_taps(tmp_path / "taps.csv", layer, taps, append=False)
-    assert (tmp_path / "taps.csv").read_bytes() == csv_writer_bytes(
-        cli.TAP_HEADER, zip([layer] * n, *(c.tolist() for c in taps)))
-    if not n:
-        assert (tmp_path / "taps.csv").read_bytes() == \
-            b"layer,window,column,ideal,actual,rel_err\r\n"
-    # the rows written in two calls, the file created and then appended to,
-    # give the bytes of one call
-    cli._write_taps(tmp_path / "parts.csv", layer, [c[:n // 3] for c in taps],
-                    append=False)
-    cli._write_taps(tmp_path / "parts.csv", layer, [c[n // 3:] for c in taps],
-                    append=True)
-    assert (tmp_path / "parts.csv").read_bytes() == \
-        (tmp_path / "taps.csv").read_bytes()
-    # the lists of the other reports: a bits column mixing "none" with ints,
-    # as in accuracy.csv, strings, and numbers equal in value but written
-    # apart (0.0 and -0.0, 1 and 1.0 and True)
-    header = ("bits", "name", "value", layer)
+    # the lists of the reports, zero rows giving the header only: a bits
+    # column mixing "none" with ints, as in accuracy.csv, strings, numbers
+    # equal in value but written apart (0.0 and -0.0, 1 and 1.0 and True),
+    # and floats from the least subnormal to infinities and NaN
+    header = ("bits", "name", "value", layer, "float")
     columns = [["none", 8, 2**40, "none", 4, 2**31, 6, 2, 16][:n],
                [layer, "", " x", "cr\rlf", layer, "", "plain", "a,b", layer][:n],
                [0.0, -0.0, 1, 1.0, True, *floats[:4]][:n],
-               [2**31 + k for k in range(n)]]
+               [2**31 + k for k in range(n)], floats]
     cli._write_csv(tmp_path / "mixed.csv", header, columns, append=False)
     assert (tmp_path / "mixed.csv").read_bytes() == csv_writer_bytes(
         header, zip(*columns))
+    # the rows written in two calls, the file created and then appended to,
+    # give the bytes of one call
     cli._write_csv(tmp_path / "mixed_parts.csv", header,
                    [c[:n // 3] for c in columns], append=False)
     cli._write_csv(tmp_path / "mixed_parts.csv", header,
@@ -524,7 +511,7 @@ def layer_rows(report, layer):
     return report.rows[start:start + counts[k]]
 
 
-def test_run_net_tap_csvs(tmp_path):
+def test_run_net_tap_arrays(tmp_path):
     args = tiny_run_net_inputs(tmp_path, 3)
     assert cli.main(args + ["--bits", "none", "--taps", "all"]) == 0
     model = load_model(tmp_path / "tiny.json")
@@ -535,27 +522,22 @@ def test_run_net_tap_csvs(tmp_path):
     for rep in reports[:-1]:
         offsets.append(offsets[-1] + 1 + int(rep.rows["window"].max()))
     for layer in ("conv0", "conv1", "fc"):
-        with open(tmp_path / "net" / f"layer_{layer}.csv", newline="") as fh:
-            lines = list(csv.reader(fh))
-        assert lines[0] == ["layer", "window", "column", "ideal", "actual",
-                            "rel_err"]
+        got = np.load(tmp_path / "net" / f"layer_{layer}.npy", allow_pickle=False)
+        assert got.dtype == netrunner.TAP_DTYPE and got.ndim == 1
         expect = [(layer_rows(rep, layer), offset)
                   for rep, offset in zip(reports, offsets)]
-        got = lines[1:]
-        assert len(got) == sum(len(rows) for rows, _ in expect)
+        assert len(got) == sum(len(rows) for rows, _ in expect) == \
+            3 * int(np.prod(model.shapes[layer]))
         for rows, offset in expect:
-            # each image's rows start at its offset, with no header between
-            assert int(got[0][1]) == offset
-            for row, line in zip(rows, got[:len(rows)]):
-                assert line[0] == layer
-                assert int(line[1]) == row["window"] + offset
-                assert int(line[2]) == row["column"]
-                for k, field in enumerate(("ideal", "actual", "rel_err")):
-                    assert float(line[3 + k]) == row[field]
+            # each image's rows start at its offset, appended after the last
+            assert got["window"][0] == offset
+            assert np.array_equal(got["window"][:len(rows)], rows["window"] + offset)
+            for field in ("column", "ideal", "actual", "rel_err"):
+                assert np.array_equal(got[field][:len(rows)], rows[field])
             got = got[len(rows):]
         # image 2 starts after the largest window of any layer of image 1
-        assert int(lines[1 + len(expect[0][0])][1]) == offsets[1] > 0
-        assert offsets[2] > offsets[1]
+        assert offsets[2] > offsets[1] > 0
+    assert not list((tmp_path / "net").glob("layer_*.csv"))
 
 
 def test_outputs_deterministic_across_thread_settings(tmp_path, monkeypatch):
@@ -579,7 +561,7 @@ def test_outputs_deterministic_across_thread_settings(tmp_path, monkeypatch):
     assert len([name for name in outputs["1"] if name.startswith("layer_")]) == 3
 
 
-def test_run_net_writes_taps_in_a_pool(tmp_path, monkeypatch):
+def test_run_net_programs_layers_in_a_pool(tmp_path, monkeypatch):
     model = build_tiny_model(seed=2, channels=(3, 4), hw=6)
     save_model(model, tmp_path / "tiny.json")
     img_dir = tmp_path / "imgs"
@@ -587,13 +569,13 @@ def test_run_net_writes_taps_in_a_pool(tmp_path, monkeypatch):
     for i in range(2):
         save_tensor(img_dir / f"img{i}.mten", gen_input((6, 6, 3), 0.3, 50 + i))
     pools = []
-    real_pool = cli.ProcessPoolExecutor
+    real_pool = netrunner.ProcessPoolExecutor
 
     def recording_pool(workers, **kwargs):
         pools.append(workers)
         return real_pool(workers, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(netrunner, "ProcessPoolExecutor", recording_pool)
     outputs, created = {}, {}
     for threads, taps in (("1", "all"), ("4", "all"), ("4", "fc")):
         monkeypatch.setenv("XBAR_THREADS", threads)
@@ -606,21 +588,37 @@ def test_run_net_writes_taps_in_a_pool(tmp_path, monkeypatch):
                                   for p in out.iterdir() if p.suffix != ".log"}
         created[threads, taps] = pools[:]
         pools.clear()
-    tap_files = [name for name in outputs["4", "all"] if name.startswith("layer_")]
-    assert len(tap_files) >= 2
+    assert len([name for name in outputs["4", "all"] if name.startswith("layer_")]) == 3
     assert outputs["1", "all"] == outputs["4", "all"]
-    # one tap file leaves a single worker, which writes in-process
-    assert created == {("1", "all"): [], ("4", "all"): [min(4, len(tap_files))],
-                       ("4", "fc"): []}
+    # every weight layer is programmed, whatever is tapped; one pool, never
+    # at one worker
+    layers = len(model.weight_layers())
+    assert created == {("1", "all"): [], ("4", "all"): [min(4, layers)],
+                       ("4", "fc"): [min(4, layers)]}
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_run_net_tap_writer_error_reaches_parent(tmp_path, monkeypatch, threads):
     args = tiny_run_net_inputs(tmp_path, 1)
-    (tmp_path / "net" / "layer_conv0.csv").mkdir(parents=True)
+    (tmp_path / "net" / "layer_conv0.npy").mkdir(parents=True)
     monkeypatch.setenv("XBAR_THREADS", threads)
     with pytest.raises(IsADirectoryError):
         cli.main(args + ["--bits", "none", "--taps", "all"])
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_run_net_program_error_exits_numeric(tmp_path, monkeypatch, capsys, threads):
+    # a conversion that fails in a worker process reaches the parent as it
+    # does in-process: exit 3, before any report is written
+    def failing_convert(*args, **kwargs):
+        raise SolverError("singular crossbar system: test")
+
+    monkeypatch.setattr(engine, "convert", failing_convert)
+    monkeypatch.setenv("XBAR_THREADS", threads)
+    args = tiny_run_net_inputs(tmp_path, 1)
+    assert cli.main(args + ["--bits", "none", "--taps", "all"]) == cli.EXIT_NUMERIC
+    assert "numeric error: singular crossbar system: test" in capsys.readouterr().err
+    assert not list((tmp_path / "net").iterdir())
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

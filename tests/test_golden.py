@@ -7,15 +7,16 @@
 - `build-engine`: `build-engine` at 8 DAC/ADC bits, the engine loaded back
   and its `execute_batch` outputs on fixed inputs in `outputs.json`;
 - `run-net`: `run-net --taps all --bits none,8` on
-  `build_tiny_model(seed=2, channels=(3, 4), hw=6)` over 2 images;
+  `build_tiny_model(seed=2, channels=(3, 4), hw=6)` over 2 images, whose
+  tap reports are `.npy` arrays;
 - `simulate-grid`, `simulate-lumped`: `simulate` on a 6x5 grid crossbar
   (`r_wire` > 0, `r_in` = 0, a 500-ohm select transistor) and on a 6x5
   lumped one (`r_wire` = 0, `r_in` and `r_out` > 0).
 
 `*.log` files, which hold a time stamp, are not kept. The comparison takes
 structure, strings and integers exactly and floats within GOLDEN_RTOL of
-each field's scale. A field is a CSV column, or a JSON key path with list
-positions left out. Its scale is the largest magnitude the golden file
+each field's scale. A field is a CSV column, a field of a `.npy` structured
+array, or a JSON key path with list positions left out. Its scale is the largest magnitude the golden file
 holds in it, and at least 1: every float in these reports is an output,
 of order 1, or an error or a fraction of an output range, whose unit is 1,
 so that an error near 0 is held to 1e-12 of the output range. The
@@ -119,18 +120,25 @@ def _json_leaves(node, field, where, leaves):
 
 
 def report_leaves(path):
-    """Every value of a CSV or JSON report as (field, where, value)."""
+    """Every value of a CSV, .npy or JSON report as (field, where, value).
+    A table, CSV or .npy, gives its header, its row count, then each row's
+    fields; a structured array's field names act as its header."""
     path = Path(path)
-    if path.suffix != ".csv":
+    if path.suffix == ".npy":
+        table = np.load(path, allow_pickle=False)
+        header, rows = list(table.dtype.names), table.tolist()
+    elif path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        rows = [list(map(_value, row)) for row in rows]
+    else:
         leaves = []
         _json_leaves(json.loads(path.read_text()), "", "", leaves)
         return leaves
-    with open(path, newline="") as fh:
-        header, *rows = list(csv.reader(fh))
     leaves = [(":header", ":header", header), (":rows", ":rows", len(rows))]
     for k, row in enumerate(rows):
-        leaves += [(f":{name}", f":{name} row {k}", _value(cell))
-                   for name, cell in zip(header, row)]
+        leaves += [(f":{name}", f":{name} row {k}", value)
+                   for name, value in zip(header, row)]
     return leaves
 
 
@@ -201,6 +209,23 @@ def test_compare_names_each_fields_largest_change(tmp_path):
     assert len(problems) == 5
     # every float change lies within 0.2 of its field's scale
     assert compare(tmp_path / "a", tmp_path / "b", rtol=0.2) == [problems[0], problems[2]]
+
+
+def test_compare_reads_npy_tables_as_csv_ones(tmp_path):
+    dtype = np.dtype([("window", np.int64), ("x", float)])
+    golden = np.array([(0, 0.5), (1, 1.0)], dtype)
+    for root, table in (("a", golden), ("b", np.array([(0, 0.5), (2, 1.0 + 1e-13)], dtype)),
+                        ("c", golden[:1]),
+                        ("d", golden.astype([("column", np.int64), ("x", float)]))):
+        (tmp_path / root / "run").mkdir(parents=True)
+        np.save(tmp_path / root / "run" / "t.npy", table)
+    assert compare(tmp_path / "a", tmp_path / "a") == []
+    # integers exactly, floats within GOLDEN_RTOL of the field's scale
+    assert compare(tmp_path / "a", tmp_path / "b") == ["run/t.npy:window row 1: 2, golden 1"]
+    assert compare(tmp_path / "a", tmp_path / "c") == ["run/t.npy: 4 values, golden 6"]
+    # the field names are the header
+    assert compare(tmp_path / "a", tmp_path / "d")[0] == \
+        "run/t.npy:header: ['column', 'x'], golden ['window', 'x']"
 
 
 def test_compare_holds_simulate_fields_to_their_own_scale(tmp_path):

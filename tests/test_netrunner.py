@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xbarsim import cli, engine
+from xbarsim import cli, engine, netrunner
 from xbarsim.convmap import FeatureMap
 from xbarsim.errors import ValidationError
 from xbarsim.metrics import gen_input
@@ -174,6 +174,63 @@ def test_model_manifest_bad_blob_slice(tmp_path, key, value):
     manifest.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match="conv1.*blob_offset and blob_len"):
         load_model(manifest)
+
+
+@pytest.mark.parametrize("offset, match", [
+    # the saved offset plus 1: weights read across floats, up to 1e37
+    (lambda saved, entries: saved + 1, "'conv1' blob slice must start at a multiple of 4"),
+    # one float back, into bn0's scale/bias, which the blob holds just before
+    (lambda saved, entries: saved - 4, "'bn0' and 'conv1' have overlapping blob slices"),
+    # conv0's own slice, which is longer than conv1's
+    (lambda saved, entries: entries["conv0"]["blob_offset"],
+     "'conv0' and 'conv1' have overlapping blob slices")],
+    ids=["misaligned", "overlaps-bn0", "overlaps-conv0"])
+def test_model_manifest_misaligned_or_overlapping_blob_slice(tmp_path, monkeypatch,
+                                                             offset, match):
+    manifest, _ = save_model(build_tiny_model(seed=3), tmp_path / "tiny.json")
+    doc = json.loads(manifest.read_text())
+    entries = {e["name"]: e for e in doc["layers"]}
+    entries["conv1"]["blob_offset"] = offset(entries["conv1"]["blob_offset"], entries)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=match):
+        load_model(manifest)
+    (tmp_path / "imgs").mkdir()
+    save_tensor(tmp_path / "imgs" / "img0.mten", gen_input((8, 8, 3), 0.3, 1))
+    monkeypatch.setattr(engine, "convert", lambda *args, **kwargs: pytest.fail(
+        "a layer was converted before the manifest was checked"))
+    assert cli.main(["run-net", "--model", str(manifest), "--images", str(tmp_path / "imgs"),
+                     "--bits", "none", "--out", str(tmp_path / "net")]) == cli.EXIT_VALIDATION
+    assert not (tmp_path / "net").exists()
+
+
+def test_program_layers_in_a_pool_matches_in_process(monkeypatch):
+    pools = []
+    real_pool = netrunner.ProcessPoolExecutor
+    monkeypatch.setattr(netrunner, "ProcessPoolExecutor",
+                        lambda workers, **kwargs: pools.append(workers) or
+                        real_pool(workers, **kwargs))
+    here, pooled = (build_tiny_model(seed=4, channels=(3, 4), hw=6) for _ in range(2))
+    here.program_layers(1)
+    assert pools == []
+    pooled.program_layers(8)
+    layers = here.weight_layers()
+    assert pools == [len(layers)]   # no more workers than arrays
+    # the largest arrays first, in model order among equals
+    assert list(pooled._programs) == list(here._programs) == [
+        (l.name, False) for l in sorted(layers, key=lambda l: -l.weights.size)]
+    for layer in layers:
+        a, b = here.programmed(layer), pooled.programmed(layer)
+        assert b is pooled._programs[layer.name, False]
+        assert a.conversion_info == b.conversion_info
+        for field in ("weights", "g_target", "col_scale"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert np.array_equal(a.g_device, b.g_device)
+        assert np.array_equal(a.solver.transfer_matrix(), b.solver.transfer_matrix())
+        # a worker's solver keeps its arrays read-only, as one made here does
+        assert not (b.g_device.flags.writeable or b.solver.transfer_matrix().flags.writeable)
+    # programmed layers are not programmed again
+    pooled.program_layers(8)
+    assert pools == [len(layers)]
 
 
 @pytest.mark.parametrize("field, value", [
