@@ -470,13 +470,6 @@ class CrossbarSolver:
         self._T = None
         self._factor()
 
-    def __setstate__(self, state):
-        """Unpickled, as from a worker process: g, g_dev and T read-only again."""
-        self.__dict__.update(state)
-        for array in (self.g, self.g_dev, self._T):
-            if array is not None:
-                array.flags.writeable = False
-
     def _factor(self):
         """Factorize the regime's A into `_lu`, a singular system as a
         SolverError."""

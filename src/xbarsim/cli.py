@@ -130,16 +130,14 @@ def _csv_field(value):
     return buf.getvalue()[:-3]   # drop ",\r\n"
 
 
-def _write_csv(path, header, columns, append=False):
+def _write_csv(path, header, columns):
     """The one CSV writer: a header line, then one row per element of the
-    equal-length `columns`; with `append`, only the rows, added to the end
-    of an existing file. For rows of two or more fields, as every report
+    equal-length `columns`. For rows of two or more fields, as every report
     has, the bytes equal those `csv.writer` writes for the same header and
     rows: floats with repr, other numbers with str, strings quoted as
     QUOTE_MINIMAL quotes them, and CRLF line endings."""
-    with open(path, "a" if append else "w", newline="") as fh:
-        if not append:
-            fh.write(",".join(map(_csv_field, header)) + "\r\n")
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(map(_csv_field, header)) + "\r\n")
         fh.writelines(",".join(map(_csv_field, row)) + "\r\n"
                       for row in zip(*columns, strict=True))
 
@@ -147,14 +145,13 @@ def _write_csv(path, header, columns, append=False):
 @click.group()
 @click.option("--threads", type=int, default=None,
               help="Worker processes (>= 1; env XBAR_THREADS as fallback). "
-                   "run-net programs its conv/fc layers in up to N forked "
-                   "workers, which inherit this process's BLAS thread "
-                   "setting; no report depends on N.")
+                   "Checked, but every command runs in this one process at "
+                   "present; no report depends on N.")
 @click.pass_context
 def cli(ctx, threads):
     """Memristor-crossbar CNN inference simulator."""
     ctx.ensure_object(dict)
-    ctx.obj["threads"] = _resolve_threads(threads)
+    _resolve_threads(threads)   # checked, though no command reads it at present
 
 
 @cli.command("simulate")
@@ -297,18 +294,15 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
               help="Comma-separated conv/fc layer names, or 'all'.")
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--out", "out_dir", type=str, required=True)
-@click.pass_context
-def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
+def run_net_cmd(model_path, images_dir, bits, taps, config_path, out_dir):
     """Quantization sweep plus optional per-layer error taps over a model.
 
-    Every conv/fc layer is first programmed by up to --threads forked worker
-    processes (`NetworkModel.program_layers`). Engine readouts, inference
-    and the sweep run in this process, so no report depends on --threads;
-    the sweep checks every image before any tap report is written. Each
+    The sweep checks every image before any tap report is written. Each
     tapped layer's report is one `layer_<name>.npy` array of `TAP_DTYPE`:
     its header, sized for every image's rows, is written first, and each
     image's tap pass then appends the layer's rows. So this process holds
-    one image's tap rows at a time.
+    one image's tap rows at a time. A tap pass that fails removes the
+    reports, whose headers promise rows they would not hold.
     """
     try:
         bit_list = [t if t == "none" else int(t)
@@ -335,8 +329,6 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
         raise ValidationError(f"no image files in {images_dir}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if bit_list or taps:   # every analog run reads each conv/fc layer's array
-        model.program_layers(ctx.obj["threads"])
     table = quantization_sweep(model, images, bit_list, seed=cfg["seed"],
                                engine_kwargs=engine_kwargs)
     header = ("bits", "mean_rel_err", "worst_rel_err", "agreement", "images")
@@ -349,10 +341,13 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
         per_layer = {}   # layer -> its aggregates, one per image
         offset = 0
         descr = np.lib.format.dtype_to_descr(TAP_DTYPE)
-        with ExitStack() as stack:
+        # the reports are closed, and then removed unless every row was written
+        with ExitStack() as removal, ExitStack() as stack:
             files = {}   # each tapped layer's report, its header sized for all images
             for name in (l.name for l in model.weight_layers() if l.name in tap_set):
-                files[name] = stack.enter_context(open(out / f"layer_{name}.npy", "wb"))
+                path = out / f"layer_{name}.npy"
+                files[name] = stack.enter_context(open(path, "wb"))
+                removal.callback(path.unlink)
                 np.lib.format.write_array_header_1_0(files[name], {
                     "descr": descr, "fortran_order": False,
                     "shape": (int(np.prod(model.shapes[name])) * len(images),)})
@@ -370,6 +365,7 @@ def run_net_cmd(ctx, model_path, images_dir, bits, taps, config_path, out_dir):
                     rep.rows[lo:hi].tofile(files[layer])
                     per_layer.setdefault(layer, []).append(agg)
                 del rep   # the next tap pass starts without these rows
+            removal.pop_all()   # every image's rows are written: keep the reports
         summary["taps"] = {
             layer: {"mean": float(np.mean([a["mean"] for a in aggs])),
                     "worst": float(max(a["worst"] for a in aggs))}

@@ -24,15 +24,9 @@ File formats:
   layer, whose header it wrote first for all images' rows, numbering each
   image's windows after the previous image's largest, so it holds one
   image's rows at a time.
-
-`NetworkModel.program_layers` programs every conv/fc layer before a run, in
-a pool of forked worker processes, the package's only one.
 """
 
-import multiprocessing
 import struct
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -287,19 +281,6 @@ class NetworkModel:
                                      r_out=0.0) if ideal else None)
             self._programs[key] = program(layer.weights, config=config)
         return self._programs[key]
-
-    def program_layers(self, workers=1):
-        """Program every conv/fc layer not yet programmed, as `programmed`
-        does, the largest arrays first: in up to `workers` forked processes,
-        which inherit this one's BLAS thread setting, or here with one."""
-        todo = sorted((l for l in self.weight_layers() if (l.name, False) not in self._programs),
-                      key=lambda l: -l.weights.size)
-        workers = min(workers, len(todo))
-        with ExitStack() as stack:   # fork: workers start with these imports
-            run = map if workers <= 1 else stack.enter_context(ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))).map
-            for layer, programmed in zip(todo, run(program, [l.weights for l in todo])):
-                self._programs[layer.name, False] = programmed
 
     def engine(self, layer, dac_bits=None, adc_bits=None, seed=0, ideal=False,
                **readout):

@@ -488,17 +488,9 @@ def test_write_csv_matches_csv_writer(tmp_path, layer, n):
                [layer, "", " x", "cr\rlf", layer, "", "plain", "a,b", layer][:n],
                [0.0, -0.0, 1, 1.0, True, *floats[:4]][:n],
                [2**31 + k for k in range(n)], floats]
-    cli._write_csv(tmp_path / "mixed.csv", header, columns, append=False)
+    cli._write_csv(tmp_path / "mixed.csv", header, columns)
     assert (tmp_path / "mixed.csv").read_bytes() == csv_writer_bytes(
         header, zip(*columns))
-    # the rows written in two calls, the file created and then appended to,
-    # give the bytes of one call
-    cli._write_csv(tmp_path / "mixed_parts.csv", header,
-                   [c[:n // 3] for c in columns], append=False)
-    cli._write_csv(tmp_path / "mixed_parts.csv", header,
-                   [c[n // 3:] for c in columns], append=True)
-    assert (tmp_path / "mixed_parts.csv").read_bytes() == \
-        (tmp_path / "mixed.csv").read_bytes()
 
 
 def layer_rows(report, layer):
@@ -561,42 +553,6 @@ def test_outputs_deterministic_across_thread_settings(tmp_path, monkeypatch):
     assert len([name for name in outputs["1"] if name.startswith("layer_")]) == 3
 
 
-def test_run_net_programs_layers_in_a_pool(tmp_path, monkeypatch):
-    model = build_tiny_model(seed=2, channels=(3, 4), hw=6)
-    save_model(model, tmp_path / "tiny.json")
-    img_dir = tmp_path / "imgs"
-    img_dir.mkdir()
-    for i in range(2):
-        save_tensor(img_dir / f"img{i}.mten", gen_input((6, 6, 3), 0.3, 50 + i))
-    pools = []
-    real_pool = netrunner.ProcessPoolExecutor
-
-    def recording_pool(workers, **kwargs):
-        pools.append(workers)
-        return real_pool(workers, **kwargs)
-
-    monkeypatch.setattr(netrunner, "ProcessPoolExecutor", recording_pool)
-    outputs, created = {}, {}
-    for threads, taps in (("1", "all"), ("4", "all"), ("4", "fc")):
-        monkeypatch.setenv("XBAR_THREADS", threads)
-        out = tmp_path / f"net{threads}{taps}"
-        rc = cli.main(["run-net", "--model", str(tmp_path / "tiny.json"),
-                       "--images", str(img_dir), "--bits", "none,8",
-                       "--taps", taps, "--out", str(out)])
-        assert rc == 0
-        outputs[threads, taps] = {p.name: p.read_bytes()
-                                  for p in out.iterdir() if p.suffix != ".log"}
-        created[threads, taps] = pools[:]
-        pools.clear()
-    assert len([name for name in outputs["4", "all"] if name.startswith("layer_")]) == 3
-    assert outputs["1", "all"] == outputs["4", "all"]
-    # every weight layer is programmed, whatever is tapped; one pool, never
-    # at one worker
-    layers = len(model.weight_layers())
-    assert created == {("1", "all"): [], ("4", "all"): [min(4, layers)],
-                       ("4", "fc"): [min(4, layers)]}
-
-
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_run_net_tap_writer_error_reaches_parent(tmp_path, monkeypatch, threads):
     args = tiny_run_net_inputs(tmp_path, 1)
@@ -606,19 +562,23 @@ def test_run_net_tap_writer_error_reaches_parent(tmp_path, monkeypatch, threads)
         cli.main(args + ["--bits", "none", "--taps", "all"])
 
 
-@pytest.mark.parametrize("threads", ["1", "4"])
-def test_run_net_program_error_exits_numeric(tmp_path, monkeypatch, capsys, threads):
-    # a conversion that fails in a worker process reaches the parent as it
-    # does in-process: exit 3, before any report is written
-    def failing_convert(*args, **kwargs):
-        raise SolverError("singular crossbar system: test")
+def test_run_net_failed_tap_pass_leaves_no_tap_reports(tmp_path, monkeypatch, capsys):
+    # the second image's tap pass fails after the first image's rows were
+    # written: the reports, whose headers promise both images' rows, go
+    passes = []
 
-    monkeypatch.setattr(engine, "convert", failing_convert)
-    monkeypatch.setenv("XBAR_THREADS", threads)
-    args = tiny_run_net_inputs(tmp_path, 1)
+    def failing_second_pass(*args, **kwargs):
+        passes.append(1)
+        if len(passes) > 1:
+            raise SolverError("singular crossbar system: test")
+        return netrunner.run_inference(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_inference", failing_second_pass)
+    args = tiny_run_net_inputs(tmp_path, 2)
     assert cli.main(args + ["--bits", "none", "--taps", "all"]) == cli.EXIT_NUMERIC
     assert "numeric error: singular crossbar system: test" in capsys.readouterr().err
-    assert not list((tmp_path / "net").iterdir())
+    assert len(passes) == 2
+    assert sorted(p.name for p in (tmp_path / "net").iterdir()) == ["accuracy.csv"]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xbarsim import cli, engine, netrunner
+from xbarsim import cli, engine
 from xbarsim.convmap import FeatureMap
 from xbarsim.errors import ValidationError
 from xbarsim.metrics import gen_input
@@ -201,36 +201,6 @@ def test_model_manifest_misaligned_or_overlapping_blob_slice(tmp_path, monkeypat
     assert cli.main(["run-net", "--model", str(manifest), "--images", str(tmp_path / "imgs"),
                      "--bits", "none", "--out", str(tmp_path / "net")]) == cli.EXIT_VALIDATION
     assert not (tmp_path / "net").exists()
-
-
-def test_program_layers_in_a_pool_matches_in_process(monkeypatch):
-    pools = []
-    real_pool = netrunner.ProcessPoolExecutor
-    monkeypatch.setattr(netrunner, "ProcessPoolExecutor",
-                        lambda workers, **kwargs: pools.append(workers) or
-                        real_pool(workers, **kwargs))
-    here, pooled = (build_tiny_model(seed=4, channels=(3, 4), hw=6) for _ in range(2))
-    here.program_layers(1)
-    assert pools == []
-    pooled.program_layers(8)
-    layers = here.weight_layers()
-    assert pools == [len(layers)]   # no more workers than arrays
-    # the largest arrays first, in model order among equals
-    assert list(pooled._programs) == list(here._programs) == [
-        (l.name, False) for l in sorted(layers, key=lambda l: -l.weights.size)]
-    for layer in layers:
-        a, b = here.programmed(layer), pooled.programmed(layer)
-        assert b is pooled._programs[layer.name, False]
-        assert a.conversion_info == b.conversion_info
-        for field in ("weights", "g_target", "col_scale"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert np.array_equal(a.g_device, b.g_device)
-        assert np.array_equal(a.solver.transfer_matrix(), b.solver.transfer_matrix())
-        # a worker's solver keeps its arrays read-only, as one made here does
-        assert not (b.g_device.flags.writeable or b.solver.transfer_matrix().flags.writeable)
-    # programmed layers are not programmed again
-    pooled.program_layers(8)
-    assert pools == [len(layers)]
 
 
 @pytest.mark.parametrize("field, value", [
