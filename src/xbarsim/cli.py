@@ -9,7 +9,6 @@ config and seed; timestamps go to a sidecar .log file only. Exit codes:
 
 import csv
 import datetime
-import io
 import os
 import sys
 from contextlib import ExitStack
@@ -24,7 +23,7 @@ from .engine import (DEFAULT_CALI_SAMPLES, build_engine, check_sample_inputs,
                      evaluate_engine, optimize_conversion_signal, program)
 from .errors import SolverError, ValidationError, check_int, check_number
 from .files import read_json_object, write_json
-from .metrics import gen_input, gen_kernel
+from .metrics import gen_input, gen_kernel, output_range
 from .netrunner import (TAP_DTYPE, load_model, load_tensor, quantization_sweep,
                         run_inference)
 from .convmap import ConvSpec, FeatureMap, unroll_kernel, window_matrix
@@ -120,26 +119,15 @@ def _resolve_threads(threads):
     return threads
 
 
-def _csv_field(value):
-    """`value` as csv.writer writes it among other fields: floats with repr,
-    other non-strings with str, and quoting as QUOTE_MINIMAL does."""
-    buf = io.StringIO()
-    # the default line ending, since it decides what gets quoted; the empty
-    # second field keeps a lone "" unquoted
-    csv.writer(buf).writerow((value, ""))
-    return buf.getvalue()[:-3]   # drop ",\r\n"
-
-
 def _write_csv(path, header, columns):
     """The one CSV writer: a header line, then one row per element of the
-    equal-length `columns`. For rows of two or more fields, as every report
-    has, the bytes equal those `csv.writer` writes for the same header and
-    rows: floats with repr, other numbers with str, strings quoted as
-    QUOTE_MINIMAL quotes them, and CRLF line endings."""
+    equal-length `columns`, both written by one `csv.writer`: floats with
+    repr, other numbers with str, strings quoted as QUOTE_MINIMAL quotes
+    them, and CRLF line endings."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(_csv_field, header)) + "\r\n")
-        fh.writelines(",".join(map(_csv_field, row)) + "\r\n"
-                      for row in zip(*columns, strict=True))
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns, strict=True))
 
 
 @click.group()
@@ -245,14 +233,18 @@ def layer_exp_cmd(kernel_type, kernel_shape, input_hw, sparsity, seed,
         raise ValidationError(f"kernel shape must be KHxKWxICxOC, four integers "
                               f">= 1, got {kernel_shape!r}")
     kh, kw, ic, oc = dims
-    # gen_input checks --sparsity, so the map is made before --out
+    # the map, the kernel's windows on it and their exact outputs' range are
+    # checked before --out: gen_input checks --sparsity, window_matrix the fit
     fm = FeatureMap(gen_input((input_hw, input_hw, ic), sparsity, seed + 1))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     spec = ConvSpec(kh, kw, ic, oc, stride=1, padding=1,
                     weights=gen_kernel(kernel_type, (kh, kw, ic, oc), seed))
     A = unroll_kernel(spec)
     X = window_matrix(fm, spec)
+    if output_range(X @ A) <= 0.0:
+        raise ValidationError("the layer's exact outputs have no range (all equal), "
+                              "so no relative error can be measured")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     common = dict(sample_inputs=X, dac_bits=cfg["dac_bits"], adc_bits=cfg["adc_bits"],
                   seed=cfg["seed"], cali_sample_count=cfg["cali_samples"])
     improved = program(A)
@@ -308,10 +300,18 @@ def run_net_cmd(model_path, images_dir, bits, taps, config_path, out_dir):
         bit_list = [t if t == "none" else int(t)
                     for t in map(str.strip, bits.split(",")) if t]
     except ValueError:
+        bit_list = []
+    if not bit_list:
         raise click.BadParameter(
             f"expected 'none' or bit widths, got {bits!r}", param_hint="--bits")
     for b in bit_list:
         check_bits(None if b == "none" else b)
+    if taps is not None:
+        taps = "all" if taps.strip() == "all" else [
+            t for t in map(str.strip, taps.split(",")) if t]
+        if not taps:
+            raise click.BadParameter("expected 'all' or conv/fc layer names, got "
+                                     "none", param_hint="--taps")
     images_dir = _require_file(images_dir)
     if not images_dir.is_dir():
         raise NotADirectoryError(images_dir)
@@ -319,8 +319,7 @@ def run_net_cmd(model_path, images_dir, bits, taps, config_path, out_dir):
     engine_kwargs = {"cali_sample_count": cfg["cali_samples"]}
     model = load_model(_require_file(model_path))
     if taps:   # checked before any engine is built
-        tap_set = model.tap_layers("all" if taps.strip() == "all" else
-                                   [t for t in map(str.strip, taps.split(",")) if t])
+        tap_set = model.tap_layers(taps)
     image_files = sorted(p for p in images_dir.iterdir()
                          if p.is_file() and p.suffix != ".log")
     # every image is checked, and one at least required, before --out is made
@@ -336,8 +335,7 @@ def run_net_cmd(model_path, images_dir, bits, taps, config_path, out_dir):
                [[row[k] for row in table] for k in header])
     summary = {"accuracy": table}
     if taps:
-        first_bits = bit_list[0] if bit_list else "none"
-        dac = adc = None if first_bits == "none" else first_bits
+        dac = adc = None if bit_list[0] == "none" else bit_list[0]
         per_layer = {}   # layer -> its aggregates, one per image
         offset = 0
         descr = np.lib.format.dtype_to_descr(TAP_DTYPE)

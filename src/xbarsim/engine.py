@@ -22,7 +22,11 @@ can be read out any number of times and is never changed by it.
 4. `VmmEngine.execute` runs the full signal chain: DAC, transfer-matrix
    product, ADC, then the readout map: baseline, gain and offset, shift.
 
-`VmmEngine.save`/`load` keep an engine on disk through `files.py`.
+`VmmEngine.save`/`load` keep an engine on disk through `files.py`. A
+descriptor stores only what the loader cannot work out: `map_weights`
+gives the mapping again from the weights, `config` and `x_max`, the DAC
+range is [0, v_sense_max], and the blob's layout follows from `shape` and
+`config`.
 """
 
 from dataclasses import dataclass, field, replace
@@ -41,7 +45,7 @@ SIGNAL_AMPLITUDES = (1.0, 0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
 DEFAULT_SIGNAL_FRACTION = 0.1
 
 # the keys `VmmEngine.load` reads from a descriptor besides format and name
-DESCRIPTOR_KEYS = {"blob_file", "blob_sha256", "arrays", "config", "mapping",
+DESCRIPTOR_KEYS = {"blob_file", "blob_sha256", "config", "x_max", "shape",
                    "col_scale", "conversion", "dac", "adc", "readout"}
 
 DEFAULT_CALI_SAMPLES = 10
@@ -66,15 +70,8 @@ class WeightMapping:
 
     def __post_init__(self):
         # the shift may be 0; the scales and the input full scale may not
-        for name, value in self.to_dict().items():
+        for name, value in vars(self).items():
             check_number(value, f"mapping {name}", 0, strict=name != "c")
-
-    def to_dict(self):
-        return {"c": self.c, "alpha": self.alpha, "beta": self.beta, "x_max": self.x_max}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 @dataclass
@@ -234,14 +231,14 @@ class ReadoutMap:
     y = gain * (I - outer(alpha * g_min * sum(x), baseline)) + offset - c * sum(x).
 
     `baseline` scales each column's g_min floor current (it is the column's
-    target scale s) and `c` undoes the mapping's shift. The nominal map has
-    gain 1 / (alpha beta s) and offset -0.0, which adding leaves bit for bit.
+    target scale s); alpha and the shift c are the engine's mapping's. The
+    nominal map has gain 1 / (alpha beta s) and offset -0.0, which adding
+    leaves bit for bit.
     """
 
     gain: np.ndarray
     offset: np.ndarray
     baseline: np.ndarray
-    c: float
     sample_count: int = 0     # samples fitted on: 0 for the nominal map, else >= 2
     degenerate: list = field(default_factory=list)   # fitted columns with no spread
 
@@ -249,12 +246,11 @@ class ReadoutMap:
     def nominal(cls, mapping, col_scale):
         """The map with no fit, for weight columns of target scale `col_scale`."""
         return cls(gain=1.0 / (mapping.alpha * mapping.beta * col_scale),
-                   offset=np.full(len(col_scale), -0.0), baseline=col_scale,
-                   c=mapping.c)
+                   offset=np.full(len(col_scale), -0.0), baseline=col_scale)
 
     def to_dict(self):
         return {"gain": self.gain.tolist(), "offset": self.offset.tolist(),
-                "baseline": self.baseline.tolist(), "c": self.c,
+                "baseline": self.baseline.tolist(),
                 "sample_count": self.sample_count, "degenerate": list(self.degenerate)}
 
     @classmethod
@@ -263,9 +259,7 @@ class ReadoutMap:
         for each of its `cols` weight columns."""
         gain, offset, baseline = (_numbers(d[key], cols, f"readout {key}")
                                   for key in ("gain", "offset", "baseline"))
-        c, count, degenerate = d["c"], d["sample_count"], d["degenerate"]
-        if not is_number(c):
-            raise ValueError(f"readout c must be a finite number, got {c!r}")
+        count, degenerate = d["sample_count"], d["degenerate"]
         if count != 0 or not is_int(count):   # 0: the nominal map
             check_int(count, "calibration sample count", 2)
         if not (isinstance(degenerate, list)
@@ -273,7 +267,7 @@ class ReadoutMap:
                 and len(set(degenerate)) == len(degenerate) and (count or not degenerate)):
             raise ValueError(f"readout degenerate must be distinct column indices in "
                              f"[0, {cols}), none at sample_count 0, got {degenerate!r}")
-        return cls(gain, offset, baseline, c, count, degenerate)
+        return cls(gain, offset, baseline, count, degenerate)
 
 
 def _numbers(value, count, what):
@@ -350,7 +344,6 @@ class VmmEngine:
 
     weights: np.ndarray
     mapping: WeightMapping
-    g_target: np.ndarray
     solver: CrossbarSolver    # of the last array `convert` evaluated
     col_scale: np.ndarray
     conversion_info: dict     # method, signal, iterations, col_error, clipping
@@ -395,7 +388,8 @@ class VmmEngine:
         """Run a batch of input vectors; returns (batch, cols) outputs."""
         X = self._validate_inputs(X)
         r = self.readout
-        return r.gain * self._corrected_currents(X) + r.offset - r.c * X.sum(axis=1)[:, None]
+        return (r.gain * self._corrected_currents(X) + r.offset
+                - self.mapping.c * X.sum(axis=1)[:, None])
 
     # the private helpers take a batch `_validate_inputs` already returned
     def _raw_currents(self, X):
@@ -417,90 +411,65 @@ class VmmEngine:
     def to_descriptor(self):
         """The engine's JSON descriptor, but for the blob's name and SHA-256,
         which `save` adds."""
-        arrays = {}
-        offset = 0
-        for key, arr in (("weights", self.weights), ("g_target", self.g_target),
-                         ("g_device", self.g_device)):
-            arrays[key] = {"offset": offset, "shape": list(arr.shape)}
-            offset += arr.size * 8
         return {
             "format": "xbar-engine",
-            "version": 2,
+            "version": 3,
             "name": self.name,
             "config": self.config.to_dict(),
-            "mapping": self.mapping.to_dict(),
+            "x_max": self.mapping.x_max,
             "shape": list(self.weights.shape),
             "col_scale": self.col_scale.tolist(),
             "conversion": self.conversion_info,
-            "dac": None if self.dac is None else
-                {"bits": self.dac.bits, "v_max": self.dac.v_max, "v_min": self.dac.v_min},
+            "dac": None if self.dac is None else {"bits": self.dac.bits},
             "adc": None if self.adc is None else
                 {"bits": self.adc.bits, "i_max": self.adc.i_max, "i_min": self.adc.i_min},
             "readout": self.readout.to_dict(),
-            "arrays": arrays,
         }
 
     def save(self, json_path):
-        """Write the JSON descriptor plus a little-endian f64 conductance blob
-        with `files.save_with_blob`, which records the blob's name and SHA-256."""
-        blob = b"".join(arr.astype("<f8").tobytes()
-                        for arr in (self.weights, self.g_target, self.g_device))
+        """Write the JSON descriptor plus a blob of the weights, then the
+        device conductances, as little-endian f64, with
+        `files.save_with_blob`, which records the blob's name and SHA-256."""
+        blob = b"".join(arr.astype("<f8").tobytes() for arr in (self.weights, self.g_device))
         return save_with_blob(json_path, self.to_descriptor(), blob)
 
     @classmethod
     def load(cls, json_path):
         """Rebuild an engine byte-identically from descriptor plus blob, both
-        checked by `files.load_with_blob`."""
+        checked by `files.load_with_blob`; `map_weights` maps the weights
+        again, and checks them and `x_max`."""
         desc, blob = load_with_blob(json_path, "engine descriptor", DESCRIPTOR_KEYS)
         if desc.get("format") != "xbar-engine":
             raise ValidationError(f"{json_path} is not an engine descriptor")
-
-        def read_array(key):
-            try:
-                meta = desc["arrays"][key]
-                shape, offset = meta["shape"], meta["offset"]
-                if (not isinstance(shape, list) or len(shape) != 2
-                        or not all(map(is_int, (*shape, offset)))):
-                    raise TypeError("shape must be 2 integers and offset an integer")
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(
-                    f"engine descriptor {json_path} has no valid arrays.{key}: "
-                    f"{exc!r}") from exc
-            count = shape[0] * shape[1]
-            if min(shape) < 0 or offset < 0 or offset + 8 * count > len(blob):
-                raise ValidationError(
-                    f"array {key} of shape {shape} at offset {offset} does "
-                    f"not fit the {len(blob)}-byte blob {desc['blob_file']}")
-            return np.frombuffer(blob, dtype="<f8", count=count,
-                                 offset=offset).reshape(shape)
-
-        # copies, so that they do not hold the blob; the solver copies g_device
-        weights = read_array("weights").copy()
-        dac, adc, readout = desc["dac"], desc["adc"], desc["readout"]
+        shape, dac, adc = desc["shape"], desc["dac"], desc["adc"]
         try:
             config = CrossbarConfig.from_dict(desc["config"])
-            mapping = WeightMapping.from_dict(desc["mapping"])
-            if weights.shape[0] > config.rows or weights.shape[1] > config.cols:
-                raise ValueError(f"weights {list(weights.shape)} do not fit the "
-                                 f"{config.rows}x{config.cols} crossbar")
-            g_target = read_array("g_target").copy()
-            if g_target.shape != (config.rows, config.cols):
-                raise ValueError(f"g_target {list(g_target.shape)} is not the "
-                                 f"{config.rows}x{config.cols} crossbar")
-            col_scale = _numbers(desc["col_scale"], config.cols, "col_scale")
+            if not (isinstance(shape, list) and len(shape) == 2
+                    and all(is_int(k) and k >= 1 for k in shape)):
+                raise ValueError(f"shape must be 2 integers >= 1, got {shape!r}")
+            (m, n), rows, cols = shape, config.rows, config.cols
+            size = 8 * (m * n + rows * cols)
+            if len(blob) != size:
+                raise ValidationError(
+                    f"blob {desc['blob_file']} holds {len(blob)} bytes, not the {size} "
+                    f"of {m}x{n} weights and {rows}x{cols} conductances")
+            # a copy, so that it does not hold the blob; the solver copies g_device
+            weights = np.frombuffer(blob, dtype="<f8", count=m * n).reshape(m, n).copy()
+            _, mapping = map_weights(weights, config, desc["x_max"])
+            col_scale = _numbers(desc["col_scale"], cols, "col_scale")
             if not isinstance(desc["conversion"], dict):
                 raise TypeError("conversion must be an object")
-            dac = None if dac is None else DacSpec(**dac)
+            dac = None if dac is None else DacSpec(v_max=config.v_sense_max, **dac)
             adc = None if adc is None else AdcSpec(**adc)
-            readout = ReadoutMap.from_dict(readout, weights.shape[1])
+            readout = ReadoutMap.from_dict(desc["readout"], n)
         except ValidationError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"engine descriptor {json_path} has a malformed entry: {exc!r}") from exc
-        solver = CrossbarSolver(config, read_array("g_device"))
-        return cls(weights, mapping, g_target, solver, col_scale, desc["conversion"],
-                   dac, adc, readout, desc.get("name", "engine"))
+        g_device = np.frombuffer(blob, dtype="<f8", offset=8 * m * n).reshape(rows, cols)
+        return cls(weights, mapping, CrossbarSolver(config, g_device), col_scale,
+                   desc["conversion"], dac, adc, readout, desc.get("name", "engine"))
 
 
 def default_sample_inputs(rows, x_max=1.0, count=32, seed=0):
@@ -534,7 +503,7 @@ def program(weights, config=None, x_max=1.0, method="transfer",
             "col_error": result.col_error,
             "clipped_low": result.clipped_low,
             "clipped_high": result.clipped_high}
-    return VmmEngine(A, mapping, g_target, result.solver, result.col_scale, info)
+    return VmmEngine(A, mapping, result.solver, result.col_scale, info)
 
 
 def build_engine(programmed, *, dac_bits=None, adc_bits=None, sample_inputs=None,

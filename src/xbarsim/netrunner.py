@@ -10,9 +10,10 @@ File formats:
 
 - Tensor files: magic "MTEN", u32 version, u32 rank, u32 dims, then
   little-endian float32 payload, row-major, (H, W, C) order.
-- Model manifest: JSON listing layers (name, kind, params, predecessors,
-  blob_offset, blob_len) next to one raw float32 weight blob whose SHA-256
-  is recorded in the manifest; `files.py` writes and checks the pair.
+- Model manifest: JSON listing layers (name, kind, params, predecessors)
+  next to one raw float32 blob, whose SHA-256 is recorded in the manifest,
+  holding the weights of each conv, fc and batchnorm layer in model order;
+  each layer's shape gives its share. `files.py` writes and checks the pair.
 - Error taps: `ErrorReport.rows` is one numeric `TAP_DTYPE` structured
   array, a row per output element of each tapped conv/fc layer (tapping
   any other name is a ValidationError). Rows hold no layer name: each
@@ -47,6 +48,8 @@ LAYER_KINDS = ("input", "conv", "fc", "relu", "batchnorm",
 # the least value of each integer layer param a manifest may hold
 INT_PARAM_MIN = {"kernel_h": 1, "kernel_w": 1, "in_channels": 1, "out_channels": 1,
                  "channels": 1, "height": 1, "width": 1, "stride": 1, "padding": 0}
+# the keys of a manifest's layer entry, every one required
+ENTRY_KEYS = ("name", "kind", "params", "predecessors")
 # the params each layer kind must carry
 CONV_PARAMS = ("kernel_h", "kernel_w", "in_channels", "out_channels")
 REQUIRED_PARAMS = {"input": ("height", "width", "channels"), "conv": CONV_PARAMS,
@@ -302,37 +305,31 @@ class NetworkModel:
 # manifest + blob io
 
 def save_model(model: NetworkModel, manifest_path):
-    """Write the JSON manifest plus one float32 weight blob (.bin)."""
-    chunks = []
-    offset = 0
-    layers = []
-    for layer in model.layers:
-        entry = {"name": layer.name, "kind": layer.kind,
-                 "params": layer.params, "predecessors": layer.predecessors,
-                 "blob_offset": None, "blob_len": None}
-        if layer.weights is not None:
-            data = layer.weights.astype("<f4").tobytes()
-            entry["blob_offset"] = offset
-            entry["blob_len"] = len(data)
-            chunks.append(data)
-            offset += len(data)
-        layers.append(entry)
-    return save_with_blob(manifest_path, {"name": model.name, "layers": layers},
-                          b"".join(chunks))
+    """Write the JSON manifest plus one float32 blob (.bin) of the weights
+    of every layer that has a weight shape, in model order."""
+    layers = [{key: getattr(layer, key) for key in ENTRY_KEYS} for layer in model.layers]
+    blob = b"".join(layer.weights.astype("<f4").tobytes() for layer in model.layers
+                    if layer.weight_shape is not None)
+    return save_with_blob(manifest_path, {"name": model.name, "layers": layers}, blob)
 
 
 def load_model(manifest_path):
-    """Load and validate a model manifest plus its weight blob."""
+    """Load and validate a model manifest plus its weight blob, which must
+    hold exactly the weights its layers' shapes ask for, in model order."""
     manifest, blob = load_with_blob(manifest_path, "model manifest", ("name", "layers"))
     if not isinstance(manifest["layers"], list):
         raise ValidationError("model manifest 'layers' must be a list")
-    layers, slices = [], []   # slices: (start, end, layer) in the blob
+    layers = []
     for entry in manifest["layers"]:
         if not isinstance(entry, dict):
             raise ValidationError("model manifest 'layers' must hold objects")
-        for key in ("name", "kind", "params", "predecessors"):
+        for key in ENTRY_KEYS:
             if key not in entry:
                 raise ValidationError(f"layer entry missing key {key!r}")
+        if len(entry) > len(ENTRY_KEYS):
+            raise ValidationError(f"layer {entry['name']!r} has keys "
+                                  f"{sorted(entry.keys() - set(ENTRY_KEYS))} besides "
+                                  f"{', '.join(ENTRY_KEYS)}")
         p, preds = entry["params"], entry["predecessors"]
         if not (isinstance(entry["name"], str) and isinstance(p, dict)
                 and isinstance(preds, list) and all(isinstance(q, str) for q in preds)
@@ -341,26 +338,18 @@ def load_model(manifest_path):
             raise ValidationError(f"layer {entry['name']!r} needs a string name, object params "
                                   "with integer sizes and stride >= 1, padding >= 0 and a "
                                   "list of string predecessors")
-        layer = LayerSpec(name=entry["name"], kind=entry["kind"], params=p,
-                          predecessors=list(preds))
-        shape = layer.weight_shape
-        if shape is not None:
-            offset, length = entry.get("blob_offset"), entry.get("blob_len")
-            if not all(is_int(v) and v >= 0 for v in (offset, length)):
-                raise ValidationError(f"layer {entry['name']!r} blob_offset and "
-                                      "blob_len must be integers >= 0")
-            count = int(np.prod(shape))
-            if length != 4 * count or offset % 4 or offset + length > len(blob):
-                raise ValidationError(f"layer {entry['name']!r} blob slice must start at "
-                                      f"a multiple of 4 and match shape {shape}")
-            layer.weights = np.frombuffer(blob, dtype="<f4", count=count,
-                                          offset=offset).astype(float).reshape(shape)
-            slices.append((offset, offset + length, entry["name"]))
-        layers.append(layer)
-    slices.sort()
-    for (_, end, a), (start, _, b) in zip(slices, slices[1:]):
-        if start < end:
-            raise ValidationError(f"layers {a!r} and {b!r} have overlapping blob slices")
+        layers.append(LayerSpec(name=entry["name"], kind=entry["kind"], params=p,
+                                predecessors=list(preds)))
+    weighted = [(layer, shape) for layer in layers
+                if (shape := layer.weight_shape) is not None]
+    size = 4 * sum(rows * cols for _, (rows, cols) in weighted)
+    if len(blob) != size:
+        raise ValidationError(f"blob {manifest['blob_file']} holds {len(blob)} bytes, not "
+                              f"the {size} of its layers' float32 weights")
+    floats, start = np.frombuffer(blob, dtype="<f4"), 0
+    for layer, (rows, cols) in weighted:
+        layer.weights = floats[start:start + rows * cols].astype(float).reshape(rows, cols)
+        start += rows * cols
     return NetworkModel(manifest["name"], layers)
 
 

@@ -26,18 +26,15 @@ class DacSpec:
 
     bits: int | None
     v_max: float
-    v_min: float = 0.0
     clip_count: int = field(default=0, compare=False)
 
     def __post_init__(self):
         check_bits(self.bits)
         check_int(self.clip_count, "DAC clip_count")
-        if not is_number(self.v_min) or self.v_min != 0.0:
-            raise ValidationError("DAC range must start at 0 V")
         if not is_number(self.v_max):
             raise ValidationError(f"DAC range must be finite, got v_max={self.v_max}")
-        if self.v_max <= self.v_min:
-            raise ValidationError(f"need v_max > v_min, got [{self.v_min}, {self.v_max}]")
+        if self.v_max <= 0.0:
+            raise ValidationError(f"need v_max > 0, got {self.v_max}")
 
 
 @dataclass
@@ -76,7 +73,7 @@ def dac_quantize(v, spec: DacSpec):
     """Quantize voltages onto the DAC grid; identity when disabled."""
     if spec is None or spec.bits is None:
         return np.asarray(v, dtype=float)
-    return _quantize(v, spec.v_min, spec.v_max, spec.bits, spec)
+    return _quantize(v, 0.0, spec.v_max, spec.bits, spec)
 
 
 def adc_quantize(i, spec: AdcSpec):

@@ -284,6 +284,23 @@ def test_layer_exp_rejects_bad_sparsity_before_out(tmp_path, sparsity):
     assert not (tmp_path / "exp").exists()
 
 
+@pytest.mark.parametrize("args, match", [
+    # a 5x5 kernel on a 1x1 map padded by 1 has no window
+    (["--kernel-shape", "5x5x1x1", "--input-hw", "1"], "does not fit"),
+    # an all-zero map makes every exact output 0
+    (["--kernel-shape", "2x2x3x3", "--input-hw", "4", "--sparsity", "1.0"], "no range")],
+    ids=["kernel-larger-than-map", "all-zero-map"])
+def test_layer_exp_rejects_a_layer_it_cannot_measure_before_out(tmp_path, monkeypatch,
+                                                                capsys, args, match):
+    monkeypatch.setattr(engine, "convert", lambda *args, **kwargs: pytest.fail(
+        "a variant was converted before the layer was checked"))
+    rc = cli.main(["layer-exp", *args, "--out", str(tmp_path / "exp")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and match in err
+    assert not (tmp_path / "exp").exists()
+
+
 @pytest.mark.parametrize("image", ["wrong-shape", "above-1", "nan", "none"])
 def test_run_net_rejects_bad_or_no_images_before_out(tmp_path, monkeypatch, capsys,
                                                      image):
@@ -439,6 +456,20 @@ def test_run_net_rejects_bad_bits(tmp_path, monkeypatch):
         assert cli.main(args + ["--bits", bits]) == cli.EXIT_VALIDATION
         assert not (tmp_path / "net").exists()
     assert not converted
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--bits", ""), ("--bits", ","), ("--bits", " , "), ("--taps", ","), ("--taps", "")])
+def test_run_net_rejects_bits_or_taps_that_name_nothing(tmp_path, monkeypatch, capsys,
+                                                        option, value):
+    args = tiny_run_net_inputs(tmp_path, 1)
+    monkeypatch.setattr(cli, "load_model", lambda *args: pytest.fail(
+        f"the model was loaded before {option} was checked"))
+    options = {"--bits": "none", option: value}
+    assert cli.main(args + [arg for item in options.items() for arg in item]) == \
+        cli.EXIT_USAGE
+    assert option in capsys.readouterr().err
+    assert not (tmp_path / "net").exists()
 
 
 def test_run_net_rejects_images_that_are_not_a_directory(tmp_path, monkeypatch,

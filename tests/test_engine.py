@@ -1,5 +1,6 @@
 """Weight mapping, conversion, calibration, and engine execution tests."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -462,12 +463,30 @@ def test_engine_serialization_round_trip(tmp_path):
     assert (tmp_path / "engine.bin").read_bytes() == (tmp_path / "clone.bin").read_bytes()
 
 
+@pytest.mark.parametrize("bits", [None, 8], ids=["bits-none", "bits-8"])
+@pytest.mark.parametrize("crossbar, x_max", [
+    ({"rows": 16, "cols": 6, "r_wire": 0.5}, 2.0),
+    ({"rows": 12, "cols": 4, "r_wire": 0.0, "r_in": 2.0, "r_out": 3.0}, 1.0)],
+    ids=["padded", "lumped"])
+def test_loaded_engine_executes_to_the_same_bits(tmp_path, bits, crossbar, x_max):
+    # the loader maps the weights again, and takes the DAC range from config
+    A = gen_kernel(1, (12, 4), 25)
+    X = default_sample_inputs(12, x_max=x_max, count=8, seed=4)
+    engine = build_engine(program(A, CrossbarConfig.from_dict(crossbar), x_max=x_max),
+                          dac_bits=bits, adc_bits=bits, seed=1)
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    clone = VmmEngine.load(json_path)
+    assert clone.mapping == engine.mapping
+    assert (clone.dac, clone.adc) == (engine.dac, engine.adc)
+    assert clone.execute_batch(X).tobytes() == engine.execute_batch(X).tobytes()
+
+
 def test_saved_engine_loads_back_as_the_same_record(tmp_path):
     engine = build_engine(gen_kernel(1, (12, 4), 14), dac_bits=8, adc_bits=6, seed=2,
                           name="conv3")
     json_path, _ = engine.save(tmp_path / "engine.json")
     clone = VmmEngine.load(json_path)
-    for field in ("weights", "g_target", "g_device", "col_scale"):
+    for field in ("weights", "g_device", "col_scale"):
         assert np.array_equal(getattr(clone, field), getattr(engine, field))
     assert (clone.config, clone.mapping) == (engine.config, engine.mapping)
     assert clone.conversion_info == engine.conversion_info
@@ -490,14 +509,56 @@ def test_nominal_readout_is_saved_and_loaded(tmp_path):
     engine = build_engine(gen_kernel(1, (12, 4), 14), calibrate=False, seed=0)
     json_path, _ = engine.save(tmp_path / "engine.json")
     desc = json.loads(json_path.read_text())
-    assert desc["version"] == 2 and "calibration" not in desc
+    assert desc["version"] == 3 and "calibration" not in desc
     readout = desc["readout"]
+    assert sorted(readout) == ["baseline", "degenerate", "gain", "offset", "sample_count"]
     assert readout["sample_count"] == 0 and readout["degenerate"] == []
-    assert readout["offset"] == [0.0] * 4 and readout["c"] == engine.mapping.c
+    assert readout["offset"] == [0.0] * 4
     assert readout["baseline"] == engine.col_scale[:4].tolist()
     clone = VmmEngine.load(json_path)
     X = default_sample_inputs(12, count=8, seed=3)
     assert clone.execute_batch(X).tobytes() == engine.execute_batch(X).tobytes()
+
+
+def test_descriptor_stores_no_field_the_loader_works_out(tmp_path):
+    engine = build_engine(gen_kernel(1, (12, 4), 14), dac_bits=8, adc_bits=8, seed=0)
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    desc = json.loads(json_path.read_text())
+    assert sorted(desc) == sorted([
+        "format", "version", "name", "config", "x_max", "shape", "col_scale",
+        "conversion", "dac", "adc", "readout", "blob_file", "blob_sha256"])
+    assert desc["dac"] == {"bits": 8} and desc["x_max"] == 1.0
+    # the weights, then the 12x4 crossbar's conductances
+    assert len((tmp_path / "engine.bin").read_bytes()) == 8 * (12 * 4 + 12 * 4)
+
+
+@pytest.mark.parametrize("edit", [lambda raw: raw[:-8], lambda raw: raw + bytes(8)],
+                         ids=["short", "long"])
+def test_engine_load_rejects_a_blob_of_the_wrong_length(tmp_path, edit):
+    engine = build_engine(gen_kernel(1, (4, 2), 15), seed=0)
+    json_path, blob_path = engine.save(tmp_path / "engine.json")
+    blob = edit(blob_path.read_bytes())
+    blob_path.write_bytes(blob)
+    desc = json.loads(json_path.read_text())
+    desc["blob_sha256"] = hashlib.sha256(blob).hexdigest()
+    json_path.write_text(json.dumps(desc))
+    with pytest.raises(ValidationError, match=f"holds {len(blob)} bytes, not the 128"):
+        VmmEngine.load(json_path)
+
+
+def test_version_2_descriptor_is_rejected(tmp_path):
+    # version 2 stored the mapping and an offset table of three arrays in
+    # place of x_max; it fails the key check, whatever its blob holds
+    engine = build_engine(gen_kernel(1, (4, 2), 15), seed=0)
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    desc = json.loads(json_path.read_text())
+    desc.update(version=2, mapping={"c": engine.mapping.c, "alpha": engine.mapping.alpha,
+                                    "beta": engine.mapping.beta, "x_max": desc.pop("x_max")},
+                arrays={key: {"offset": 64 * i, "shape": [4, 2]}
+                        for i, key in enumerate(("weights", "g_target", "g_device"))})
+    json_path.write_text(json.dumps(desc))
+    with pytest.raises(ValidationError, match=r"missing keys: \['x_max'\]"):
+        VmmEngine.load(json_path)
 
 
 def test_version_1_descriptor_is_rejected(tmp_path):
@@ -515,13 +576,10 @@ def test_version_1_descriptor_is_rejected(tmp_path):
 @pytest.mark.parametrize("edit, match", [
     (lambda r: r.update(baseline=[1.0]), "readout baseline must be 2 numbers"),
     (lambda r: r.pop("baseline"), "KeyError.*baseline"),
-    (lambda r: r.update(c="0"), "readout c must be a finite number, got '0'"),
-    (lambda r: r.update(c=None), "readout c must be a finite number, got None"),
-    (lambda r: r.update(c=True), "readout c must be a finite number, got True"),
     (lambda r: r.update(sample_count=-1), "sample count must be an integer >= 2, got -1"),
     (lambda r: r.update(sample_count=0, degenerate=[1]), "none at sample_count 0")],
-    ids=["baseline-per-column", "no-baseline", "c-string", "c-null", "c-bool",
-         "sample_count-negative", "degenerate-at-nominal"])
+    ids=["baseline-per-column", "no-baseline", "sample_count-negative",
+         "degenerate-at-nominal"])
 def test_engine_load_rejects_malformed_readout(tmp_path, edit, match):
     engine = build_engine(gen_kernel(1, (4, 2), 15), seed=0)
     json_path, _ = engine.save(tmp_path / "engine.json")
@@ -544,15 +602,11 @@ def test_engine_load_detects_corruption(tmp_path):
 
 @pytest.mark.parametrize("edit, match", [
     (lambda d: d.pop("blob_sha256"), r"missing keys: \['blob_sha256'\]"),
-    (lambda d: d.pop("mapping"), r"missing keys: \['mapping'\]"),
-    (lambda d: d["arrays"].pop("g_device"), "no valid arrays.g_device"),
-    (lambda d: d["arrays"]["weights"].pop("offset"), "no valid arrays.weights"),
-    # the blob holds three 4x2 arrays, 192 bytes
-    (lambda d: d["arrays"]["g_device"].update(shape=[5, 2]),
-     r"g_device of shape \[5, 2\] at offset 128 does not fit the 192-byte blob"),
-    (lambda d: d["arrays"]["weights"].update(offset=-8), "does not fit"),
-    (lambda d: d["arrays"]["weights"].update(shape=[-4, 2]), "does not fit"),
-    (lambda d: d["mapping"].pop("alpha"), "malformed entry.*alpha"),
+    (lambda d: d.pop("x_max"), r"missing keys: \['x_max'\]"),
+    # the blob holds the 4x2 weights and the 4x2 crossbar's conductances, 128 bytes
+    (lambda d: d.update(shape=[5, 2]),
+     r"engine.bin holds 128 bytes, not the 144 of 5x2 weights and 4x2 conductances"),
+    (lambda d: d.update(shape=[-4, 2]), r"malformed entry.*shape must be 2 integers >= 1"),
     (lambda d: d.update(readout={}), "malformed entry.*gain"),
     (lambda d: d.update(dac=[8, 1.0]), "malformed entry"),
     # parsed inside the same guard, so none of these escapes as a TypeError
@@ -563,17 +617,14 @@ def test_engine_load_detects_corruption(tmp_path):
     (lambda d: d.update(col_scale=None), "malformed entry.*col_scale must be 2 numbers"),
     (lambda d: d.update(blob_file=7), "blob_file is not a string"),
     # checked at load, not coerced, nor left to fail in the first execute
-    (lambda d: d["mapping"].update(c="x"), "mapping c must be a finite number >= 0"),
-    (lambda d: d["mapping"].update(alpha=None), "mapping alpha must be a finite number > 0"),
-    (lambda d: d["mapping"].update(x_max=-1.0), "mapping x_max must be a finite number > 0"),
-    (lambda d: d["mapping"].update(beta=True), "mapping beta must be a finite number > 0"),
+    (lambda d: d.update(x_max=-1.0), "x_max must be a finite number > 0, got -1.0"),
+    (lambda d: d.update(x_max=True), "x_max must be a finite number > 0, got True"),
     # an integer past the float range
-    (lambda d: d["mapping"].update(alpha=10 ** 400), "malformed entry.*OverflowError"),
-    (lambda d: d["arrays"]["weights"].update(shape=[4.7, 2]), "no valid arrays.weights"),
-    (lambda d: d["arrays"]["g_target"].update(offset=64.0), "no valid arrays.g_target"),
-    (lambda d: d["arrays"]["weights"].update(shape=[8]), "no valid arrays.weights"),
-    (lambda d: d["arrays"]["weights"].update(shape=[4, 3]),
-     r"malformed entry.*weights \[4, 3\] do not fit the 4x2 crossbar"),
+    (lambda d: d.update(x_max=10 ** 400), "malformed entry.*OverflowError"),
+    (lambda d: d.update(shape=[4.7, 2]), r"malformed entry.*shape must be 2 integers"),
+    (lambda d: d.update(shape=[8]), r"malformed entry.*shape must be 2 integers"),
+    # as many weights as the blob holds, but wider than the 4x2 crossbar
+    (lambda d: d.update(shape=[2, 4]), r"weights 2x4 do not fit 4x2 array"),
     (lambda d: d["readout"].update(gain=["1", "2"]),
      "malformed entry.*readout gain must be 2 numbers"),
     (lambda d: d["readout"].update(gain=[1.0, 2.0, 3.0]),
@@ -593,21 +644,18 @@ def test_engine_load_detects_corruption(tmp_path):
     (lambda d: d["readout"].update(degenerate=[2]),
      "malformed entry.*readout degenerate must be distinct column indices"),
     (lambda d: d["readout"].update(degenerate=[0.0]),
-     "malformed entry.*readout degenerate must be distinct column indices"),
-    (lambda d: d["arrays"]["g_target"].update(shape=[2, 4]),
-     r"malformed entry.*g_target \[2, 4\] is not the 4x2 crossbar")],
-    ids=["no-blob_sha256", "no-mapping", "no-g_device", "no-offset", "past-blob-end",
-         "negative-offset", "negative-dim", "no-mapping-alpha", "no-calibration-gain",
+     "malformed entry.*readout degenerate must be distinct column indices")],
+    ids=["no-blob_sha256", "no-x_max", "past-blob-end", "negative-dim",
+         "no-calibration-gain",
          "dac-not-a-mapping", "config-not-an-object", "conversion-not-an-object",
          "col_scale-not-numbers", "col_scale-null", "blob_file-not-a-string",
-         "mapping-c-string", "mapping-alpha-null", "mapping-x_max-negative",
-         "mapping-beta-bool", "mapping-alpha-past-float-range", "shape-not-integers", "offset-not-an-integer",
+         "x_max-negative", "x_max-bool", "x_max-past-float-range", "shape-not-integers",
          "shape-1d", "weights-wider-than-crossbar", "calibration-gain-strings",
          "calibration-gain-per-column", "calibration-offset-bool",
          "calibration-sample_count-float", "calibration-sample_count-bool",
          "calibration-sample_count-one", "calibration-degenerate-string",
          "calibration-degenerate-repeated", "calibration-degenerate-past-cols",
-         "calibration-degenerate-float", "g_target-transposed"])
+         "calibration-degenerate-float"])
 def test_engine_load_rejects_incomplete_descriptor(tmp_path, edit, match):
     engine = build_engine(gen_kernel(1, (4, 2), 15), seed=0)
     json_path, _ = engine.save(tmp_path / "engine.json")
@@ -648,9 +696,8 @@ def test_engine_load_rejects_non_finite_adc_range(tmp_path):
 
 
 @pytest.mark.parametrize("spec, key, value", [
-    ("adc", "i_max", True), ("dac", "v_max", True), ("adc", "i_min", False),
-    ("dac", "v_min", False), ("dac", "clip_count", "x"), ("adc", "clip_count", -1),
-    ("adc", "clip_count", 1.0)])
+    ("adc", "i_max", True), ("adc", "i_min", False), ("dac", "clip_count", "x"),
+    ("adc", "clip_count", -1), ("adc", "clip_count", 1.0)])
 def test_engine_load_rejects_quantizer_values_that_are_not_numbers(tmp_path, spec,
                                                                    key, value):
     # a bool is no range end and a clip count is an integer >= 0: neither
@@ -732,7 +779,7 @@ def test_a_readout_shares_the_array_and_leaves_the_programmed_engine():
     engine = build_engine(programmed, dac_bits=8, adc_bits=8, seed=1, name="conv9")
     after = (programmed.dac, programmed.adc, programmed.readout, programmed.name)
     assert all(a is b for a, b in zip(before, after))
-    for field in ("weights", "g_target", "col_scale", "solver"):
+    for field in ("weights", "col_scale", "solver"):
         assert getattr(engine, field) is getattr(programmed, field)
     assert (engine.dac.bits, engine.adc.bits, engine.name) == (8, 8, "conv9")
     assert engine.readout is not programmed.readout and engine.readout.sample_count > 0

@@ -1,5 +1,6 @@
 """Network graph, file format, and inference pipeline tests."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -161,38 +162,33 @@ def test_model_manifest_missing_shape_param(tmp_path, layer, key):
 
 
 @pytest.mark.parametrize("key", ["blob_offset", "blob_len"])
-@pytest.mark.parametrize("value", ["missing", -4, 1.5, "0", None, True])
+@pytest.mark.parametrize("value", [64, -4, 1.5, "0", None, True])
 def test_model_manifest_bad_blob_slice(tmp_path, key, value):
+    # a layer's share of the blob follows from the shapes before it, so an
+    # entry that names a slice of its own, whatever its value, is refused
     model = build_tiny_model(seed=3)
     manifest, _ = save_model(model, tmp_path / "tiny.json")
     doc = json.loads(manifest.read_text())
     entry = next(e for e in doc["layers"] if e["name"] == "conv1")
-    if value == "missing":
-        del entry[key]
-    else:
-        entry[key] = value
+    entry[key] = value
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match="conv1.*blob_offset and blob_len"):
+    with pytest.raises(ValidationError, match=rf"'conv1' has keys \['{key}'\] besides "
+                                              "name, kind, params, predecessors"):
         load_model(manifest)
 
 
-@pytest.mark.parametrize("offset, match", [
-    # the saved offset plus 1: weights read across floats, up to 1e37
-    (lambda saved, entries: saved + 1, "'conv1' blob slice must start at a multiple of 4"),
-    # one float back, into bn0's scale/bias, which the blob holds just before
-    (lambda saved, entries: saved - 4, "'bn0' and 'conv1' have overlapping blob slices"),
-    # conv0's own slice, which is longer than conv1's
-    (lambda saved, entries: entries["conv0"]["blob_offset"],
-     "'conv0' and 'conv1' have overlapping blob slices")],
-    ids=["misaligned", "overlaps-bn0", "overlaps-conv0"])
-def test_model_manifest_misaligned_or_overlapping_blob_slice(tmp_path, monkeypatch,
-                                                             offset, match):
-    manifest, _ = save_model(build_tiny_model(seed=3), tmp_path / "tiny.json")
+@pytest.mark.parametrize("edit", [lambda raw: raw[:-4], lambda raw: raw + bytes(4)],
+                         ids=["short", "long"])
+def test_model_manifest_rejects_a_blob_of_the_wrong_length(tmp_path, monkeypatch, edit):
+    model = build_tiny_model(seed=3)
+    manifest, blob_path = save_model(model, tmp_path / "tiny.json")
+    size = 4 * sum(l.weights.size for l in model.layers if l.weights is not None)
+    blob = edit(blob_path.read_bytes())
+    blob_path.write_bytes(blob)
     doc = json.loads(manifest.read_text())
-    entries = {e["name"]: e for e in doc["layers"]}
-    entries["conv1"]["blob_offset"] = offset(entries["conv1"]["blob_offset"], entries)
+    doc["blob_sha256"] = hashlib.sha256(blob).hexdigest()
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match=match):
+    with pytest.raises(ValidationError, match=f"holds {len(blob)} bytes, not the {size} "):
         load_model(manifest)
     (tmp_path / "imgs").mkdir()
     save_tensor(tmp_path / "imgs" / "img0.mten", gen_input((8, 8, 3), 0.3, 1))
@@ -201,6 +197,20 @@ def test_model_manifest_misaligned_or_overlapping_blob_slice(tmp_path, monkeypat
     assert cli.main(["run-net", "--model", str(manifest), "--images", str(tmp_path / "imgs"),
                      "--bits", "none", "--out", str(tmp_path / "net")]) == cli.EXIT_VALIDATION
     assert not (tmp_path / "net").exists()
+
+
+def test_resnet20_weights_survive_a_save_and_load(tmp_path):
+    model = build_resnet20_model(seed=1)
+    manifest, _ = save_model(model, tmp_path / "resnet20.json")
+    doc = json.loads(manifest.read_text())
+    assert all(sorted(e) == ["kind", "name", "params", "predecessors"] for e in doc["layers"])
+    clone = load_model(manifest)
+    assert [l.name for l in clone.layers] == [l.name for l in model.layers]
+    for layer, loaded in zip(model.layers, clone.layers):
+        if layer.weights is None:
+            assert loaded.weights is None
+        else:   # the blob holds float32
+            assert np.array_equal(loaded.weights, layer.weights.astype(np.float32)), layer.name
 
 
 @pytest.mark.parametrize("field, value", [
@@ -237,8 +247,7 @@ JSON_VALUES = (5, 1.5, "x", [1], {}, None, True)
 CONV1_PARAMS = ("kernel_h", "kernel_w", "in_channels", "out_channels", "stride", "padding")
 # a top-level field, a field of the conv1 entry, or a key or index in one
 MANIFEST_FIELDS = (("name",), ("layers",), ("blob_file",), ("blob_sha256",),
-                   *(("conv1", k) for k in ("name", "kind", "params", "predecessors",
-                                            "blob_offset", "blob_len")),
+                   *(("conv1", k) for k in ("name", "kind", "params", "predecessors")),
                    *(("conv1", "params", k) for k in CONV1_PARAMS),
                    ("conv1", "predecessors", 0))
 
