@@ -9,7 +9,6 @@ config and seed; timestamps go to a sidecar .log file only. Exit codes:
 
 import csv
 import datetime
-import os
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -103,22 +102,6 @@ def _write_log(out_path, command):
     Path(str(out_path) + ".log").write_text(f"{stamp} {command} {' '.join(argv)}\n")
 
 
-def _resolve_threads(threads):
-    """--threads, or XBAR_THREADS when the flag is not given, or 1; the
-    error names whichever of the two gave a bad value."""
-    source = "--threads"
-    if threads is None:
-        source, env = "XBAR_THREADS", os.environ.get("XBAR_THREADS")
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            raise ValidationError(
-                f"XBAR_THREADS must be an integer >= 1, got {env!r}") from None
-    if threads < 1:
-        raise ValidationError(f"{source} must be >= 1, got {threads}")
-    return threads
-
-
 def _write_csv(path, header, columns):
     """The one CSV writer: a header line, then one row per element of the
     equal-length `columns`, both written by one `csv.writer`: floats with
@@ -131,15 +114,15 @@ def _write_csv(path, header, columns):
 
 
 @click.group()
-@click.option("--threads", type=int, default=None,
-              help="Worker processes (>= 1; env XBAR_THREADS as fallback). "
-                   "Checked, but every command runs in this one process at "
-                   "present; no report depends on N.")
+@click.option("--threads", type=int, default=1,
+              help="Worker processes (>= 1). Checked, but every command runs "
+                   "in this one process at present; no report depends on N.")
 @click.pass_context
 def cli(ctx, threads):
     """Memristor-crossbar CNN inference simulator."""
     ctx.ensure_object(dict)
-    _resolve_threads(threads)   # checked, though no command reads it at present
+    if threads < 1:   # checked, though no command reads it at present
+        raise ValidationError(f"--threads must be >= 1, got {threads}")
 
 
 @cli.command("simulate")
@@ -157,17 +140,7 @@ def simulate_cmd(config_path, cond_path, input_path, out_path):
     v = load_tensor(_require_file(input_path))
     if g.ndim != 2:
         raise ValidationError(f"conductance tensor must be 2-D, got {g.shape}")
-    config = _crossbar_config(cfg["crossbar"], g.shape)
-    # tensor files are float32; snap boundary values back onto the range
-    snap = 1e-6
-    g = np.where(np.abs(g - config.g_max) <= snap * config.g_max,
-                 config.g_max, g)
-    g = np.where(np.abs(g - config.g_min) <= snap * config.g_min,
-                 config.g_min, g)
-    v = v.ravel()
-    near_range = (v >= -snap) & (v <= config.v_sense_max * (1.0 + snap))
-    v = np.where(near_range, np.clip(v, 0.0, config.v_sense_max), v)
-    sol = simulate(config, g, v)
+    sol = simulate(_crossbar_config(cfg["crossbar"], g.shape), g, v.ravel())
     write_json(out_path, {
         "i_out": sol.i_out.tolist(),
         "v_top": sol.v_top.tolist(),

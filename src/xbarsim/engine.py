@@ -44,7 +44,8 @@ from .quantize import AdcSpec, DacSpec, adc_quantize, calibrate_adc_range, dac_q
 SIGNAL_AMPLITUDES = (1.0, 0.5, 0.2, 0.1, 0.05, 0.01, 0.001)
 DEFAULT_SIGNAL_FRACTION = 0.1
 
-# the keys `VmmEngine.load` reads from a descriptor besides format and name
+# the keys `VmmEngine.load` requires of a descriptor, which may also hold
+# format, version and name, but no other key
 DESCRIPTOR_KEYS = {"blob_file", "blob_sha256", "config", "x_max", "shape",
                    "col_scale", "conversion", "dac", "adc", "readout"}
 
@@ -260,6 +261,10 @@ class ReadoutMap:
         gain, offset, baseline = (_numbers(d[key], cols, f"readout {key}")
                                   for key in ("gain", "offset", "baseline"))
         count, degenerate = d["sample_count"], d["degenerate"]
+        unknown = sorted(d.keys() - {"gain", "offset", "baseline", "sample_count",
+                                     "degenerate"})
+        if unknown:
+            raise ValueError(f"readout has unknown keys: {unknown}")
         if count != 0 or not is_int(count):   # 0: the nominal map
             check_int(count, "calibration sample count", 2)
         if not (isinstance(degenerate, list)
@@ -438,7 +443,8 @@ class VmmEngine:
         """Rebuild an engine byte-identically from descriptor plus blob, both
         checked by `files.load_with_blob`; `map_weights` maps the weights
         again, and checks them and `x_max`."""
-        desc, blob = load_with_blob(json_path, "engine descriptor", DESCRIPTOR_KEYS)
+        desc, blob = load_with_blob(json_path, "engine descriptor", DESCRIPTOR_KEYS,
+                                    optional=("format", "version", "name"))
         if desc.get("format") != "xbar-engine":
             raise ValidationError(f"{json_path} is not an engine descriptor")
         shape, dac, adc = desc["shape"], desc["dac"], desc["adc"]

@@ -38,16 +38,21 @@ def save_with_blob(json_path, doc, blob):
     return json_path, blob_path
 
 
-def load_with_blob(json_path, what, keys):
+def load_with_blob(json_path, what, keys, optional=()):
     """The JSON object in `json_path` and the bytes of its blob. The object
-    must hold `keys`, `blob_file` and `blob_sha256` (one error lists every
-    missing key, sorted); `blob_file` must be a string naming a file next to
+    must hold `keys`, `blob_file` and `blob_sha256`, and may hold `optional`
+    but no other key (one error lists every missing key, sorted, and one
+    every other key); `blob_file` must be a string naming a file next to
     `json_path` whose SHA-256 is `blob_sha256`."""
     json_path = Path(json_path)
     doc = read_json_object(json_path, what)
-    missing = sorted({*keys, "blob_file", "blob_sha256"} - doc.keys())
+    keys = {*keys, "blob_file", "blob_sha256"}
+    missing = sorted(keys - doc.keys())
     if missing:
         raise ValidationError(f"{what} {json_path} is missing keys: {missing}")
+    unknown = sorted(doc.keys() - keys - set(optional))
+    if unknown:
+        raise ValidationError(f"{what} {json_path} has unknown keys: {unknown}")
     if not isinstance(doc["blob_file"], str):
         raise ValidationError(f"{what} {json_path} blob_file is not a string")
     blob_path = json_path.parent / doc["blob_file"]

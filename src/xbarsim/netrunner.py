@@ -8,8 +8,9 @@ shortcut adds, and softmax always run digitally.
 
 File formats:
 
-- Tensor files: magic "MTEN", u32 version, u32 rank, u32 dims, then
-  little-endian float32 payload, row-major, (H, W, C) order.
+- Tensor files: NumPy `.npy` arrays, (H, W, C) order for images, written
+  as float64 by `save_tensor`. `load_tensor` reads one of any real dtype,
+  whatever the file's suffix, as float64.
 - Model manifest: JSON listing layers (name, kind, params, predecessors)
   next to one raw float32 blob, whose SHA-256 is recorded in the manifest,
   holding the weights of each conv, fc and batchnorm layer in model order;
@@ -27,7 +28,6 @@ File formats:
   image's rows at a time.
 """
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,9 +39,6 @@ from .engine import build_engine, program
 from .errors import ValidationError, is_int
 from .files import load_with_blob, save_with_blob
 from .metrics import gen_kernel, output_range, relative_error
-
-TENSOR_MAGIC = b"MTEN"
-TENSOR_VERSION = 1
 
 LAYER_KINDS = ("input", "conv", "fc", "relu", "batchnorm",
                "global_avg_pool", "add", "softmax")
@@ -65,30 +62,25 @@ TAP_DTYPE = np.dtype([("window", np.int64), ("column", np.int64),
 # tensor files
 
 def save_tensor(path, array):
-    """Write a float tensor file: MTEN magic, version, rank, dims, f32 data."""
-    a = np.asarray(array, dtype=np.float32)
-    header = TENSOR_MAGIC + struct.pack("<II", TENSOR_VERSION, a.ndim)
-    header += struct.pack(f"<{a.ndim}I", *a.shape)
-    Path(path).write_bytes(header + a.astype("<f4").tobytes())
+    """Write `array` as a float64 .npy file at exactly `path` (given a path,
+    `np.save` would add a .npy suffix)."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.asarray(array, dtype=float))
 
 
 def load_tensor(path):
-    """Read a tensor file back as a float64 array."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 12 or raw[:4] != TENSOR_MAGIC:
-        raise ValidationError(f"{path} is not a tensor file")
-    version, rank = struct.unpack_from("<II", raw, 4)
-    if version != TENSOR_VERSION:
-        raise ValidationError(f"unsupported tensor version {version}")
-    if len(raw) < 12 + 4 * rank:
-        raise ValidationError(f"{path} is truncated")
-    dims = struct.unpack_from(f"<{rank}I", raw, 12)
-    count = int(np.prod(dims)) if rank else 1
-    payload = raw[12 + 4 * rank:]
-    if len(payload) != 4 * count:
-        raise ValidationError(
-            f"{path} payload is {len(payload)} bytes, expected {4 * count}")
-    return np.frombuffer(payload, dtype="<f4").astype(float).reshape(dims)
+    """The .npy array at `path`, whatever its suffix, as float64; a file that
+    is not one .npy array of real numbers is a ValidationError."""
+    with open(path, "rb") as fh:
+        try:   # .npy only: no pickle, and no .npz archive
+            a = np.lib.format.read_array(fh, allow_pickle=False)
+        except (ValueError, MemoryError) as exc:   # or a shape too large to hold
+            raise ValidationError(f"{path} is not a .npy array: {exc}") from exc
+        if fh.read(1):
+            raise ValidationError(f"{path} holds bytes after its .npy array")
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"{path} holds {a.dtype} values, not real numbers")
+    return a.astype(float, copy=False)
 
 
 # ---------------------------------------------------------------------------

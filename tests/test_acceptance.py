@@ -183,22 +183,22 @@ def test_criterion_8_quantization_monotonicity():
     assert report(8, "quantization monotonicity", ok), (by_bits, elapsed)
 
 
-def test_criterion_9_determinism_across_threads(tmp_path, monkeypatch):
+def test_criterion_9_determinism_across_threads(tmp_path):
     model = build_tiny_model(seed=2, channels=(3, 4), hw=6)
     save_model(model, tmp_path / "tiny.json")
     img_dir = tmp_path / "imgs"
     img_dir.mkdir()
     for i in range(2):
-        save_tensor(img_dir / f"img{i}.mten", gen_input((6, 6, 3), 0.3, 60 + i))
+        save_tensor(img_dir / f"img{i}.npy", gen_input((6, 6, 3), 0.3, 60 + i))
     runs = {}
     for threads in ("1", "8"):
-        monkeypatch.setenv("XBAR_THREADS", threads)
         net_out = tmp_path / f"net{threads}"
-        assert cli.main(["run-net", "--model", str(tmp_path / "tiny.json"),
+        assert cli.main(["--threads", threads, "run-net",
+                         "--model", str(tmp_path / "tiny.json"),
                          "--images", str(img_dir), "--bits", "none,8",
                          "--taps", "fc", "--out", str(net_out)]) == 0
         exp_out = tmp_path / f"exp{threads}"
-        assert cli.main(["layer-exp", "--kernel-shape", "2x2x3x3",
+        assert cli.main(["--threads", threads, "layer-exp", "--kernel-shape", "2x2x3x3",
                          "--input-hw", "4", "--out", str(exp_out)]) == 0
         runs[threads] = {p.name: p.read_bytes()
                          for d in (net_out, exp_out)

@@ -26,10 +26,10 @@ def read_json(path):
 
 
 def test_simulate_single_cell(tmp_path):
-    save_tensor(tmp_path / "g.mten", np.array([[1.0 / 15_000.0]]))
-    save_tensor(tmp_path / "v.mten", np.array([0.2]))
-    rc = cli.main(["simulate", "--conductance", str(tmp_path / "g.mten"),
-                   "--input", str(tmp_path / "v.mten"),
+    save_tensor(tmp_path / "g.npy", np.array([[1.0 / 15_000.0]]))
+    save_tensor(tmp_path / "v.npy", np.array([0.2]))
+    rc = cli.main(["simulate", "--conductance", str(tmp_path / "g.npy"),
+                   "--input", str(tmp_path / "v.npy"),
                    "--out", str(tmp_path / "out.json")])
     assert rc == 0
     out = read_json(tmp_path / "out.json")
@@ -37,10 +37,10 @@ def test_simulate_single_cell(tmp_path):
 
 
 def test_log_records_the_arguments_main_was_given(monkeypatch, tmp_path):
-    save_tensor(tmp_path / "g.mten", np.array([[1.0 / 15_000.0]]))
-    save_tensor(tmp_path / "v.mten", np.array([0.2]))
-    args = ["simulate", "--conductance", str(tmp_path / "g.mten"),
-            "--input", str(tmp_path / "v.mten"), "--out", str(tmp_path / "out.json")]
+    save_tensor(tmp_path / "g.npy", np.array([[1.0 / 15_000.0]]))
+    save_tensor(tmp_path / "v.npy", np.array([0.2]))
+    args = ["simulate", "--conductance", str(tmp_path / "g.npy"),
+            "--input", str(tmp_path / "v.npy"), "--out", str(tmp_path / "out.json")]
     # in-process: the host process's own arguments are not the command's
     monkeypatch.setattr(sys, "argv", ["host", "extra-host-arg"])
     assert cli.main(args) == 0
@@ -57,39 +57,66 @@ def test_simulate_matches_oracle_from_files(tmp_path):
     config = CrossbarConfig(4, 3)
     g = rng.uniform(config.g_min, config.g_max * 0.99, size=(4, 3))
     v = rng.uniform(0.0, 0.19, size=4)
-    save_tensor(tmp_path / "g.mten", g)
-    save_tensor(tmp_path / "v.mten", v)
-    rc = cli.main(["simulate", "--conductance", str(tmp_path / "g.mten"),
-                   "--input", str(tmp_path / "v.mten"),
+    save_tensor(tmp_path / "g.npy", g)
+    save_tensor(tmp_path / "v.npy", v)
+    rc = cli.main(["simulate", "--conductance", str(tmp_path / "g.npy"),
+                   "--input", str(tmp_path / "v.npy"),
                    "--out", str(tmp_path / "out.json")])
     assert rc == 0
-    # the float32 tensor files are the inputs of record for the oracle too
-    g32 = g.astype(np.float32).astype(float)
-    v32 = v.astype(np.float32).astype(float)
-    ref = oracle_solve(config, g32, v32)
+    # the tensor files hold g and v exactly, so the oracle solves the same inputs
+    ref = oracle_solve(config, g, v)
     got = np.array(read_json(tmp_path / "out.json")["i_out"])
     assert np.abs(got - ref.i_out).max() / np.abs(ref.i_out).max() <= 1e-9
 
 
+def test_simulate_takes_a_conductance_near_the_range_end_as_given(tmp_path):
+    config = CrossbarConfig(2, 2)
+    g = np.full((2, 2), config.g_min)
+    g[0, 1] = config.g_max * (1.0 - 5e-7)   # inside the range, not on its end
+    v = np.array([0.1, 0.2])
+    save_tensor(tmp_path / "g.npy", g)
+    save_tensor(tmp_path / "v.npy", v)
+    assert cli.main(["simulate", "--conductance", str(tmp_path / "g.npy"),
+                     "--input", str(tmp_path / "v.npy"),
+                     "--out", str(tmp_path / "out.json")]) == 0
+    ref = oracle_solve(config, g, v).i_out
+    got = np.array(read_json(tmp_path / "out.json")["i_out"])
+    assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-9
+    # the range end itself solves to another current in column 1
+    at_end = oracle_solve(config, np.where(g == g[0, 1], config.g_max, g), v).i_out
+    assert np.abs(got - at_end)[1] > 1e3 * np.abs(got - ref)[1]
+
+
+def test_simulate_refuses_a_voltage_past_v_sense_max(tmp_path, capsys):
+    config = CrossbarConfig(2, 2)
+    save_tensor(tmp_path / "g.npy", np.full((2, 2), config.g_min))
+    save_tensor(tmp_path / "v.npy", np.array([0.1, config.v_sense_max * (1.0 + 5e-7)]))
+    assert cli.main(["simulate", "--conductance", str(tmp_path / "g.npy"),
+                     "--input", str(tmp_path / "v.npy"),
+                     "--out", str(tmp_path / "out.json")]) == cli.EXIT_VALIDATION
+    assert "outside [0, " in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_simulate_rejects_nan_input(tmp_path):
-    save_tensor(tmp_path / "g.mten", np.full((2, 2), 1.0 / 15_000.0))
-    save_tensor(tmp_path / "v.mten", np.array([np.nan, 0.1]))
-    rc = cli.main(["simulate", "--conductance", str(tmp_path / "g.mten"),
-                   "--input", str(tmp_path / "v.mten"),
+    save_tensor(tmp_path / "g.npy", np.full((2, 2), 1.0 / 15_000.0))
+    save_tensor(tmp_path / "v.npy", np.array([np.nan, 0.1]))
+    rc = cli.main(["simulate", "--conductance", str(tmp_path / "g.npy"),
+                   "--input", str(tmp_path / "v.npy"),
                    "--out", str(tmp_path / "out.json")])
     assert rc == cli.EXIT_VALIDATION
     assert not (tmp_path / "out.json").exists()
 
 
 def test_simulate_rejects_non_finite_config(tmp_path):
-    save_tensor(tmp_path / "g.mten", np.full((2, 2), 1.0 / 15_000.0))
-    save_tensor(tmp_path / "v.mten", np.array([0.1, 0.1]))
+    save_tensor(tmp_path / "g.npy", np.full((2, 2), 1.0 / 15_000.0))
+    save_tensor(tmp_path / "v.npy", np.array([0.1, 0.1]))
     for bad in ({"r_wire": float("nan")}, {"r_transistor_on": float("nan")},
                 {"g_max": float("inf")}):
         (tmp_path / "cfg.json").write_text(json.dumps({"crossbar": bad}))
         rc = cli.main(["simulate", "--config", str(tmp_path / "cfg.json"),
-                       "--conductance", str(tmp_path / "g.mten"),
-                       "--input", str(tmp_path / "v.mten"),
+                       "--conductance", str(tmp_path / "g.npy"),
+                       "--input", str(tmp_path / "v.npy"),
                        "--out", str(tmp_path / "out.json")])
         assert rc == cli.EXIT_VALIDATION
         assert not (tmp_path / "out.json").exists()
@@ -100,9 +127,9 @@ def test_build_engine_rejects_crossbar_size_that_is_not_an_integer(tmp_path, cap
                                                                  size):
     # a one-row weight matrix, which `"rows": true` would otherwise fit as 1
     (tmp_path / "cfg.json").write_text(json.dumps({"crossbar": size}))
-    save_tensor(tmp_path / "w.mten", np.full((1, 2), 0.5))
+    save_tensor(tmp_path / "w.npy", np.full((1, 2), 0.5))
     rc = cli.main(["build-engine", "--config", str(tmp_path / "cfg.json"),
-                   "--weights", str(tmp_path / "w.mten"),
+                   "--weights", str(tmp_path / "w.npy"),
                    "--out", str(tmp_path / "e.json")])
     assert rc == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -111,17 +138,17 @@ def test_build_engine_rejects_crossbar_size_that_is_not_an_integer(tmp_path, cap
 
 
 def test_missing_file_exits_with_usage_code(tmp_path):
-    rc = cli.main(["simulate", "--conductance", str(tmp_path / "nope.mten"),
-                   "--input", str(tmp_path / "nope2.mten"),
+    rc = cli.main(["simulate", "--conductance", str(tmp_path / "nope.npy"),
+                   "--input", str(tmp_path / "nope2.npy"),
                    "--out", str(tmp_path / "out.json")])
     assert rc == cli.EXIT_USAGE
 
 
 def test_invalid_bits_exits_with_validation_code(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps({"dac_bits": 0}))
-    save_tensor(tmp_path / "w.mten", np.ones((2, 2)))
+    save_tensor(tmp_path / "w.npy", np.ones((2, 2)))
     rc = cli.main(["build-engine", "--config", str(tmp_path / "cfg.json"),
-                   "--weights", str(tmp_path / "w.mten"),
+                   "--weights", str(tmp_path / "w.npy"),
                    "--out", str(tmp_path / "e.json")])
     assert rc == cli.EXIT_VALIDATION
 
@@ -130,9 +157,9 @@ def test_invalid_bits_exits_with_validation_code(tmp_path):
 # arguments; build-engine always converts by transfer, which no conversion
 # signal changes, so it reads no amplitude keys
 UNREAD_CONFIG = {
-    "simulate": ([{"dac_bits": 4}], ["--conductance", "g.mten", "--input", "v.mten"]),
+    "simulate": ([{"dac_bits": 4}], ["--conductance", "g.npy", "--input", "v.npy"]),
     "build-engine": ([{"dca_bits": 8}, {"amplitudes": [1.0, 0.1]},
-                      {"signal_fraction": 1.0}], ["--weights", "g.mten"]),
+                      {"signal_fraction": 1.0}], ["--weights", "g.npy"]),
     "layer-exp": ([{"crossbar": {"r_wire": 0.0}, "x_max": 2.0}], []),
     "run-net": ([{"dac_bits": 4, "crossbar": {"r_wire": 0.0}}],
                 ["--model", "tiny.json", "--images", "imgs"]),
@@ -142,11 +169,11 @@ UNREAD_CONFIG = {
 @pytest.mark.parametrize("command", sorted(UNREAD_CONFIG))
 def test_unknown_config_key_rejected(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
-    save_tensor("g.mten", np.full((2, 2), 1.0 / 15_000.0))
-    save_tensor("v.mten", np.full(2, 0.1))
+    save_tensor("g.npy", np.full((2, 2), 1.0 / 15_000.0))
+    save_tensor("v.npy", np.full(2, 0.1))
     save_model(build_tiny_model(seed=1, channels=(3,), hw=4), "tiny.json")
     os.mkdir("imgs")
-    save_tensor("imgs/img0.mten", gen_input((4, 4, 3), 0.3, 1))
+    save_tensor("imgs/img0.npy", gen_input((4, 4, 3), 0.3, 1))
     bad_configs, args = UNREAD_CONFIG[command]
     for bad in bad_configs:
         Path("cfg.json").write_text(json.dumps(bad))
@@ -160,7 +187,7 @@ def test_unknown_config_key_rejected(tmp_path, monkeypatch, command):
 
 
 CALI_ARGS = {
-    "build-engine": ["--weights", "g.mten"],
+    "build-engine": ["--weights", "g.npy"],
     "layer-exp": ["--kernel-shape", "2x2x3x3", "--input-hw", "4"],
     "run-net": ["--model", "tiny.json", "--images", "imgs"],
 }
@@ -170,10 +197,10 @@ CALI_ARGS = {
 def test_bad_cali_samples_rejected_before_conversion(tmp_path, monkeypatch,
                                                      command):
     monkeypatch.chdir(tmp_path)
-    save_tensor("g.mten", np.full((2, 2), 0.5))
+    save_tensor("g.npy", np.full((2, 2), 0.5))
     save_model(build_tiny_model(seed=1, channels=(3,), hw=4), "tiny.json")
     os.mkdir("imgs")
-    save_tensor("imgs/img0.mten", gen_input((4, 4, 3), 0.3, 1))
+    save_tensor("imgs/img0.npy", gen_input((4, 4, 3), 0.3, 1))
     converted = []
     monkeypatch.setattr(engine, "convert",
                         lambda *args, **kwargs: converted.append(args))
@@ -219,11 +246,11 @@ BAD_CONFIG_VALUES = [
 def test_bad_config_value_rejected_before_conversion(tmp_path, monkeypatch,
                                                      capsys, command, config):
     monkeypatch.chdir(tmp_path)
-    save_tensor("g.mten", np.full((2, 2), 0.5))
-    save_tensor("v.mten", np.full(2, 0.1))
+    save_tensor("g.npy", np.full((2, 2), 0.5))
+    save_tensor("v.npy", np.full(2, 0.1))
     save_model(build_tiny_model(seed=1, channels=(3,), hw=4), "tiny.json")
     os.mkdir("imgs")
-    save_tensor("imgs/img0.mten", gen_input((4, 4, 3), 0.3, 1))
+    save_tensor("imgs/img0.npy", gen_input((4, 4, 3), 0.3, 1))
     converted = []
     monkeypatch.setattr(engine, "convert",
                         lambda *args, **kwargs: converted.append(args))
@@ -248,12 +275,12 @@ def test_bad_config_value_rejected_before_conversion(tmp_path, monkeypatch,
 def test_build_engine_rejects_bad_samples_before_conversion(tmp_path, monkeypatch,
                                                             capsys, samples):
     monkeypatch.chdir(tmp_path)
-    save_tensor("w.mten", gen_kernel(1, (144, 4), 0))
-    save_tensor("s.mten", samples)
+    save_tensor("w.npy", gen_kernel(1, (144, 4), 0))
+    save_tensor("s.npy", samples)
     converted = []
     monkeypatch.setattr(engine, "convert",
                         lambda *args, **kwargs: converted.append(args))
-    rc = cli.main(["build-engine", "--weights", "w.mten", "--samples", "s.mten",
+    rc = cli.main(["build-engine", "--weights", "w.npy", "--samples", "s.npy",
                    "--out", "out.json"])
     assert rc == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("validation error:")
@@ -311,8 +338,8 @@ def test_run_net_rejects_bad_or_no_images_before_out(tmp_path, monkeypatch, caps
            "above-1": np.where(good == good.max(), 1.5, good),
            "nan": np.where(good == good.max(), np.nan, good)}
     if image != "none":   # a good image sorts first, so every image is checked
-        save_tensor(tmp_path / "imgs" / "img0.mten", good)
-        save_tensor(tmp_path / "imgs" / "img1.mten", bad[image])
+        save_tensor(tmp_path / "imgs" / "img0.npy", good)
+        save_tensor(tmp_path / "imgs" / "img1.npy", bad[image])
     converted = []
     monkeypatch.setattr(engine, "convert",
                         lambda *args, **kwargs: converted.append(args))
@@ -335,19 +362,19 @@ def test_numeric_failure_exit_code(monkeypatch, tmp_path):
     def boom(*args, **kwargs):
         raise SolverError("synthetic numeric failure")
     monkeypatch.setattr(cli, "simulate", boom)
-    save_tensor(tmp_path / "g.mten", np.full((1, 1), 1.0 / 20_000.0))
-    save_tensor(tmp_path / "v.mten", np.array([0.1]))
-    rc = cli.main(["simulate", "--conductance", str(tmp_path / "g.mten"),
-                   "--input", str(tmp_path / "v.mten"),
+    save_tensor(tmp_path / "g.npy", np.full((1, 1), 1.0 / 20_000.0))
+    save_tensor(tmp_path / "v.npy", np.array([0.1]))
+    rc = cli.main(["simulate", "--conductance", str(tmp_path / "g.npy"),
+                   "--input", str(tmp_path / "v.npy"),
                    "--out", str(tmp_path / "out.json")])
     assert rc == cli.EXIT_NUMERIC
 
 
 def test_build_engine_is_idempotent(tmp_path):
     w = gen_kernel(1, (3, 3, 3, 4), 0).reshape(27, 4)
-    save_tensor(tmp_path / "w.mten", w)
+    save_tensor(tmp_path / "w.npy", w)
     for name in ("a", "b"):
-        rc = cli.main(["build-engine", "--weights", str(tmp_path / "w.mten"),
+        rc = cli.main(["build-engine", "--weights", str(tmp_path / "w.npy"),
                        "--out", str(tmp_path / f"{name}.json")])
         assert rc == 0
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
@@ -415,7 +442,7 @@ def test_run_net_outputs(tmp_path):
     img_dir = tmp_path / "imgs"
     img_dir.mkdir()
     for i in range(3):
-        save_tensor(img_dir / f"img{i}.mten", gen_input((6, 6, 3), 0.3, 40 + i))
+        save_tensor(img_dir / f"img{i}.npy", gen_input((6, 6, 3), 0.3, 40 + i))
     rc = cli.main(["run-net", "--model", str(tmp_path / "tiny.json"),
                    "--images", str(img_dir), "--bits", "none,8",
                    "--taps", "fc", "--out", str(tmp_path / "net")])
@@ -440,7 +467,7 @@ def tiny_run_net_inputs(tmp_path, images):
     img_dir = tmp_path / "imgs"
     img_dir.mkdir()
     for i in range(images):
-        save_tensor(img_dir / f"img{i}.mten", gen_input((6, 6, 3), 0.3, 60 + i))
+        save_tensor(img_dir / f"img{i}.npy", gen_input((6, 6, 3), 0.3, 60 + i))
     return ["run-net", "--model", str(tmp_path / "tiny.json"),
             "--images", str(img_dir), "--out", str(tmp_path / "net")]
 
@@ -563,18 +590,17 @@ def test_run_net_tap_arrays(tmp_path):
     assert not list((tmp_path / "net").glob("layer_*.csv"))
 
 
-def test_outputs_deterministic_across_thread_settings(tmp_path, monkeypatch):
+def test_outputs_deterministic_across_thread_settings(tmp_path):
     model = build_tiny_model(seed=2, channels=(3, 4), hw=6)
     save_model(model, tmp_path / "tiny.json")
     img_dir = tmp_path / "imgs"
     img_dir.mkdir()
     for i in range(3):
-        save_tensor(img_dir / f"img{i}.mten", gen_input((6, 6, 3), 0.3, 50 + i))
+        save_tensor(img_dir / f"img{i}.npy", gen_input((6, 6, 3), 0.3, 50 + i))
     outputs = {}
     for threads in ("1", "4"):
-        monkeypatch.setenv("XBAR_THREADS", threads)
         out = tmp_path / f"net{threads}"
-        rc = cli.main(["run-net", "--model", str(tmp_path / "tiny.json"),
+        rc = cli.main(["--threads", threads, "run-net", "--model", str(tmp_path / "tiny.json"),
                        "--images", str(img_dir), "--bits", "8",
                        "--taps", "all", "--out", str(out)])
         assert rc == 0
@@ -584,11 +610,9 @@ def test_outputs_deterministic_across_thread_settings(tmp_path, monkeypatch):
     assert len([name for name in outputs["1"] if name.startswith("layer_")]) == 3
 
 
-@pytest.mark.parametrize("threads", ["1", "4"])
-def test_run_net_tap_writer_error_reaches_parent(tmp_path, monkeypatch, threads):
+def test_run_net_tap_writer_error_reaches_parent(tmp_path):
     args = tiny_run_net_inputs(tmp_path, 1)
     (tmp_path / "net" / "layer_conv0.npy").mkdir(parents=True)
-    monkeypatch.setenv("XBAR_THREADS", threads)
     with pytest.raises(IsADirectoryError):
         cli.main(args + ["--bits", "none", "--taps", "all"])
 
@@ -612,21 +636,19 @@ def test_run_net_failed_tap_pass_leaves_no_tap_reports(tmp_path, monkeypatch, ca
     assert sorted(p.name for p in (tmp_path / "net").iterdir()) == ["accuracy.csv"]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_run_net_memory_does_not_grow_with_images(tmp_path, monkeypatch, threads):
+def test_run_net_memory_does_not_grow_with_images(tmp_path):
     # the parent holds one image's tap rows at a time, so six images peak
     # no higher than one, up to less than two images' rows
     model = build_tiny_model(seed=2, channels=(8, 8), hw=16)
     save_model(model, tmp_path / "tiny.json")
     image_rows = sum(int(np.prod(model.shapes[layer.name]))
                      for layer in model.weight_layers()) * netrunner.TAP_DTYPE.itemsize
-    monkeypatch.setenv("XBAR_THREADS", threads)
     peaks = {}
     for images in (1, 6):
         img_dir = tmp_path / f"imgs{images}"
         img_dir.mkdir()
         for i in range(images):
-            save_tensor(img_dir / f"img{i}.mten", gen_input((16, 16, 3), 0.3, 70 + i))
+            save_tensor(img_dir / f"img{i}.npy", gen_input((16, 16, 3), 0.3, 70 + i))
         tracemalloc.start()
         try:
             assert cli.main(["run-net", "--model", str(tmp_path / "tiny.json"),
@@ -638,18 +660,7 @@ def test_run_net_memory_does_not_grow_with_images(tmp_path, monkeypatch, threads
     assert peaks[6] - peaks[1] < 2 * image_rows, (peaks, image_rows)
 
 
-def test_threads_flag_validation(monkeypatch, capsys):
-    # the error names the source of the bad count: the flag, which wins over
-    # the environment, or XBAR_THREADS when no flag is given
+def test_threads_flag_validation(capsys):
     args = ["simulate", "--conductance", "x", "--input", "y", "--out", "z"]
-    for env in (None, "4", "0"):
-        if env is not None:
-            monkeypatch.setenv("XBAR_THREADS", env)
-        assert cli.main(["--threads", "0", *args]) == cli.EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "--threads must be >= 1, got 0" in err and "XBAR_THREADS" not in err
-    for env in ("0", "-3", "abc"):
-        monkeypatch.setenv("XBAR_THREADS", env)
-        assert cli.main(args) == cli.EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "XBAR_THREADS must be" in err and "--threads" not in err
+    assert cli.main(["--threads", "0", *args]) == cli.EXIT_VALIDATION
+    assert "--threads must be >= 1, got 0" in capsys.readouterr().err

@@ -574,6 +574,26 @@ def test_version_1_descriptor_is_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("edit, match", [
+    (lambda d: d.update(mapping={"alpha": 99.0}),
+     r"engine descriptor .*engine.json has unknown keys: \['mapping'\]"),
+    (lambda d: d.update(arrays={}, g_target=[]),
+     r"engine descriptor .*engine.json has unknown keys: \['arrays', 'g_target'\]"),
+    (lambda d: d["readout"].update(c=5.0),
+     r"malformed entry.*readout has unknown keys: \['c'\]")],
+    ids=["mapping", "arrays-and-g_target", "readout-c"])
+def test_engine_load_rejects_keys_it_does_not_read(tmp_path, edit, match):
+    # fields that version 2 stored and the loader now works out are refused,
+    # not dropped
+    engine = build_engine(gen_kernel(1, (12, 4), 3), dac_bits=8, adc_bits=8, seed=0)
+    json_path, _ = engine.save(tmp_path / "engine.json")
+    desc = json.loads(json_path.read_text())
+    edit(desc)
+    json_path.write_text(json.dumps(desc))
+    with pytest.raises(ValidationError, match=match):
+        VmmEngine.load(json_path)
+
+
+@pytest.mark.parametrize("edit, match", [
     (lambda r: r.update(baseline=[1.0]), "readout baseline must be 2 numbers"),
     (lambda r: r.pop("baseline"), "KeyError.*baseline"),
     (lambda r: r.update(sample_count=-1), "sample count must be an integer >= 2, got -1"),

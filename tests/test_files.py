@@ -34,6 +34,8 @@ def test_sidecar_round_trip(tmp_path):
         "k": 1, "blob_file": "d.bin", "blob_sha256": hashlib.sha256(b"\x00\x01").hexdigest()}
     assert load_with_blob(json_path, "thing", ("k",)) == (
         json.loads(json_path.read_text()), b"\x00\x01")
+    # an optional key may be left out or held
+    assert load_with_blob(json_path, "thing", (), optional=("k",))[0]["k"] == 1
 
 
 @pytest.mark.parametrize("doc, match", [
@@ -41,7 +43,9 @@ def test_sidecar_round_trip(tmp_path):
     ({"k": 1, "blob_file": 7, "blob_sha256": ""}, "blob_file is not a string"),
     ({"k": 1, "blob_file": "", "blob_sha256": ""}, "missing blob"),
     ({"k": 1, "blob_file": "gone.bin", "blob_sha256": ""}, "missing blob"),
-    ({"k": 1, "blob_file": "d.bin", "blob_sha256": "0"}, "checksum mismatch")])
+    ({"k": 1, "blob_file": "d.bin", "blob_sha256": "0"}, "checksum mismatch"),
+    ({"k": 1, "z": 2, "blob_file": "d.bin", "blob_sha256": "", "a": 3},
+     r"thing .*d.json has unknown keys: \['a', 'z'\]")])
 def test_load_with_blob_rejects(tmp_path, doc, match):
     save_with_blob(tmp_path / "d.json", {"k": 1}, b"\x00")
     (tmp_path / "d.json").write_text(json.dumps(doc))

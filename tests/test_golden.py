@@ -61,10 +61,10 @@ def produce(out):
                      "--out", str(out / "layer-exp-sweep")]) == 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        save_tensor(work / "w.mten", gen_kernel(1, (3, 3, 3, 4), 0).reshape(27, 4))
+        save_tensor(work / "w.npy", gen_kernel(1, (3, 3, 3, 4), 0).reshape(27, 4))
         write_json(work / "cfg.json", {"dac_bits": 8, "adc_bits": 8, "seed": 3})
         assert cli.main(["build-engine", "--config", str(work / "cfg.json"),
-                         "--weights", str(work / "w.mten"),
+                         "--weights", str(work / "w.npy"),
                          "--out", str(work / "engine.json")]) == 0
         X = np.random.default_rng(5).uniform(0.0, 1.0, size=(8, 27))
         outputs = VmmEngine.load(work / "engine.json").execute_batch(X)
@@ -74,20 +74,20 @@ def produce(out):
         save_model(build_tiny_model(seed=2, channels=(3, 4), hw=6), work / "tiny.json")
         (work / "imgs").mkdir()
         for i in range(2):
-            save_tensor(work / "imgs" / f"img{i}.mten", gen_input((6, 6, 3), 0.3, 50 + i))
+            save_tensor(work / "imgs" / f"img{i}.npy", gen_input((6, 6, 3), 0.3, 50 + i))
         assert cli.main(["run-net", "--model", str(work / "tiny.json"),
                          "--images", str(work / "imgs"), "--taps", "all",
                          "--bits", "none,8", "--out", str(out / "run-net")]) == 0
 
         rng = np.random.default_rng(11)
-        save_tensor(work / "g.mten", rng.uniform(1.0 / 300e3, 1.0 / 15e3, size=(6, 5)))
-        save_tensor(work / "v.mten", rng.uniform(0.0, 0.2, size=6))
+        save_tensor(work / "g.npy", rng.uniform(1.0 / 300e3, 1.0 / 15e3, size=(6, 5)))
+        save_tensor(work / "v.npy", rng.uniform(0.0, 0.2, size=6))
         for run, crossbar in SIMULATE_RUNS.items():
             write_json(work / f"{run}.json", {"crossbar": crossbar})
             (out / run).mkdir()
             assert cli.main(["simulate", "--config", str(work / f"{run}.json"),
-                             "--conductance", str(work / "g.mten"),
-                             "--input", str(work / "v.mten"),
+                             "--conductance", str(work / "g.npy"),
+                             "--input", str(work / "v.npy"),
                              "--out", str(out / run / "solution.json")]) == 0
     for log in out.rglob("*.log"):
         log.unlink()

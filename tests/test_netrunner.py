@@ -19,28 +19,106 @@ from xbarsim.netrunner import (LayerSpec, NetworkModel, batchnorm_affine,
 
 
 def test_tensor_round_trip(tmp_path):
-    a = np.random.default_rng(0).normal(size=(4, 5, 3)).astype(np.float32)
-    path = tmp_path / "t.mten"
+    # float64 values that float32 would round come back exactly
+    a = np.random.default_rng(0).normal(size=(4, 5, 3))
+    assert not np.array_equal(a.astype(np.float32), a)
+    path = tmp_path / "t.npy"
     save_tensor(path, a)
     b = load_tensor(path)
-    assert b.shape == (4, 5, 3)
-    assert np.array_equal(b, a.astype(float))
+    assert b.dtype == np.float64 and np.array_equal(b, a)
+    assert np.load(path, allow_pickle=False).dtype == np.float64
+
+
+def test_tensor_loads_any_real_dtype_exactly(tmp_path):
+    a = np.random.default_rng(1).uniform(size=(3, 2)).astype(np.float32)
+    for arr in (a, np.arange(6, dtype=np.uint8), np.arange(-3, 3, dtype=">i4")):
+        np.save(tmp_path / "t.npy", arr)   # plain np.save, as a user writes it
+        b = load_tensor(tmp_path / "t.npy")
+        assert b.dtype == np.float64 and np.array_equal(b, arr)
+
+
+def test_tensor_suffix_is_not_read(tmp_path):
+    # save_tensor writes at exactly the path it is given, and load_tensor
+    # reads a .npy array under any name
+    save_tensor(tmp_path / "img0.mten", np.eye(2))
+    assert [p.name for p in tmp_path.iterdir()] == ["img0.mten"]
+    assert np.array_equal(load_tensor(tmp_path / "img0.mten"), np.eye(2))
 
 
 def test_tensor_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.mten"
+    path = tmp_path / "bad.npy"
     path.write_bytes(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="is not a .npy array"):
         load_tensor(path)
 
 
 def test_tensor_rejects_truncated_payload(tmp_path):
-    path = tmp_path / "t.mten"
+    path = tmp_path / "t.npy"
     save_tensor(path, np.ones((3, 3)))
     raw = path.read_bytes()
     path.write_bytes(raw[:-4])
     with pytest.raises(ValidationError):
         load_tensor(path)
+
+
+def write_refused_tensor(path, kind):
+    """Write at `path` a file that `load_tensor` refuses, of the given kind."""
+    if kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "mten":   # the tensor files of earlier versions: [1.0] as float32
+        path.write_bytes(b"MTEN" + np.array([1, 1, 1], "<u4").tobytes()
+                         + np.array([1.0], "<f4").tobytes())
+    elif kind == "truncated-magic":
+        path.write_bytes(np.lib.format.magic(1, 0)[:7])
+    elif kind == "truncated":
+        save_tensor(path, np.ones((3, 3)))
+        path.write_bytes(path.read_bytes()[:-8])
+    elif kind == "trailing-bytes":
+        save_tensor(path, np.ones(2))
+        path.write_bytes(path.read_bytes() + bytes(8))
+    elif kind == "pickled-object":
+        with open(path, "wb") as fh:
+            np.save(fh, np.array([1.0, "a"], dtype=object), allow_pickle=True)
+    elif kind == "npz":
+        with open(path, "wb") as fh:
+            np.savez(fh, a=np.ones(2))
+    elif kind == "huge-header":   # a shape no memory holds, on a short file
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": "<f8", "fortran_order": False, "shape": (2 ** 40,)})
+            fh.write(bytes(16))
+    else:
+        dtype = {"complex": complex, "structured": [("a", float)], "bool": bool,
+                 "string": "U3"}[kind]
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(2, dtype=dtype))
+
+
+REFUSED_TENSORS = ["empty", "mten", "truncated-magic", "truncated", "trailing-bytes",
+                   "pickled-object", "npz", "huge-header", "complex", "structured", "bool",
+                   "string"]
+
+
+@pytest.mark.parametrize("kind", REFUSED_TENSORS)
+def test_tensor_rejects_what_is_not_an_array_of_real_numbers(tmp_path, kind):
+    write_refused_tensor(tmp_path / "t.npy", kind)
+    with pytest.raises(ValidationError, match="t.npy (is not a .npy array|holds)"):
+        load_tensor(tmp_path / "t.npy")
+
+
+@pytest.mark.parametrize("kind", REFUSED_TENSORS)
+def test_simulate_refuses_a_conductance_that_is_not_an_array_of_numbers(tmp_path, kind):
+    write_refused_tensor(tmp_path / "g.npy", kind)
+    save_tensor(tmp_path / "v.npy", np.full(2, 0.1))
+    assert cli.main(["simulate", "--conductance", str(tmp_path / "g.npy"),
+                     "--input", str(tmp_path / "v.npy"),
+                     "--out", str(tmp_path / "out.json")]) == cli.EXIT_VALIDATION
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_tensor_missing_file_is_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_tensor(tmp_path / "gone.npy")
 
 
 def test_digital_op_trivials():
@@ -108,7 +186,7 @@ def test_model_graph_validation(tmp_path, monkeypatch):
     # fc after relu0 has the wrong channel count, fc after relu2 the right
     # one on an 8x8 map
     (tmp_path / "imgs").mkdir()
-    save_tensor(tmp_path / "imgs" / "img0.mten", gen_input((8, 8, 3), 0.3, 1))
+    save_tensor(tmp_path / "imgs" / "img0.npy", gen_input((8, 8, 3), 0.3, 1))
     converted = []
     monkeypatch.setattr(engine, "convert",
                         lambda *args, **kwargs: converted.append(args))
@@ -177,6 +255,15 @@ def test_model_manifest_bad_blob_slice(tmp_path, key, value):
         load_model(manifest)
 
 
+def test_model_manifest_rejects_top_level_keys_besides_name_and_layers(tmp_path):
+    manifest, _ = save_model(build_tiny_model(seed=3), tmp_path / "tiny.json")
+    doc = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**doc, "blob_offset": 0, "version": 2}))
+    with pytest.raises(ValidationError, match=r"model manifest .*tiny.json has unknown "
+                                              r"keys: \['blob_offset', 'version'\]"):
+        load_model(manifest)
+
+
 @pytest.mark.parametrize("edit", [lambda raw: raw[:-4], lambda raw: raw + bytes(4)],
                          ids=["short", "long"])
 def test_model_manifest_rejects_a_blob_of_the_wrong_length(tmp_path, monkeypatch, edit):
@@ -191,7 +278,7 @@ def test_model_manifest_rejects_a_blob_of_the_wrong_length(tmp_path, monkeypatch
     with pytest.raises(ValidationError, match=f"holds {len(blob)} bytes, not the {size} "):
         load_model(manifest)
     (tmp_path / "imgs").mkdir()
-    save_tensor(tmp_path / "imgs" / "img0.mten", gen_input((8, 8, 3), 0.3, 1))
+    save_tensor(tmp_path / "imgs" / "img0.npy", gen_input((8, 8, 3), 0.3, 1))
     monkeypatch.setattr(engine, "convert", lambda *args, **kwargs: pytest.fail(
         "a layer was converted before the manifest was checked"))
     assert cli.main(["run-net", "--model", str(manifest), "--images", str(tmp_path / "imgs"),
@@ -263,7 +350,7 @@ def test_malformed_manifest_loads_or_is_rejected(tmp_path, path):
     assert {(k,) for k in doc} | {("conv1", k) for k in conv1} | {
         ("conv1", "params", k) for k in conv1["params"]} == set(MANIFEST_FIELDS[:-1])
     (tmp_path / "imgs").mkdir()   # run-net refuses a directory with no image
-    save_tensor(tmp_path / "imgs" / "img0.mten", gen_input((8, 8, 3), 0.3, 1))
+    save_tensor(tmp_path / "imgs" / "img0.npy", gen_input((8, 8, 3), 0.3, 1))
     for i, value in enumerate(JSON_VALUES):
         edited = json.loads(json.dumps(doc))
         parent, keys = edited, path
