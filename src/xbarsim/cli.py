@@ -131,7 +131,7 @@ def cli(ctx, threads):
 @click.option("--conductance", "cond_path", type=str, required=True,
               help="Conductance matrix tensor file (rows x cols).")
 @click.option("--input", "input_path", type=str, required=True,
-              help="Input voltage vector tensor file.")
+              help="Input voltage vector tensor file (1-D, one value per row).")
 @click.option("--out", "out_path", type=str, required=True)
 def simulate_cmd(config_path, cond_path, input_path, out_path):
     """One-shot crossbar solve; writes output currents and node voltages."""
@@ -140,7 +140,7 @@ def simulate_cmd(config_path, cond_path, input_path, out_path):
     v = load_tensor(_require_file(input_path))
     if g.ndim != 2:
         raise ValidationError(f"conductance tensor must be 2-D, got {g.shape}")
-    sol = simulate(_crossbar_config(cfg["crossbar"], g.shape), g, v.ravel())
+    sol = simulate(_crossbar_config(cfg["crossbar"], g.shape), g, v)
     write_json(out_path, {
         "i_out": sol.i_out.tolist(),
         "v_top": sol.v_top.tolist(),

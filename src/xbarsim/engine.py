@@ -51,7 +51,9 @@ DESCRIPTOR_KEYS = {"blob_file", "blob_sha256", "config", "x_max", "shape",
 
 DEFAULT_CALI_SAMPLES = 10
 CONVERGED_TOL = 1e-6   # col_error at or below which a conversion converged
-G_TOL = 1e-6           # largest relative device update below which it stalled
+# a conversion stalled when its largest relative device update is below both
+# G_TOL and half of its col_error
+G_TOL = 1e-5
 _DEGENERATE_SPREAD = 1e-18
 
 
@@ -133,8 +135,12 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
 
     - "converged": `col_error` <= CONVERGED_TOL;
     - "max_iter": `max_iter` updates have been applied;
-    - "stalled": the next update would move no device by G_TOL (1e-6)
-      relative or more, far below any device programming precision.
+    - "stalled": the next update would move no device by G_TOL (1e-5)
+      relative or more, below any device programming precision, nor by half
+      of `col_error` or more. The guard keeps a converging array, whose
+      largest update is about `col_error` or more, from stalling just short
+      of CONVERGED_TOL; a plateaued one, with clipped devices, keeps a flat
+      `col_error` while its updates shrink, and stalls at G_TOL.
 
     Otherwise it reprograms every device so its realized contribution
     matches the (scaled) target, clipping to [g_min, g_max], and goes round
@@ -199,7 +205,7 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
                  if target_scale == "auto" else np.full(config.cols, float(target_scale)))
         g_new *= s_new
         np.clip(g_new, config.g_min, config.g_max, out=g_new)
-        if np.max(np.abs(g_new - gp) / gp) < G_TOL:
+        if np.max(np.abs(g_new - gp) / gp) < min(G_TOL, col_error / 2):
             stop = "stalled"
             break
         s, gp = s_new, g_new

@@ -98,6 +98,19 @@ def test_simulate_refuses_a_voltage_past_v_sense_max(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (1, 4), (4, 1), (), (3,), (5,)])
+def test_simulate_refuses_an_input_that_is_not_one_value_per_row(tmp_path, capsys, shape):
+    # a 4-row crossbar takes a 1-D input of 4 voltages; a (2, 2) tensor holds
+    # 4 values, but it is no input vector, and is not flattened into one
+    save_tensor(tmp_path / "g.npy", np.full((4, 2), 1.0 / 15_000.0))
+    save_tensor(tmp_path / "v.npy", np.full(shape, 0.1))
+    assert cli.main(["simulate", "--conductance", str(tmp_path / "g.npy"),
+                     "--input", str(tmp_path / "v.npy"),
+                     "--out", str(tmp_path / "out.json")]) == cli.EXIT_VALIDATION
+    assert f"input shape {shape} does not match 4 rows" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_simulate_rejects_nan_input(tmp_path):
     save_tensor(tmp_path / "g.npy", np.full((2, 2), 1.0 / 15_000.0))
     save_tensor(tmp_path / "v.npy", np.array([np.nan, 0.1]))

@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 from xbarsim.circuit import CrossbarSolver, oracle_solve
 from xbarsim.config import CrossbarConfig
 from xbarsim import circuit as circuit_mod, engine as engine_mod
-from xbarsim.convmap import ConvSpec, unroll_kernel
+from xbarsim.convmap import ConvSpec, FeatureMap, unroll_kernel, window_matrix
 from xbarsim.engine import (CONVERGED_TOL, G_TOL, SIGNAL_AMPLITUDES, VmmEngine,
                             build_engine, convert, default_sample_inputs,
                             evaluate_engine, get_cali_para, map_weights,
                             optimize_conversion_signal, program)
 from xbarsim.errors import ValidationError
-from xbarsim.metrics import gen_kernel
+from xbarsim.metrics import gen_input, gen_kernel
+from xbarsim.netrunner import build_resnet20_model
 from xbarsim.quantize import dac_quantize
 
 IDEAL = dict(r_wire=0.0, r_in=0.0, r_out=0.0)
@@ -187,6 +188,57 @@ def test_early_exits_stay_near_full_conversion(monkeypatch, shape, seed):
     rel = np.abs(early.g_device - full.g_device) / full.g_device
     assert rel.max() <= 10 * G_TOL
     assert abs(early.col_error - full.col_error) <= CONVERGED_TOL
+
+
+def _convert_flat(A):
+    """`program`'s conversion of the weights A, with its mapping."""
+    config = CrossbarConfig(*A.shape)
+    g, mapping = map_weights(A, config)
+    return convert(config, g, np.full(A.shape[0], 0.1 * config.v_sense_max)), mapping
+
+
+@pytest.mark.parametrize("name", ["conv0", "conv1", "sum1", "conv5", "conv6"])
+def test_converging_layers_keep_the_stall_rule_of_g_tol_1e_6(monkeypatch, name):
+    # the ResNet-20 stage-1 layers that converge (conv2, conv3 and conv4
+    # stall): each update moves some device by at least half the column
+    # error, so the guard never stalls them, and G_TOL does not matter
+    layer = next(l for l in build_resnet20_model(0).layers if l.name == name)
+    now, _ = _convert_flat(layer.weights)
+    monkeypatch.setattr("xbarsim.engine.G_TOL", 1e-6)
+    old, _ = _convert_flat(layer.weights)
+    assert now.stop == old.stop == "converged"
+    assert now.iterations == old.iterations
+    assert np.array_equal(now.g_device, old.g_device)
+
+
+@pytest.mark.parametrize("seed, updates", [(7, 7), (3, 8)])
+def test_plateaued_conversion_stalls_near_full_conversion(monkeypatch, seed, updates):
+    # the criterion-6 layer clips devices: its column error stays near 1e-4
+    # while its updates shrink about 5x a pass, so it stalls once none moves
+    # a device by G_TOL (after 9 and 10 updates at 1e-6); its held-out
+    # windows read out within 1e-3 (bits none) and 2e-5 (8 bits) of a full
+    # conversion's means, measured 4.7e-4 and 3.7e-6 at seed 7
+    spec = ConvSpec(3, 3, 64, 64, padding=1, weights=gen_kernel(1, (3, 3, 64, 64), seed))
+    A = unroll_kernel(spec)
+    fit, held = (window_matrix(FeatureMap(gen_input((8, 8, 64), 0.5, seed + k)), spec)
+                 for k in (1, 2))
+
+    def held_out_means():
+        result, mapping = _convert_flat(A)
+        programmed = VmmEngine(A, mapping, result.solver, result.col_scale, {})
+        none = build_engine(programmed, calibrate=False)
+        q8 = build_engine(programmed, dac_bits=8, adc_bits=8, sample_inputs=fit,
+                          calibrate=False)
+        return result, np.array([evaluate_engine(e, held).mean for e in (none, q8)])
+
+    early, means = held_out_means()
+    assert early.stop == "stalled" and early.iterations <= updates
+    monkeypatch.setattr("xbarsim.engine.G_TOL", 1e-12)
+    monkeypatch.setattr("xbarsim.engine.CONVERGED_TOL", -1.0)
+    full, full_means = held_out_means()
+    assert full.iterations > early.iterations
+    rel = np.abs(means - full_means) / full_means
+    assert rel[0] <= 1e-3 and rel[1] <= 2e-5
 
 
 def test_transfer_conversion_ignores_signal_amplitude():
