@@ -46,14 +46,11 @@ rungs and the rung of the slab above it are known; a transfer keeps only
 that window of rungs. One byte budget, SLAB_BLOCK_BYTES, sizes every block
 (`_block_len`): the slabs the factor builds, inverts and packs at once, the
 Sigma^-1 a sweep unpacks at once, the slabs a back sweep takes at once, and
-the columns it multiplies, chains and checks at once. Each solve and each
-transfer unpacks Sigma^-1 through one `_Sigmas`. A transfer unpacks each
-slab once: it back-sweeps all its adjoint columns together, unless its store
-fits the unpacker whole and so is unpacked once anyway. Node voltages come
-only from `solve` (and `simulate`).
-Two references check the solver: `ideal_vmm`, the exact zero-parasitic
-product, and `oracle_solve`, a dense solve with independently derived
-assembly for small arrays.
+the adjoint columns a transfer solves at once. Each solve and each transfer
+unpacks Sigma^-1 through one `_Sigmas`. Node voltages come only from
+`solve` (and `simulate`). Two references check the solver: `ideal_vmm`, the
+exact zero-parasitic product, and `oracle_solve`, a dense solve with
+independently derived assembly for small arrays.
 
 The LAPACK routines (`dpotrf`, `dpotri`, `dpotrs`) come from scipy's f2py
 extension `scipy.linalg._flapack`, which `_load_lapack` loads without
@@ -112,8 +109,8 @@ RESIDUAL_TOL = 1e-10
 # inverts and packs, and a sweep unpacks, at once (8 w^2 bytes a slab); of
 # the slabs' voltages a back sweep takes at once, whose window of rungs,
 # chains, residual and wire currents take about four such blocks; and of one
-# slab's voltages in the columns a back sweep multiplies, chains and checks
-# at once (8 w bytes a column)
+# slab's voltages in the adjoint columns a transfer solves at once (8 w
+# bytes a column)
 SLAB_BLOCK_BYTES = 1 << 20
 ORACLE_MAX_CELLS = 64
 # relative slack on the device range and on the input range [0, v_sense_max]
@@ -241,7 +238,6 @@ class _Sigmas:
         self._inv, self._sym = inv, sym
         self._buf = np.empty((_block_len(len(inv), 8 * sym.size), *sym.shape))
         self._lo = self._hi = 0
-        self.whole = len(self._buf) == len(inv)   # unpacked at most once
 
     def __getitem__(self, k):
         if not self._lo <= k < self._hi:
@@ -321,11 +317,8 @@ class _SlabFactor:
         up, with the Sigma^-1 of sig (a `_Sigmas`), and the chains and the
         residual from it, a block of slabs at a time: a block is done as soon
         as its own rungs and the rung of the slab above it are known, so only
-        a window of step + 2 slabs of rungs is kept, in buffers made once.
-        The window holds every column of the right-hand side, so a sweep
-        unpacks each Sigma_k^-1 once; the products, the chains and the
-        residual go a block of columns at a time, as many as keep one slab's
-        (w, cols) voltages inside SLAB_BLOCK_BYTES.
+        a window of step + 2 slabs of rungs is kept, in buffers of about
+        SLAB_BLOCK_BYTES each, made once.
 
         The right-hand side is y (slabs, w, k), which takes the rungs in
         place, with top (slabs, w, k) taking the chains; or, with y None,
@@ -335,45 +328,33 @@ class _SlabFactor:
         sums of squares of the residual."""
         gw, slabs = self._g_wire, len(self._gd)
         last = sink if y is None else y[-1]
-        w, k = last.shape
-        step, width = _block_len(slabs, last.nbytes), _block_len(k, 8 * w)
-        blocks = [slice(c, min(c + width, k)) for c in range(0, k, width)]
+        step = _block_len(slabs, last.nbytes)
         # window slot s - lo + 1 holds the rungs of slab s, lo - 1 <= s <= hi
-        win = np.empty((step + 2, w, k))
-        work = np.empty((3, step + 1, w, width))
-        heads, num2 = np.empty((slabs, k)), np.zeros(k)
+        win = np.empty((step + 2, *last.shape))
+        work = np.empty((3, step + 1, *last.shape))
+        heads, num2 = np.empty((slabs, last.shape[1])), np.zeros(last.shape[1])
         for lo in reversed(range(0, slabs, step)):
             hi, up = min(lo + step, slabs), min(lo, 1)
             h = hi - lo
             if hi == slabs:
-                for c in blocks:
-                    np.matmul(sig[slabs - 1], last[:, c], out=win[h, :, c])
-            else:   # slabs hi - 1 and hi, solved with the block below, moved
-                # one slot at a time, which needs no temporary copy
-                win[h + 1], win[h] = win[1], win[0]
+                np.matmul(sig[slabs - 1], last, out=win[h])
+            else:   # slabs hi - 1 and hi, solved with the block below
+                win[h:h + 2] = win[:2]
             for s in range(hi - 2, lo - up - 1, -1):
-                for c in blocks:
-                    b = gw * win[s - lo + 2, :, c]
-                    if y is not None:
-                        b += y[s, :, c]
-                    np.matmul(sig[s], b, out=win[s - lo + 1, :, c])
-            for c in blocks:
-                rung, part = win[:, :, c], work[..., :c.stop - c.start]
-                src_c = None if src is None else src[:, c]
-                top_lo = np.multiply(self._gd[lo:hi], rung[1:h + 1], out=part[2, :h])
-                if src is not None:
-                    top_lo[:, 0] += src_c[lo:hi]
-                self._chain_solve(top_lo, lo)
-                heads[lo:hi, c] = top_lo[:, 0]
+                b = gw * win[s - lo + 2]
                 if y is not None:
-                    top[lo:hi, :, c] = top_lo
-                for r in self._residual(top_lo, rung[1 - up:h + 1 + (hi < slabs)], lo,
-                                        src=src_c,
-                                        sink=None if sink is None else sink[:, c],
-                                        work=part[:2]):
-                    num2[c] += np.einsum("ijk,ijk->k", r, r)
+                    b += y[s]
+                np.matmul(sig[s], b, out=win[s - lo + 1])
+            top_lo = np.multiply(self._gd[lo:hi], win[1:h + 1], out=work[2, :h])
+            if src is not None:
+                top_lo[:, 0] += src[lo:hi]
+            self._chain_solve(top_lo, lo)
+            heads[lo:hi] = top_lo[:, 0]
             if y is not None:
-                y[lo:hi] = win[1:h + 1]
+                y[lo:hi], top[lo:hi] = win[1:h + 1], top_lo
+            for r in self._residual(top_lo, win[1 - up:h + 1 + (hi < slabs)], lo,
+                                    src=src, sink=sink, work=work[:2]):
+                num2 += np.einsum("ijk,ijk->k", r, r)
         return heads, num2
 
     def _residual(self, top, rung, lo, src=None, sink=None, work=None):
@@ -434,17 +415,13 @@ class _SlabFactor:
 
     def transfer(self):
         """T = g_src x_top[:, 0], (slabs, w), residual-checked on every node,
-        from one adjoint solve per column with its sink as right-hand side,
-        all back-swept through one `_Sigmas`. No solution is stored whole:
-        the back sweep keeps a window of rungs, and the chains, T and the
-        residual go slab block by slab block."""
+        from one adjoint solve per column with its sink as right-hand side, a
+        block of columns at a time: as many as keep one slab's (w, k)
+        voltages inside SLAB_BLOCK_BYTES, all back-swept with one `_Sigmas`.
+        No solution is stored whole: the back sweep keeps a window of rungs,
+        and the chains, T and the residual go slab block by slab block."""
         w = self._gd.shape[1]
-        sig = _Sigmas(self._inv, self._sym)
-        # one sweep of every column unpacks each slab once, in a window of
-        # every column's rungs; a store the unpacker holds whole is unpacked
-        # once anyway, so its columns are swept a block at a time, each block
-        # as many as keep one slab's (w, k) voltages inside SLAB_BLOCK_BYTES
-        step = _block_len(w, 8 * w) if sig.whole else w
+        sig, step = _Sigmas(self._inv, self._sym), _block_len(w, 8 * w)
         T, num2 = np.empty(self._gd.shape[:2]), np.empty(w)
         for start in range(0, w, step):
             stop = min(start + step, w)
@@ -548,17 +525,13 @@ class CrossbarSolver:
         column on the existing factorization (A is symmetric), residual-
         checked on every node, and cached read-only. The lumped regime
         solves every column in one `dpotrs` on the C it already holds; the
-        grid, in `_SlabFactor.transfer`, back-swept a block of slabs at a
-        time with only a window of rungs kept, multiplying, chaining and
-        checking as many columns at a time as keep one slab's voltages
-        inside SLAB_BLOCK_BYTES (all of them up to 362 wide). Its working
-        set is a few slab blocks (6 MB at 576x64, against a packed Sigma^-1
-        store of 9.6 MB, 18.9 MB unpacked). Wider, one sweep takes every
-        column, so each Sigma_k^-1 is unpacked once, in a window of three
-        slabs of cols x cols values, as large as three unpacked Sigma_k^-1;
-        a one-slab array, unpacked once anyway, sweeps a column block at a
-        time. With no free node T is g_dev exactly. The grid factor is
-        released once T is cached.
+        grid, in `_SlabFactor.transfer`, a block of columns at a time, as
+        many as keep one slab's voltages inside SLAB_BLOCK_BYTES (all of
+        them up to 362 wide), each back-swept a block of slabs at a time
+        with only a window of rungs kept, so its working set is a few slab
+        blocks (6 MB at 576x64, against a packed Sigma^-1 store of 9.6 MB,
+        18.9 MB unpacked). With no free node T is g_dev exactly. The grid
+        factor is released once T is cached.
         """
         if self._T is None:
             if self._grid:

@@ -137,10 +137,12 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
     - "max_iter": `max_iter` updates have been applied;
     - "stalled": the next update would move no device by G_TOL (1e-5)
       relative or more, below any device programming precision, nor by half
-      of `col_error` or more. The guard keeps a converging array, whose
-      largest update is about `col_error` or more, from stalling just short
-      of CONVERGED_TOL; a plateaued one, with clipped devices, keeps a flat
-      `col_error` while its updates shrink, and stalls at G_TOL.
+      of `col_error` or more. The guard keeps a converging array from
+      stalling just short of CONVERGED_TOL: its largest update was 1.25 to
+      1.84 times its `col_error` on every pass of the ResNet-20 stage-1
+      layers that converge (conv0, conv1, sum1, conv5 and conv6 of
+      `build_resnet20_model(0)`). A plateaued array, with clipped devices,
+      keeps a flat `col_error` while its updates shrink, and stalls at G_TOL.
 
     Otherwise it reprograms every device so its realized contribution
     matches the (scaled) target, clipping to [g_min, g_max], and goes round

@@ -166,55 +166,44 @@ def test_transfer_matrix_residual_checked_and_read_only(monkeypatch):
             CrossbarSolver(config, g).solve(np.full(config.rows, 0.1))
 
 
-@pytest.mark.parametrize("rows, cols", [(16, 160), (160, 160), (1, 160)])
+@pytest.mark.parametrize("rows, cols", [(16, 160), (160, 160)])
 def test_transfer_matrix_column_blocks_match_one_block(monkeypatch, rows, cols):
-    # a grid transfer multiplies, chains and checks as many adjoint columns
-    # at a time as keep one slab's (cols, k) voltages inside
-    # SLAB_BLOCK_BYTES: all 160 at the default, 64, 64 and 32 at
-    # 8 * 160 * 64 bytes, every column solved and residual-checked once, to
-    # the same T. Several slabs are back-swept in one sweep of every column,
-    # which unpacks each slab's Sigma^-1 once; one slab, unpacked once
-    # anyway, is swept a column block at a time in smaller windows
+    # a grid transfer solves as many adjoint columns at once as keep one
+    # slab's (cols, k) voltages inside SLAB_BLOCK_BYTES: all 160 at the
+    # default, 64, 64 and 32 at 8 * 160 * 64 bytes, every column solved and
+    # residual-checked once, to the same T
     rng = np.random.default_rng(rows + cols)
     config = CrossbarConfig(rows, cols)
     g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
-    sweeps, widths, checked = [], [], []
+    widths, checked = [], []
     back_sweep = xbarsim.circuit._SlabFactor._back_sweep
-    chain_solve = xbarsim.circuit._SlabFactor._chain_solve
     worst_residual = xbarsim.circuit._worst_residual
 
     def recording_back_sweep(self, *args, sink=None, **kwargs):
-        sweeps.append(sink.shape[1])
+        widths.append(sink.shape[1])
         return back_sweep(self, *args, sink=sink, **kwargs)
-
-    def recording_chain_solve(self, r, lo=0):
-        widths.append(r.shape[2])
-        return chain_solve(self, r, lo)
 
     def recording_worst_residual(num2, den2):
         checked.append(len(num2))
         return worst_residual(num2, den2)
 
     monkeypatch.setattr(xbarsim.circuit._SlabFactor, "_back_sweep", recording_back_sweep)
-    monkeypatch.setattr(xbarsim.circuit._SlabFactor, "_chain_solve", recording_chain_solve)
     monkeypatch.setattr(xbarsim.circuit, "_worst_residual", recording_worst_residual)
     ref = CrossbarSolver(config, g).transfer_matrix()
-    assert sweeps == [cols] and set(widths) == {cols} and checked == [cols]
-    sweeps.clear()
+    assert widths == [cols] and checked == [cols]
     widths.clear()
     checked.clear()
     monkeypatch.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", 8 * cols * 64)
     T = CrossbarSolver(config, g).transfer_matrix()
-    assert sweeps == ([64, 64, 32] if rows == 1 else [cols]) and checked == [cols]
-    assert widths == len(widths) // 3 * [64, 64, 32]
+    assert widths == [64, 64, 32] and checked == [cols]
     assert rel_diff(T, ref) <= 1e-12
 
 
 def test_transfer_and_solve_each_unpack_through_one_sigmas(monkeypatch):
-    # a transfer back-sweeps all its column blocks through one _Sigmas, so
-    # it unpacks each slab's Sigma^-1 once however many blocks it takes; a
-    # solve's back sweep starts on the block of slabs its forward sweep
-    # unpacked last
+    # a transfer's column blocks share one _Sigmas, so a one-slab array
+    # unpacks its Sigma^-1 once however many blocks it takes, and a wider
+    # one once a block; a solve's back sweep starts on the block of slabs
+    # its forward sweep unpacked last
     made, fills = [], []
 
     class RecordingSigmas(_Sigmas):
@@ -233,7 +222,7 @@ def test_transfer_and_solve_each_unpack_through_one_sigmas(monkeypatch):
     # time, then one block of 160 columns with five slabs' at a time
     three_blocks, one_block = 8 * 160 * 64, xbarsim.circuit.SLAB_BLOCK_BYTES
     for rows, budget, want in ((1, three_blocks, [0]),
-                               (16, three_blocks, [*range(15, -1, -1)]),
+                               (16, three_blocks, 3 * [*range(15, -1, -1)]),
                                (17, one_block, [16, 14, 9, 4])):
         with monkeypatch.context() as m:
             m.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", budget)
@@ -248,29 +237,6 @@ def test_transfer_and_solve_each_unpack_through_one_sigmas(monkeypatch):
     solver.solve(np.full(17, 0.1))
     # Sigma^-1 blocks of 5 slabs: 0-4, 5-9, 10-14, 15-16
     assert len(made) == 1 and fills == [0, 5, 10, 15, 14, 9, 4]
-
-
-@pytest.mark.parametrize("rows, cols", [(8, 512), (4, 1024)])
-def test_wide_transfer_unpacks_each_slab_once(monkeypatch, rows, cols):
-    # one slab's Sigma^-1 (2 and 8 MB) is more than SLAB_BLOCK_BYTES, and the
-    # adjoint columns take 2 and 8 blocks; all of them are swept together,
-    # so each slab is unpacked once, from the sinks up
-    fills = []
-
-    class RecordingSigmas(_Sigmas):
-        def __getitem__(self, k):
-            if not self._lo <= k < self._hi:
-                fills.append(k)
-            return super().__getitem__(k)
-
-    monkeypatch.setattr(xbarsim.circuit, "_Sigmas", RecordingSigmas)
-    config = CrossbarConfig(rows, cols)
-    solver = CrossbarSolver(config, np.random.default_rng(cols).uniform(
-        G_MIN, G_MAX, size=(rows, cols)))
-    T = solver.transfer_matrix()
-    assert fills == [*range(rows - 1, -1, -1)]
-    v = np.full(rows, 0.1)
-    assert rel_diff(v @ T, solver.solve(v).i_out) <= 1e-12
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 5), (9, 4), (27, 16), (40, 16)])
