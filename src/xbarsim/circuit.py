@@ -25,12 +25,14 @@ the column output currents. The regimes differ in how they hold (A, S, C):
   assembled. With neither free (r_in == r_out == 0) there is no unknown and
   the output is v_in @ g_dev.
 
-A is factorized once per conductance matrix, and every solve on it is
-residual-checked, ||A x - b|| / ||b|| per right-hand side over every node.
-Once `transfer_matrix` has cached T, the grid factor is released, since
-`currents` reads only T; a later `solve` factorizes A again, to the same
-bits. The solver keeps read-only copies of g and g_dev, so a factor made
-again describes the array that T does.
+A is factorized once per conductance matrix. Every solve, and every
+transfer matrix that a solver hands out, is residual-checked,
+||A x - b|| / ||b|| per right-hand side over every node; the transfer
+matrices a conversion steers on (`transfer_matrix(check=False)`) are not.
+Once `transfer_matrix` has cached and checked T, the grid factor is
+released, since `currents` reads only T; a later `solve` factorizes A
+again, to the same bits. The solver keeps read-only copies of g and g_dev,
+so a factor made again describes the array that T does.
 The grid is factorized by exact block elimination over row slabs
 (`_SlabFactor`): each row touches the next only through the column wires, so
 the dense blocks, each built in closed form, are only n wide. Each slab's
@@ -40,17 +42,20 @@ m+n nodes, is dense and gets a LAPACK Cholesky factor. The network is
 linear, so its output currents are `v_in @ T` for the transfer matrix
 T = S^T A^-1 C, which `transfer_matrix` computes once from one adjoint solve
 per column and caches; batch `currents` are that one product. A grid solve
-back-sweeps its rungs from the sinks up a block of slabs at a time, and
-recovers each block's chains, rows of T and residual as soon as the block's
-rungs and the rung of the slab above it are known; a transfer keeps only
-that window of rungs. One byte budget, SLAB_BLOCK_BYTES, sizes every block
-(`_block_len`): the slabs the factor builds, inverts and packs at once, the
-Sigma^-1 a sweep unpacks at once, the slabs a back sweep takes at once, and
-the adjoint columns a transfer solves at once. Each solve and each transfer
-unpacks Sigma^-1 through one `_Sigmas`. Node voltages come only from
-`solve` (and `simulate`). Two references check the solver: `ideal_vmm`, the
-exact zero-parasitic product, and `oracle_solve`, a dense solve with
-independently derived assembly for small arrays.
+back-sweeps its rungs from the sinks up a block of slabs at a time
+(`_rungs`), and recovers each block's chains and residual as soon as the
+block's rungs and the rung of the slab above it are known (`_back_sweep`);
+a sweep keeps only that window of rungs. A grid transfer takes each row of
+T from its slab's rungs alone, and its check is a second sweep that
+recovers the chains and the residual. One byte budget, SLAB_BLOCK_BYTES,
+sizes every block (`_block_len`): the slabs the factor builds, inverts and
+packs at once, the Sigma^-1 a sweep unpacks at once, the slabs a back sweep
+takes at once, and the adjoint columns a transfer or its check solves at
+once. Each solve, each transfer and each check unpacks Sigma^-1 through one
+`_Sigmas`. Node voltages come only from `solve` (and `simulate`). Two
+references check the solver: `ideal_vmm`, the exact zero-parasitic product,
+and `oracle_solve`, a dense solve with independently derived assembly for
+small arrays.
 
 The LAPACK routines (`dpotrf`, `dpotri`, `dpotrs`) come from scipy's f2py
 extension `scipy.linalg._flapack`, which `_load_lapack` loads without
@@ -105,6 +110,9 @@ def _load_lapack():
 lapack = _load_lapack()
 
 RESIDUAL_TOL = 1e-10
+# relative agreement of a checked transfer matrix's entries with the chain
+# heads of its adjoint solves; they agree within about 6e-15 (measured)
+HEAD_TOL = 1e-12
 # bytes of every grid block (`_block_len`): of the slabs the factor builds,
 # inverts and packs, and a sweep unpacks, at once (8 w^2 bytes a slab); of
 # the slabs' voltages a back sweep takes at once, whose window of rungs,
@@ -264,10 +272,13 @@ class _SlabFactor:
     slabs at a time, upper triangles only (`_schur_inverses`). Each
     Sigma_k^-1 is kept as its packed upper triangle, w(w+1)/2 values, and
     the sweeps unpack it, bit for bit the symmetric block (`_Sigmas`). A
-    solve sweeps the rungs forward, then back from the sinks up, recovering
-    the chains and the residual block by block as it goes (`_back_sweep`).
-    Every right-hand side is terminal injections: sources at the chains'
-    heads, sinks at the last slab's rungs.
+    solve sweeps the rungs forward, then back from the sinks up (`_rungs`),
+    recovering the chains and the residual block by block as it goes
+    (`_back_sweep`). A transfer back-sweeps the rungs alone and takes T
+    from them (`transfer`); its check is a separate sweep that recovers the
+    chains and the residual on every node, and holds T to the chains' heads
+    (`check_transfer`). Every right-hand side is terminal injections:
+    sources at the chains' heads, sinks at the last slab's rungs.
 
     Slabs are rows: the chain is the top row with the source at its start,
     the rungs are the bottom nodes, sinking below the last row, and the
@@ -312,27 +323,20 @@ class _SlabFactor:
             r[:, p] += np.multiply(mult[:, p], r[:, p + 1], out=tmp)
         return r
 
-    def _back_sweep(self, sig, y, src=None, sink=None, top=None):
+    def _rungs(self, sig, y=None, sink=None):
         """Back-substitution of the forward-swept rung system from the sinks
-        up, with the Sigma^-1 of sig (a `_Sigmas`), and the chains and the
-        residual from it, a block of slabs at a time: a block is done as soon
-        as its own rungs and the rung of the slab above it are known, so only
-        a window of step + 2 slabs of rungs is kept, in buffers of about
-        SLAB_BLOCK_BYTES each, made once.
-
-        The right-hand side is y (slabs, w, k), which takes the rungs in
-        place, with top (slabs, w, k) taking the chains; or, with y None,
-        sink (w, k) at the last slab alone, every slab above holding zeros.
-        b is src (slabs, k) at the chains' heads and sink at the last slab's
-        rungs. Returns the chains' head voltages (slabs, k) and the columns'
-        sums of squares of the residual."""
+        up, with the Sigma^-1 of sig (a `_Sigmas`), a block of slabs at a
+        time: yields lo, hi and the window win whose slot s - lo + 1 holds the
+        rungs of slab s, lo - 1 <= s <= hi, as soon as the block's own rungs
+        and the rung of the slab above it are known. Only that window of
+        step + 2 slabs of rungs is kept, in one buffer of about
+        SLAB_BLOCK_BYTES, made once. The right-hand side is y (slabs, w, k);
+        or, with y None, sink (w, k) at the last slab alone, every slab above
+        holding zeros."""
         gw, slabs = self._g_wire, len(self._gd)
         last = sink if y is None else y[-1]
         step = _block_len(slabs, last.nbytes)
-        # window slot s - lo + 1 holds the rungs of slab s, lo - 1 <= s <= hi
         win = np.empty((step + 2, *last.shape))
-        work = np.empty((3, step + 1, *last.shape))
-        heads, num2 = np.empty((slabs, last.shape[1])), np.zeros(last.shape[1])
         for lo in reversed(range(0, slabs, step)):
             hi, up = min(lo + step, slabs), min(lo, 1)
             h = hi - lo
@@ -345,6 +349,22 @@ class _SlabFactor:
                 if y is not None:
                     b += y[s]
                 np.matmul(sig[s], b, out=win[s - lo + 1])
+            yield lo, hi, win
+
+    def _back_sweep(self, sig, y, src=None, sink=None, top=None):
+        """The rungs from `_rungs`, and the chains and the residual from them
+        block by block, in buffers of about SLAB_BLOCK_BYTES each, made once.
+        The right-hand side is as for `_rungs`: y takes the rungs in place,
+        with top (slabs, w, k) taking the chains. b is src (slabs, k) at the
+        chains' heads and sink at the last slab's rungs. Returns the chains'
+        head voltages (slabs, k) and the columns' sums of squares of the
+        residual."""
+        slabs, k = len(self._gd), (sink if y is None else y).shape[-1]
+        heads, num2, work = np.empty((slabs, k)), np.zeros(k), None
+        for lo, hi, win in self._rungs(sig, y, sink):
+            if work is None:   # beside the window, one slot shorter
+                work = np.empty((3, len(win) - 1, *win.shape[1:]))
+            h, up = hi - lo, min(lo, 1)
             top_lo = np.multiply(self._gd[lo:hi], win[1:h + 1], out=work[2, :h])
             if src is not None:
                 top_lo[:, 0] += src[lo:hi]
@@ -413,24 +433,54 @@ class _SlabFactor:
         num2 = self._back_sweep(sig, rung, src=src, top=top)[1]
         return top, rung, _worst_residual(num2, np.einsum("ik,ik->k", src, src))
 
-    def transfer(self):
-        """T = g_src x_top[:, 0], (slabs, w), residual-checked on every node,
-        from one adjoint solve per column with its sink as right-hand side, a
-        block of columns at a time: as many as keep one slab's (w, k)
-        voltages inside SLAB_BLOCK_BYTES, all back-swept with one `_Sigmas`.
-        No solution is stored whole: the back sweep keeps a window of rungs,
-        and the chains, T and the residual go slab block by slab block."""
+    def _sinks(self):
+        """The adjoint right-hand sides of a transfer, a block of columns at a
+        time, as many as keep one slab's (w, k) voltages inside
+        SLAB_BLOCK_BYTES: start, stop and sink (w, stop - start), column j's
+        g_sink at its last rung."""
         w = self._gd.shape[1]
-        sig, step = _Sigmas(self._inv, self._sym), _block_len(w, 8 * w)
-        T, num2 = np.empty(self._gd.shape[:2]), np.empty(w)
+        step = _block_len(w, 8 * w)
         for start in range(0, w, step):
             stop = min(start + step, w)
             sink = np.zeros((w, stop - start))
             sink[range(start, stop), range(stop - start)] = self.g_sink
-            heads, num2[start:stop] = self._back_sweep(sig, None, sink=sink)
-            T[:, start:stop] = self.g_src * heads
-        _worst_residual(num2, np.full(w, self.g_sink * self.g_sink))
+            yield start, stop, sink
+
+    def transfer(self):
+        """T = g_src x_top[:, 0], (slabs, w), unchecked, from one adjoint
+        solve per column with its sink as right-hand side (`_sinks`), every
+        block back-swept on the rungs alone with one `_Sigmas`. A chain's
+        head is z_k^T G_k X_k for its slab's rungs X_k, with z_k = M_k^-1 e_0
+        the first row of the chain inverse, so each block of slabs of T is
+        one batched matmul of the window with the rows g_src z_k^T G_k, made
+        by one chain solve."""
+        slabs, w = self._gd.shape[:2]
+        z = np.zeros((slabs, w, 1))
+        z[:, 0] = 1.0
+        rows = (self.g_src * self._chain_solve(z) * self._gd).reshape(slabs, 1, w)
+        sig, T = _Sigmas(self._inv, self._sym), np.empty((slabs, w))
+        for start, stop, sink in self._sinks():
+            for lo, hi, win in self._rungs(sig, sink=sink):
+                np.matmul(rows[lo:hi], win[1:hi - lo + 1], out=T[lo:hi, None, start:stop])
         return T
+
+    def check_transfer(self, T):
+        """Check T, as `transfer` made it, against the adjoint solves it
+        comes from, in a sweep that also recovers the chains (`_back_sweep`):
+        the residual on every node against RESIDUAL_TOL, and every entry of
+        T against g_src times its chain's head within HEAD_TOL relative.
+        Raises SolverError if either fails."""
+        w = self._gd.shape[1]
+        sig, num2, agrees = _Sigmas(self._inv, self._sym), np.empty(w), True
+        for start, stop, sink in self._sinks():
+            heads, num2[start:stop] = self._back_sweep(sig, None, sink=sink)
+            heads *= self.g_src
+            agrees &= bool((np.abs(T[:, start:stop] - heads)
+                            <= HEAD_TOL * np.abs(heads)).all())
+        _worst_residual(num2, np.full(w, self.g_sink * self.g_sink))
+        if not agrees:
+            raise SolverError(f"transfer matrix differs from its adjoint solves "
+                              f"by more than {HEAD_TOL:.3g} relative")
 
 
 def _worst_residual(num2, den2):
@@ -453,8 +503,8 @@ class CrossbarSolver:
     (A, S, C). `solve` back-substitutes for the node voltages of one input;
     `currents` multiplies a batch of inputs by the cached transfer matrix,
     so many input vectors against the same conductances cost one matrix
-    product. Caching T releases the grid factor, which `solve` makes again
-    on demand and then keeps.
+    product. Checking the cached T releases the grid factor, which `solve`
+    makes again on demand and then keeps.
     """
 
     def __init__(self, config: CrossbarConfig, g):
@@ -467,7 +517,7 @@ class CrossbarSolver:
             self.g_dev = self.g
         self.g.flags.writeable = self.g_dev.flags.writeable = False
         self._grid = config.r_wire > 0.0
-        self._T = None
+        self._T, self._checked = None, False
         self._factor()
 
     def _factor(self):
@@ -517,33 +567,48 @@ class CrossbarSolver:
         return x, _worst_residual(np.einsum("ij,ij->j", r, r),
                                   np.einsum("ij,ij->j", rhs, rhs))
 
-    def transfer_matrix(self):
+    def transfer_matrix(self, check=True):
         """Exact input-to-output linear map T = S^T A^-1 C, (rows, cols):
         i_out = v_in @ T.
 
         Computed on the first call from one adjoint back-substitution per
-        column on the existing factorization (A is symmetric), residual-
-        checked on every node, and cached read-only. The lumped regime
-        solves every column in one `dpotrs` on the C it already holds; the
-        grid, in `_SlabFactor.transfer`, a block of columns at a time, as
-        many as keep one slab's voltages inside SLAB_BLOCK_BYTES (all of
-        them up to 362 wide), each back-swept a block of slabs at a time
-        with only a window of rungs kept, so its working set is a few slab
-        blocks (6 MB at 576x64, against a packed Sigma^-1 store of 9.6 MB,
-        18.9 MB unpacked). With no free node T is g_dev exactly. The grid
-        factor is released once T is cached.
+        column on the existing factorization (A is symmetric) and cached
+        read-only. The lumped regime solves every column in one `dpotrs` on
+        the C it already holds, residual-checked on every node as it is
+        solved. The grid, in `_SlabFactor.transfer`, back-sweeps a block of
+        columns at a time, as many as keep one slab's voltages inside
+        SLAB_BLOCK_BYTES (all of them up to 362 wide), on the rungs alone, a
+        block of slabs at a time with only a window of rungs kept, and takes
+        each row of T from its slab's rungs; a T with a non-finite entry is
+        a SolverError at once. With no free node T is g_dev exactly.
+
+        Every T this returns with `check` (the default), and every T that
+        `currents` reads, has passed `_SlabFactor.check_transfer`: a second
+        sweep recovers the chains, checks the residual on every node against
+        RESIDUAL_TOL and T against the chains' heads, and then the grid
+        factor is released. Either sweep's working set is a few slab blocks
+        (3.2 MB for the transfer and 5.9 MB for its check at 576x64, against
+        a packed Sigma^-1 store of 9.6 MB, 18.9 MB unpacked). `check=False`
+        returns the grid's T unchecked and keeps the factor for a later
+        check; `engine.convert` takes it so on every pass and checks only
+        the array it returns.
         """
         if self._T is None:
             if self._grid:
-                # inference reads only T: the grid factor goes, and `solve`
-                # makes it again
-                T, self._lu = self._lu.transfer(), None
+                T = self._lu.transfer()
+                if not np.isfinite(T).all():
+                    raise SolverError("transfer matrix has non-finite entries")
             elif len(self._A):
                 T = self._S.T @ self._solve_free(self._C)[0]
             else:
                 T = self.g_dev.copy()
             T.flags.writeable = False
-            self._T = T
+            self._T, self._checked = T, not self._grid
+        if check and not self._checked:
+            # inference reads only T: the grid factor goes, and `solve`
+            # makes it again
+            self._lu.check_transfer(self._T)
+            self._checked, self._lu = True, None
         return self._T
 
     def currents(self, V, check_range=True):

@@ -81,8 +81,10 @@ class WeightMapping:
 class ConversionResult:
     """The solver of the programmed array plus convergence diagnostics.
 
-    Under method "transfer" the solver has cached T and so released its
-    grid factor; under "branch" it keeps the factor its last solve used.
+    Under method "transfer" the solver has cached T, residual-checked on
+    every node, and so released its grid factor; the T of every earlier pass
+    only steered an update and was never checked. Under "branch" it keeps
+    the factor its last solve used.
     """
 
     solver: CrossbarSolver    # on the returned conductances, read-only
@@ -164,6 +166,16 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
     `iterations` counts the updates applied: max_iter=0 is direct mapping,
     and `iterations + 1` arrays are factorized. `stop` names the exit taken;
     `converged` reports whether `col_error` <= CONVERGED_TOL.
+
+    Under "transfer" each pass steers on its T unchecked
+    (`transfer_matrix(check=False)`), and only the returned solver's T is
+    residual-checked, once, after the last pass; a failing check is a
+    SolverError. So a conversion can steer off an array whose T would fail
+    the check: a 64x64 array at r_wire = 1e10, whose mapped targets' T reads
+    a residual just above RESIDUAL_TOL, now returns an array whose T passes,
+    though a `solve` on it is still refused (ROADMAP item 11). And a regime
+    in which every array fails raises only after the last pass. A steering
+    T with a non-finite entry is a SolverError at once.
     """
     g_target = np.asarray(g_target, dtype=float)
     if g_target.shape != (config.rows, config.cols):
@@ -215,6 +227,11 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
         # free this pass's solver and eff before the next solver is built, and leave
         # gp the one name of the next targets, so only the next solver's copy stays
         del solver, g_new, eff
+    if method == "transfer":
+        # the one residual check, of the T returned, with this pass's eff
+        # and next targets freed as on every pass
+        eff = g_new = None
+        solver.transfer_matrix()
     return ConversionResult(
         solver=solver, col_scale=s, iterations=iterations,
         converged=stop == "converged", stop=stop, col_error=col_error,
@@ -227,7 +244,7 @@ def convert(config: CrossbarConfig, g_target, v_conv, method="transfer",
 def _response(solver, method, v_conv):
     """One pass's output currents and each device's realized fraction `eff`."""
     if method == "transfer":
-        transfer = solver.transfer_matrix()
+        transfer = solver.transfer_matrix(check=False)
         return v_conv @ transfer, transfer / solver.g
     sol = solver.solve(v_conv, check_range=False)
     v_drop = np.maximum(sol.v_top - sol.v_bot, 1e-300)

@@ -199,11 +199,86 @@ def test_transfer_matrix_column_blocks_match_one_block(monkeypatch, rows, cols):
     assert rel_diff(T, ref) <= 1e-12
 
 
+@pytest.mark.parametrize("rows, cols, budget", [
+    (1, 1, None), (1, 5, None), (5, 1, None), (27, 16, None), (144, 16, None),
+    (288, 32, None), (576, 64, None),
+    # column blocks of 64, 64 and 32, and of 218, 218 and 164
+    (16, 160, 8 * 160 * 64), (2, 600, None)])
+def test_steering_transfer_matches_its_chain_heads(monkeypatch, rows, cols, budget):
+    # T from the rungs alone, g_src z_k^T G_k X_k, against g_src times the
+    # chain heads that the checking sweep recovers from the same rungs:
+    # within 1e-13 relative, entry by entry, in the default regime, with
+    # inputs tied to the rows through a select transistor, and where the
+    # chain multipliers underflow across a slab
+    if budget:
+        monkeypatch.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", budget)
+    heads, back_sweep = [], xbarsim.circuit._SlabFactor._back_sweep
+
+    def recording_back_sweep(self, *args, **kwargs):
+        got = back_sweep(self, *args, **kwargs)
+        heads.append(self.g_src * got[0])
+        return got
+
+    monkeypatch.setattr(xbarsim.circuit._SlabFactor, "_back_sweep", recording_back_sweep)
+    rng = np.random.default_rng(rows * cols)
+    g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
+    for xb in ({}, {"r_in": 0.0, "r_transistor_on": 500.0}, {"r_wire": 3e6}):
+        solver = CrossbarSolver(CrossbarConfig(rows, cols, **xb), g)
+        heads.clear()
+        T = solver.transfer_matrix(check=False).copy()
+        assert not heads
+        solver.transfer_matrix()
+        ref = np.concatenate(heads, axis=1)
+        assert ref.shape == (rows, cols) and np.all(ref > 0.0)
+        assert np.all(np.abs(T - ref) <= 1e-13 * ref)
+
+
+def test_transfer_check_holds_t_to_its_chain_heads():
+    # the check vouches for the T it is given: one entry 1e-11 off its
+    # chain head is a SolverError, however small the residual
+    rng = np.random.default_rng(27)
+    lu = CrossbarSolver(CrossbarConfig(27, 16),
+                        rng.uniform(G_MIN, G_MAX, size=(27, 16)))._lu
+    T = lu.transfer()
+    lu.check_transfer(T)
+    T[13, 5] *= 1.0 + 1e-11
+    with pytest.raises(SolverError, match="differs from its adjoint solves"):
+        lu.check_transfer(T)
+
+
+def test_an_unchecked_transfer_keeps_its_factor_until_it_is_checked(monkeypatch):
+    # check=False hands out T unchecked and keeps the grid factor; T is
+    # checked once, by the first call that asks for it or by `currents`,
+    # and then the factor goes
+    config, g, v = random_instance(5)
+    checks, check_transfer = [], xbarsim.circuit._SlabFactor.check_transfer
+
+    def counting_check(self, T):
+        checks.append(T)
+        return check_transfer(self, T)
+
+    monkeypatch.setattr(xbarsim.circuit._SlabFactor, "check_transfer", counting_check)
+    solver = CrossbarSolver(config, g)
+    T = solver.transfer_matrix(check=False)
+    assert solver.transfer_matrix(check=False) is T
+    assert not checks and solver._lu is not None and not T.flags.writeable
+    assert np.array_equal(solver.currents(v), v[None] @ T)
+    assert len(checks) == 1 and checks[0] is T and solver._lu is None
+    assert solver.transfer_matrix() is T and len(checks) == 1
+    monkeypatch.setattr(xbarsim.circuit, "RESIDUAL_TOL", -1.0)
+    for read in (lambda s: s.transfer_matrix(), lambda s: s.currents(v)):
+        solver = CrossbarSolver(config, g)
+        solver.transfer_matrix(check=False)
+        with pytest.raises(SolverError, match="residual"):
+            read(solver)
+
+
 def test_transfer_and_solve_each_unpack_through_one_sigmas(monkeypatch):
     # a transfer's column blocks share one _Sigmas, so a one-slab array
     # unpacks its Sigma^-1 once however many blocks it takes, and a wider
-    # one once a block; a solve's back sweep starts on the block of slabs
-    # its forward sweep unpacked last
+    # one once a block; so do the column blocks of the sweep that checks
+    # it; a solve's back sweep starts on the block of slabs its forward
+    # sweep unpacked last
     made, fills = [], []
 
     class RecordingSigmas(_Sigmas):
@@ -228,10 +303,11 @@ def test_transfer_and_solve_each_unpack_through_one_sigmas(monkeypatch):
             m.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", budget)
             solver = CrossbarSolver(CrossbarConfig(rows, 160),
                                     rng.uniform(G_MIN, G_MAX, size=(rows, 160)))
-            made.clear()
-            fills.clear()
-            solver.transfer_matrix()
-            assert len(made) == 1 and fills == want
+            for check in (False, True):
+                made.clear()
+                fills.clear()
+                solver.transfer_matrix(check=check)
+                assert len(made) == 1 and fills == want
     made.clear()
     fills.clear()
     solver.solve(np.full(17, 0.1))
@@ -248,7 +324,7 @@ def test_transfer_slab_blocks_cover_every_node(monkeypatch, rows, cols):
     # drops or repeats a node or a Schur complement
     rng = np.random.default_rng(rows * cols)
     g = rng.uniform(G_MIN, G_MAX, size=(rows, cols))
-    # the residual sums the transfer checks, on one block of every column
+    # the residual sums the transfer's check, on one block of every column
     checked, worst_residual = [], xbarsim.circuit._worst_residual
 
     def recording_worst_residual(num2, den2):
@@ -268,6 +344,7 @@ def test_transfer_slab_blocks_cover_every_node(monkeypatch, rows, cols):
             solver = CrossbarSolver(config, g)
             checked.clear()
             T = solver._lu.transfer()
+            solver._lu.check_transfer(T)
             (num2, den2), = checked
             monkeypatch.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", slabs * cols * 8)
             runs.append((solver._lu._inv, T, num2, den2, solver.solve(v)))
