@@ -35,11 +35,13 @@ again, to the same bits. The solver keeps read-only copies of g and g_dev,
 so a factor made again describes the array that T does.
 The grid is factorized by exact block elimination over row slabs
 (`_SlabFactor`): each row touches the next only through the column wires, so
-the dense blocks, each built in closed form, are only n wide. Each slab's
-symmetric Sigma^-1 block is kept as its packed upper triangle, n(n+1)/2
-values (9.6 MB at 576x64 instead of 18.9 MB). The lumped system, at most
-m+n nodes, is dense and gets a LAPACK Cholesky factor. The network is
-linear, so its output currents are `v_in @ T` for the transfer matrix
+the dense blocks, each built in closed form, are only n wide. The Schur
+recursion runs in units of the wire conductance, on S_k = Sigma_k / g_wire,
+so each slab's symmetric S_k^-1 = g_wire Sigma_k^-1 block, the map one sweep
+step applies, is kept as its packed upper triangle, n(n+1)/2 values (9.6 MB
+at 576x64 instead of 18.9 MB). The lumped system, at most m+n nodes, is
+dense and gets a LAPACK Cholesky factor. The network is linear, so its
+output currents are `v_in @ T` for the transfer matrix
 T = S^T A^-1 C, which `transfer_matrix` computes once from one adjoint solve
 per column and caches; batch `currents` are that one product. A grid solve
 back-sweeps its rungs from the sinks up a block of slabs at a time
@@ -49,9 +51,9 @@ a sweep keeps only that window of rungs. A grid transfer takes each row of
 T from its slab's rungs alone, and its check is a second sweep that
 recovers the chains and the residual. One byte budget, SLAB_BLOCK_BYTES,
 sizes every block (`_block_len`): the slabs the factor builds, inverts and
-packs at once, the Sigma^-1 a sweep unpacks at once, the slabs a back sweep
+packs at once, the S^-1 a sweep unpacks at once, the slabs a back sweep
 takes at once, and the adjoint columns a transfer or its check solves at
-once. Each solve, each transfer and each check unpacks Sigma^-1 through one
+once. Each solve, each transfer and each check unpacks S^-1 through one
 `_Sigmas`. Node voltages come only from `solve` (and `simulate`). Two
 references check the solver: `ideal_vmm`, the exact zero-parasitic product,
 and `oracle_solve`, a dense solve with independently derived assembly for
@@ -206,14 +208,16 @@ def _rung_blocks(gd, chain, rung, g_wire):
     return K, piv
 
 
-def _schur_inverses(K, prev, g_wire, lo):
-    """Sigma_k^-1 of slabs lo, lo+1, ... in place of their rung blocks K
-    (h, w, w), upper triangles only, from Sigma_k = K_k - g_wire^2
-    Sigma_{k-1}^-1 with prev the Sigma^-1 of slab lo - 1 (None if lo is 0).
-    The lower triangles, zero in K and in prev, stay zero."""
+def _schur_inverses(K, prev, lo):
+    """S_k^-1 = g_wire Sigma_k^-1 of slabs lo, lo+1, ... in place of their
+    scaled rung blocks K (h, w, w), K_k / g_wire, upper triangles only: the
+    recursion Sigma_k = K_k - g_wire^2 Sigma_{k-1}^-1 run on
+    S_k = Sigma_k / g_wire is S_k = K_k / g_wire - S_{k-1}^-1, with prev the
+    S^-1 of slab lo - 1 (None if lo is 0). The lower triangles, zero in K
+    and in prev, stay zero."""
     for i, a in enumerate(K):
         if lo + i:
-            a -= g_wire ** 2 * (K[i - 1] if i else prev)
+            a -= K[i - 1] if i else prev
         # in place through the Fortran-ordered transpose: the Cholesky factor
         # reads, and the inverse fills, the upper triangle only
         c, info = lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
@@ -235,12 +239,12 @@ def _packing(w):
 
 
 class _Sigmas:
-    """The Sigma_k^-1 of a packed store (slabs, w(w+1)/2), unpacked through
-    sym as sweeps ask for them into one buffer of about SLAB_BLOCK_BYTES, a
-    block of slabs at a time: a miss fills the block that holds k, blocks
-    starting at multiples of the buffer's length, so a sweep either way
-    unpacks each slab once, and a store that fits the buffer is unpacked
-    once for all the sweeps that share it."""
+    """The S_k^-1 = g_wire Sigma_k^-1 of a packed store (slabs, w(w+1)/2),
+    unpacked through sym as sweeps ask for them into one buffer of about
+    SLAB_BLOCK_BYTES, a block of slabs at a time: a miss fills the block
+    that holds k, blocks starting at multiples of the buffer's length, so a
+    sweep either way unpacks each slab once, and a store that fits the
+    buffer is unpacked once for all the sweeps that share it."""
 
     def __init__(self, inv, sym):
         self._inv, self._sym = inv, sym
@@ -269,15 +273,17 @@ class _SlabFactor:
     dense SPD rung blocks K_k = D_k - G_k M_k^-1 G_k (`_rung_blocks`), coupled
     as a block-tridiagonal system whose Schur complements Sigma_0 = K_0,
     Sigma_k = K_k - g_w^2 Sigma_{k-1}^-1 are inverted once here, a block of
-    slabs at a time, upper triangles only (`_schur_inverses`). Each
-    Sigma_k^-1 is kept as its packed upper triangle, w(w+1)/2 values, and
-    the sweeps unpack it, bit for bit the symmetric block (`_Sigmas`). A
-    solve sweeps the rungs forward, then back from the sinks up (`_rungs`),
-    recovering the chains and the residual block by block as it goes
-    (`_back_sweep`). A transfer back-sweeps the rungs alone and takes T
-    from them (`transfer`); its check is a separate sweep that recovers the
-    chains and the residual on every node, and holds T to the chains' heads
-    (`check_transfer`). Every right-hand side is terminal injections:
+    slabs at a time, upper triangles only (`_schur_inverses`). The recursion
+    runs on S_k = Sigma_k / g_w, S_k = K_k / g_w - S_{k-1}^-1, so that an
+    update takes no temporary and a sweep step no scaling. Each
+    S_k^-1 = g_w Sigma_k^-1 is kept as its packed upper triangle, w(w+1)/2
+    values, and the sweeps unpack it, bit for bit the symmetric block
+    (`_Sigmas`). A solve sweeps the rungs forward, then back from the sinks
+    up (`_rungs`), recovering the chains and the residual block by block as
+    it goes (`_back_sweep`). A transfer back-sweeps the rungs alone and
+    takes T from them (`transfer`); its check is a separate sweep that
+    recovers the chains and the residual on every node, and holds T to the
+    chains' heads (`check_transfer`). Every right-hand side is terminal injections:
     sources at the chains' heads, sinks at the last slab's rungs.
 
     Slabs are rows: the chain is the top row with the source at its start,
@@ -298,13 +304,14 @@ class _SlabFactor:
         self._piv = np.empty((slabs, w, 1))
         self._inv = np.empty((slabs, len(upper)))
         # the rung blocks are made, inverted and packed a block of slabs at a
-        # time; prev carries the last Sigma^-1 of a block to the next one
+        # time; prev carries the last S^-1 of a block to the next one
         step, prev = _block_len(slabs, 8 * w * w), None
         for lo in range(0, slabs, step):
             hi = min(lo + step, slabs)
             K, piv = _rung_blocks(g_dev[lo:hi], chain[:, lo:hi], rung[lo:hi], g_wire)
             self._piv[lo:hi, :, 0] = piv.T
-            _schur_inverses(K, prev, g_wire, lo)
+            K /= g_wire
+            _schur_inverses(K, prev, lo)
             np.take(K.reshape(hi - lo, -1), upper, axis=1, mode="clip",
                     out=self._inv[lo:hi])
             prev = K[-1].copy() if hi < slabs else None
@@ -325,16 +332,18 @@ class _SlabFactor:
 
     def _rungs(self, sig, y=None, sink=None):
         """Back-substitution of the forward-swept rung system from the sinks
-        up, with the Sigma^-1 of sig (a `_Sigmas`), a block of slabs at a
-        time: yields lo, hi and the window win whose slot s - lo + 1 holds the
+        up, with the S^-1 of sig (a `_Sigmas`), a block of slabs at a time:
+        yields lo, hi and the window win whose slot s - lo + 1 holds the
         rungs of slab s, lo - 1 <= s <= hi, as soon as the block's own rungs
         and the rung of the slab above it are known. Only that window of
         step + 2 slabs of rungs is kept, in one buffer of about
-        SLAB_BLOCK_BYTES, made once. The right-hand side is y (slabs, w, k);
-        or, with y None, sink (w, k) at the last slab alone, every slab above
-        holding zeros."""
+        SLAB_BLOCK_BYTES, made once. The right-hand side is y (slabs, w, k),
+        which it overwrites above the last slab; or, with y None, sink (w, k)
+        at the last slab alone, every slab above holding zeros. The store
+        holds S_k^-1 = g_wire Sigma_k^-1, so a step is
+        x_s = S_s^-1 (y_s / g_wire + x_{s+1}), one matmul into the window."""
         gw, slabs = self._g_wire, len(self._gd)
-        last = sink if y is None else y[-1]
+        last = (sink if y is None else y[-1]) / gw
         step = _block_len(slabs, last.nbytes)
         win = np.empty((step + 2, *last.shape))
         for lo in reversed(range(0, slabs, step)):
@@ -345,9 +354,12 @@ class _SlabFactor:
             else:   # slabs hi - 1 and hi, solved with the block below
                 win[h:h + 2] = win[:2]
             for s in range(hi - 2, lo - up - 1, -1):
-                b = gw * win[s - lo + 2]
-                if y is not None:
-                    b += y[s]
+                if y is None:
+                    b = win[s - lo + 2]
+                else:
+                    b = y[s]
+                    b /= gw
+                    b += win[s - lo + 2]
                 np.matmul(sig[s], b, out=win[s - lo + 1])
             yield lo, hi, win
 
@@ -421,14 +433,15 @@ class _SlabFactor:
     def solve(self, v):
         """Node voltages for inputs v (slabs, k) at the sources: top and
         bottom (slabs, w, k), and the worst relative residual, checked."""
-        gw, sig = self._g_wire, _Sigmas(self._inv, self._sym)
+        sig = _Sigmas(self._inv, self._sym)
         src = self.g_src * v
         rung = np.zeros((*self._gd.shape[:2], src.shape[1]))
         rung[:, 0] = src
-        # eliminate the chains' injections into the rungs, then sweep forward
+        # eliminate the chains' injections into the rungs, then sweep forward:
+        # g_wire Sigma_{k-1}^-1 is the stored S_{k-1}^-1
         rung = self._gd * self._chain_solve(rung)
         for k in range(1, len(rung)):
-            rung[k] += gw * (sig[k - 1] @ rung[k - 1])
+            rung[k] += sig[k - 1] @ rung[k - 1]
         top = np.empty_like(rung)
         num2 = self._back_sweep(sig, rung, src=src, top=top)[1]
         return top, rung, _worst_residual(num2, np.einsum("ik,ik->k", src, src))
@@ -588,7 +601,7 @@ class CrossbarSolver:
         RESIDUAL_TOL and T against the chains' heads, and then the grid
         factor is released. Either sweep's working set is a few slab blocks
         (3.2 MB for the transfer and 5.9 MB for its check at 576x64, against
-        a packed Sigma^-1 store of 9.6 MB, 18.9 MB unpacked). `check=False`
+        a packed S^-1 store of 9.6 MB, 18.9 MB unpacked). `check=False`
         returns the grid's T unchecked and keeps the factor for a later
         check; `engine.convert` takes it so on every pass and checks only
         the array it returns.

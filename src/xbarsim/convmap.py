@@ -96,10 +96,12 @@ def window_matrix(fm: FeatureMap, spec: ConvSpec):
     p, s = spec.padding, spec.stride
     padded = np.pad(fm.data, ((p, p), (p, p), (0, 0)))
     # read-only (y, x, channel, kernel row, kernel column) views of every
-    # window; np.array copies the strided selection once into a new array
+    # window; np.array copies the strided selection once into a new array in
+    # that C order, which the reshape then only views
     windows = sliding_window_view(padded, (spec.kernel_h, spec.kernel_w),
                                   axis=(0, 1))
-    return np.array(windows[::s, ::s][:oh, :ow]).reshape(oh * ow, spec.unrolled_rows)
+    return np.array(windows[::s, ::s][:oh, :ow], order="C").reshape(
+        oh * ow, spec.unrolled_rows)
 
 
 def conv_reference(fm: FeatureMap, spec: ConvSpec):

@@ -315,9 +315,11 @@ def check_inputs(X, rows, x_max):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2 or X.shape[1] != rows:
         raise ValidationError(f"inputs must have {rows} entries, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValidationError("inputs contain non-finite values")
-    if X.size and (X.min() < -1e-12 or X.max() > x_max * (1.0 + 1e-9)):
+    # one range test: a NaN fails both comparisons, so isfinite runs only
+    # to word the error
+    if X.size and not (X.min() >= -1e-12 and X.max() <= x_max * (1.0 + 1e-9)):
+        if not np.isfinite(X).all():
+            raise ValidationError("inputs contain non-finite values")
         raise ValidationError(f"inputs must lie in [0, {x_max}]")
     return X
 
@@ -417,21 +419,28 @@ class VmmEngine:
     def execute_batch(self, X):
         """Run a batch of input vectors; returns (batch, cols) outputs."""
         X = self._validate_inputs(X)
-        r = self.readout
-        return (r.gain * self._corrected_currents(X) + r.offset
-                - self.mapping.c * X.sum(axis=1)[:, None])
+        r, sums = self.readout, X.sum(axis=1)
+        return (r.gain * self._corrected_currents(X, sums) + r.offset
+                - self.mapping.c * sums[:, None])
 
     # the private helpers take a batch `_validate_inputs` already returned
     def _raw_currents(self, X):
         m, n = self.weights.shape
-        V = np.zeros((X.shape[0], self.config.rows))
-        np.multiply(self.mapping.alpha, X, out=V[:, :m])
+        if m == self.config.rows:
+            V = self.mapping.alpha * X
+        else:   # the rows beyond the weights are driven at 0 V
+            V = np.zeros((X.shape[0], self.config.rows))
+            np.multiply(self.mapping.alpha, X, out=V[:, :m])
         V = dac_quantize(V, self.dac)
         I = self.solver.currents(V, check_range=False)[:, :n]
         return adc_quantize(I, self.adc)
 
-    def _corrected_currents(self, X):
-        floor = self.mapping.alpha * self.config.g_min * X.sum(axis=1)
+    def _corrected_currents(self, X, sums=None):
+        """Raw currents less the baseline, for the row sums of X (taken
+        here if None)."""
+        if sums is None:
+            sums = X.sum(axis=1)
+        floor = self.mapping.alpha * self.config.g_min * sums
         return self._raw_currents(X) - np.outer(floor, self.readout.baseline)
 
     def execute(self, x):

@@ -380,10 +380,14 @@ def _weight_layer(model, layer, fm, mode, tap, report, readout):
     """The (windows, out_channels) output of one conv/fc layer on fm. In
     analog mode the windows are scaled in place to the engine's full input
     range, and a tapped layer's exact product is taken before that."""
-    X = window_matrix(fm, layer.conv_spec)
     if mode == "software":
-        return X @ layer.weights
+        return window_matrix(fm, layer.conv_spec) @ layer.weights
+    # the engine, built on the layer's first analog run and then kept, is
+    # made before the windows are copied: built after, its arrays can land
+    # above that copy on the heap and keep the heap from shrinking when the
+    # copy is freed, which raised a stage-1 run-net's peak RSS by 0.9 MB
     engine = model.engine(layer, **readout)
+    X = window_matrix(fm, layer.conv_spec)
     exact = X @ layer.weights if tap else None
     peak = float(X.max())
     if peak > 0.0:

@@ -61,12 +61,20 @@ class AdcSpec:
 
 
 def _quantize(x, lo, hi, bits, spec):
+    """lo + floor((clip(x) - lo) / lsb + 0.5) lsb, the nearest level with
+    halves rounding up, clipped into one new array and rounded in place; a
+    0-d x gives a scalar."""
     x = np.asarray(x, dtype=float)
-    clipped = np.clip(x, lo, hi)
     spec.clip_count += int(np.count_nonzero((x < lo) | (x > hi)))
     lsb = (hi - lo) / (2 ** bits - 1)
-    code = np.floor((clipped - lo) / lsb + 0.5)  # nearest level, half rounds up
-    return lo + code * lsb
+    q = np.clip(x, lo, hi, out=np.empty_like(x))
+    q -= lo
+    q /= lsb
+    q += 0.5
+    np.floor(q, out=q)
+    q *= lsb
+    q += lo
+    return q[()]
 
 
 def dac_quantize(v, spec: DacSpec):

@@ -644,6 +644,33 @@ def test_rung_blocks_match_dense_inverse(slabs, w, r_wire, underflows):
         assert rel_diff(K[k], np.triu(ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("block_slabs", [None, 2], ids=["one-block", "2-slab-blocks"])
+@pytest.mark.parametrize("r_wire", [1.0, 0.5, 3e6])
+@pytest.mark.parametrize("slabs", [3, 4, 5])
+def test_store_holds_g_wire_times_schur_inverses(monkeypatch, slabs, r_wire, block_slabs):
+    # the recursion runs on S_k = Sigma_k / g_wire, so each unpacked block
+    # of the store is g_wire Sigma_k^-1, with Sigma_0 = K_0 and
+    # Sigma_k = K_k - g_wire^2 Sigma_{k-1}^-1 made densely from the rung
+    # blocks; also where a factor block carries its last S^-1 to the next
+    w = 5
+    if block_slabs:
+        monkeypatch.setattr(xbarsim.circuit, "SLAB_BLOCK_BYTES", 8 * w * w * block_slabs)
+    rng = np.random.default_rng(slabs)
+    config = CrossbarConfig(slabs, w, r_wire=r_wire)
+    solver = CrossbarSolver(config, rng.uniform(G_MIN, G_MAX, size=(slabs, w)))
+    lu, gd, g_wire = solver._lu, solver.g_dev, 1.0 / r_wire
+    chain = gd.T + g_wire * _wire_neighbours(w)[:, None]
+    chain[0] += lu.g_src
+    rung = gd + g_wire * _wire_neighbours(slabs)[:, None]
+    rung[-1] += lu.g_sink
+    K = _rung_blocks(gd, chain, rung, g_wire)[0]
+    sigmas, sigma = _Sigmas(lu._inv, lu._sym), None
+    for k in range(slabs):
+        dense = K[k] + np.triu(K[k], 1).T
+        sigma = dense if k == 0 else dense - g_wire ** 2 * np.linalg.inv(sigma)
+        assert rel_diff(sigmas[k], g_wire * np.linalg.inv(sigma)) <= 1e-12
+
+
 @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (27, 16), (16, 40), (16, 160)])
 def test_grid_matrices_match_coo_assembly(rows, cols):
     # the slab stencil's residual, over slab blocks of every size the

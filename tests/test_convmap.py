@@ -88,6 +88,7 @@ def test_window_matrix_matches_patch_loop():
             got = window_matrix(fm, spec)
             ref = window_matrix_loops(fm, spec)
             assert got.shape == ref.shape
+            assert got.flags.c_contiguous
             assert np.array_equal(got, ref)
 
 

@@ -12,7 +12,7 @@ from xbarsim.config import CrossbarConfig
 from xbarsim import circuit as circuit_mod, engine as engine_mod
 from xbarsim.convmap import ConvSpec, FeatureMap, unroll_kernel, window_matrix
 from xbarsim.engine import (CONVERGED_TOL, SIGNAL_AMPLITUDES, VmmEngine,
-                            build_engine, convert, default_sample_inputs,
+                            build_engine, check_inputs, convert, default_sample_inputs,
                             evaluate_engine, get_cali_para, map_weights,
                             optimize_conversion_signal, program)
 from xbarsim.errors import SolverError, ValidationError
@@ -940,9 +940,9 @@ def test_a_conversion_steers_off_an_array_that_fails_the_check():
     # RESIDUAL_TOL (ROADMAP item 11). Here the mapped targets' T reads
     # 1.09e-10, which refused the conversion when every pass was checked;
     # checked once, it steers off that array and returns one whose T
-    # passes, while a solve on it still reads 2.0e-10 and is refused
+    # passes, while a solve on it still reads 2.1e-10 and is refused
     config = CrossbarConfig(64, 64, r_wire=1e10)
-    A = np.random.default_rng(10).normal(size=(64, 64))
+    A = np.random.default_rng(28).normal(size=(64, 64))
     with pytest.raises(SolverError, match="residual"):
         CrossbarSolver(config, map_weights(A, config)[0]).transfer_matrix()
     engine = program(A, config)
@@ -994,3 +994,17 @@ def test_improvement_over_direct_mapping():
     direct = build_engine(program(A, max_iter=0), sample_inputs=X, seed=0,
                           calibrate=False)
     assert evaluate_engine(improved, X).mean < evaluate_engine(direct, X).mean
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([np.nan], "non-finite"), ([np.inf], "non-finite"), ([-np.inf], "non-finite"),
+    ([np.nan, 2.0], "non-finite"), ([-0.1], r"must lie in \[0, 1.0\]"),
+    ([1.01], r"must lie in \[0, 1.0\]")])
+def test_check_inputs_words_each_refusal(bad, message):
+    # one range test refuses every bad batch; a non-finite entry is named
+    # as such, a finite out-of-range one by the range
+    X = np.full((3, 4), 0.5)
+    X.flat[:len(bad)] = bad
+    with pytest.raises(ValidationError, match=message):
+        check_inputs(X, 4, 1.0)
+    assert check_inputs(np.r_[0.0, -1e-13, 1.0, 1.0 + 1e-10], 4, 1.0).shape == (1, 4)

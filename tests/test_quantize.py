@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xbarsim.errors import ValidationError
-from xbarsim.quantize import (AdcSpec, DacSpec, adc_quantize,
+from xbarsim.quantize import (AdcSpec, DacSpec, _quantize, adc_quantize,
                               calibrate_adc_range, dac_quantize)
 
 
@@ -39,6 +39,29 @@ def test_adc_clamps_and_counts_out_of_range():
     assert spec.clip_count == 1
     adc_quantize(np.array([256e-6, 100e-6, -1e-6]), spec)
     assert spec.clip_count == 3
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 3.0), (1.0, 4.0), (0.0, 0.2), (2e-6, 257e-6)])
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_quantize_is_the_rounding_formula_bit_for_bit(lo, hi, shape):
+    # the clipped-then-in-place rounding against the formula it implements,
+    # with out-of-range values, -0.0 and, where the LSB is 1, exact
+    # half-levels, which round up; the clip count is unchanged
+    bits, size = 2, int(np.prod(shape))
+    lsb = (hi - lo) / (2 ** bits - 1)
+    rng = np.random.default_rng(size)
+    special = [-0.0, lo - lsb, hi + lsb, lo + 0.5 * lsb, lo + 1.5 * lsb, lo + 2.5 * lsb, hi]
+    x = np.r_[special, rng.uniform(lo - lsb, hi + lsb, size=size)][:size].reshape(shape)
+    if not shape:
+        x = x[()]
+    spec = AdcSpec(bits=bits, i_min=lo, i_max=hi)
+    got = _quantize(x, lo, hi, bits, spec)
+    want = lo + np.floor((np.clip(x, lo, hi) - lo) / lsb + 0.5) * lsb
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert spec.clip_count == np.count_nonzero((x < lo) | (x > hi))
+    if lsb == 1.0 and size >= len(special):
+        assert list(np.ravel(got)[3:6]) == [lo + 1.0, lo + 2.0, lo + 3.0]
 
 
 @settings(max_examples=100, deadline=None)
