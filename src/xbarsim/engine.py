@@ -350,7 +350,7 @@ def get_cali_para(engine, sample_inputs, sample_count=DEFAULT_CALI_SAMPLES, seed
     if X.shape[0] > sample_count:
         rng = np.random.default_rng(seed)
         X = X[rng.choice(X.shape[0], size=sample_count, replace=False)]
-    i_corr = engine._corrected_currents(X)
+    i_corr = engine._corrected_currents(X, X.sum(axis=1))
     y_shift = X @ (engine.weights + engine.mapping.c)
     nominal = ReadoutMap.nominal(engine.mapping, engine.col_scale[:engine.shape[1]])
     i_mean, y_mean = i_corr.mean(axis=0), y_shift.mean(axis=0)
@@ -414,7 +414,8 @@ class VmmEngine:
         target scale, the readout's `baseline`); its known contribution
         alpha * g_min * s * sum(x) is subtracted before gain and offset.
         """
-        return self._corrected_currents(self._validate_inputs(X))
+        X = self._validate_inputs(X)
+        return self._corrected_currents(X, X.sum(axis=1))
 
     def execute_batch(self, X):
         """Run a batch of input vectors; returns (batch, cols) outputs."""
@@ -426,20 +427,15 @@ class VmmEngine:
     # the private helpers take a batch `_validate_inputs` already returned
     def _raw_currents(self, X):
         m, n = self.weights.shape
-        if m == self.config.rows:
-            V = self.mapping.alpha * X
-        else:   # the rows beyond the weights are driven at 0 V
-            V = np.zeros((X.shape[0], self.config.rows))
-            np.multiply(self.mapping.alpha, X, out=V[:, :m])
+        V = np.empty((X.shape[0], self.config.rows))
+        np.multiply(self.mapping.alpha, X, out=V[:, :m])
+        V[:, m:] = 0.0   # the rows beyond the weights are driven at 0 V
         V = dac_quantize(V, self.dac)
         I = self.solver.currents(V, check_range=False)[:, :n]
         return adc_quantize(I, self.adc)
 
-    def _corrected_currents(self, X, sums=None):
-        """Raw currents less the baseline, for the row sums of X (taken
-        here if None)."""
-        if sums is None:
-            sums = X.sum(axis=1)
+    def _corrected_currents(self, X, sums):
+        """Raw currents less the baseline, for X and its row sums."""
         floor = self.mapping.alpha * self.config.g_min * sums
         return self._raw_currents(X) - np.outer(floor, self.readout.baseline)
 
